@@ -58,6 +58,7 @@ from .wlinalg import (
     dense_expm,
     expmv,
     frob_norm_weighted,
+    orthonormality_defect,
     weighted_inner,
     weighted_mgs,
     weighted_norm,

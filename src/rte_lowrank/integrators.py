@@ -15,7 +15,7 @@ and are cross-checked in the test suite.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -28,6 +28,7 @@ from .model import assemble_substeps, full_operator, operator_K, operator_L
 from .state import LowRankState
 from .wlinalg import (
     expmv,
+    orthonormality_defect,
     unvec,
     vec,
     weighted_inner,
@@ -39,8 +40,11 @@ log = logging.getLogger(__name__)
 
 REFERENCE_SIZE_CAP = 200_000
 
-_PREPASS_COND = 1e8
 _SIGMA_WARN_RATIO = 1e-13
+_ORTH_WARN = 1e-10
+
+# scaled substep norm above which "auto" takes the structured propagators
+_STRUCTURED_THRESHOLD = 100.0
 
 
 @dataclass
@@ -50,15 +54,13 @@ class StepConfig:
     ``exponential_method`` chooses how exp(dt A) v is evaluated for the
     substep operators: "expmv" (generic Taylor), "structured" (exact
     FFT/eigendecomposition solve), or "auto" (expmv while the scaled substep
-    norm is below ``structured_threshold``, structured beyond).
+    norm is at most _STRUCTURED_THRESHOLD, structured beyond).
     """
 
     dt: float
     substep_solver: str = "exponential"
     expmv_tol: float = 1e-10
-    linear_solve_tol: float = 1e-10
     exponential_method: str = "auto"
-    structured_threshold: float = 100.0
     basis_pinning: bool = False
     debug: bool = False
     seed: int = 0
@@ -66,10 +68,9 @@ class StepConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        for name in ("expmv_tol", "linear_solve_tol"):
-            tol = getattr(self, name)
-            if not 0.0 < tol < 1e-2:
-                raise ValueError(f"{name} must lie in (0, 1e-2), got {tol}")
+        if not 0.0 < self.expmv_tol < 1e-2:
+            raise ValueError(
+                f"expmv_tol must lie in (0, 1e-2), got {self.expmv_tol}")
         if self.substep_solver not in ("exponential", "implicit_euler"):
             raise ValueError(f"unknown substep solver {self.substep_solver!r}")
         if self.exponential_method not in ("auto", "expmv", "structured"):
@@ -88,44 +89,6 @@ class SubstepTrace:
     orth_defect: Optional[float]
     replaced_columns: tuple
     seed: int
-
-
-# ---------------------------------------------------------------------------
-# orthonormalization with backward-stability mitigation
-# ---------------------------------------------------------------------------
-
-def _orthonormalize(a, w, seed=0):
-    """Weighted QR of a factor matrix, robust to extreme column grading.
-
-    Columns are pre-scaled to unit w-norm inside weighted_mgs; when the
-    condition estimate of the scaled columns exceeds 1e8, a Householder QR
-    prepass supplies an orthonormal frame first and the triangular factor is
-    absorbed into the result.
-    """
-    a = np.asarray(a, dtype=float)
-    w = np.asarray(w, dtype=float)
-    norms = np.sqrt((w[:, None] * a * a).sum(axis=0))
-    scale = norms.max(initial=0.0)
-    live = norms > np.finfo(float).eps * scale
-
-    use_prepass = False
-    if scale > 0 and live.all():
-        a_s = a / norms
-        gram = weighted_inner(a_s, a_s, w)
-        ev = np.linalg.eigvalsh(gram)
-        if ev[0] <= 0 or ev[-1] / ev[0] > _PREPASS_COND**2:
-            use_prepass = True
-    elif scale > 0:
-        use_prepass = True
-
-    if not use_prepass:
-        return weighted_mgs(a, w, seed=seed)
-
-    sq = np.sqrt(w)
-    q_h, r_h = np.linalg.qr(sq[:, None] * a, mode="reduced")
-    result = weighted_mgs(q_h / sq[:, None], w, seed=seed)
-    result.r_factor = result.r_factor @ r_h
-    return result
 
 
 def _pin_angular_basis(v1, model, seed=0):
@@ -263,7 +226,7 @@ def _solve_l_substep(model, sub, cfg, l_mat):
     method = cfg.exponential_method
     if method == "auto":
         method = ("expmv" if _l_norm_bound(model, sub, cfg.dt)
-                  <= cfg.structured_threshold else "structured")
+                  <= _STRUCTURED_THRESHOLD else "structured")
     if method == "expmv":
         op = operator_L(model, sub)
         return unvec(expmv(op, cfg.dt, vec(l_mat), cfg.expmv_tol), l_mat.shape)
@@ -277,7 +240,7 @@ def _solve_k_substep(model, sub, cfg, k_mat):
     method = cfg.exponential_method
     if method == "auto":
         method = ("expmv" if _k_norm_bound(model, sub, cfg.dt)
-                  <= cfg.structured_threshold else "structured")
+                  <= _STRUCTURED_THRESHOLD else "structured")
     if method == "expmv":
         op = operator_K(model, sub)
         return unvec(expmv(op, cfg.dt, vec(k_mat), cfg.expmv_tol), k_mat.shape)
@@ -304,14 +267,29 @@ def _solve_s_substep(model, sub, cfg, s_mat, sign, context):
 # one-step maps
 # ---------------------------------------------------------------------------
 
-def _record(trace, step_index, substep, pre, post, replaced, seed,
-            basis=None, weights=None):
+_BASIS_LABEL = {"L": "angular", "K": "spatial"}
+
+
+def _record(trace, step_index, substep, seed, before, after, w=None,
+            replaced=(), basis=None):
+    """Append a SubstepTrace when tracing.
+
+    Norms are w-weighted when w is given and Frobenius otherwise; the
+    orthonormality defect of ``basis`` is measured once here, per step.
+    """
     if trace is None:
         return
+    if w is None:
+        pre, post = np.linalg.norm(before), np.linalg.norm(after)
+    else:
+        pre, post = weighted_norm(before, w), weighted_norm(after, w)
     defect = None
     if basis is not None:
-        gram = weighted_inner(basis, basis, weights)
-        defect = float(np.max(np.abs(gram - np.eye(basis.shape[1]))))
+        defect = orthonormality_defect(basis, w)
+        if defect > _ORTH_WARN:
+            log.warning("step %d: %s basis defect %.2e exceeds %.0e",
+                        step_index + 1, _BASIS_LABEL[substep], defect,
+                        _ORTH_WARN)
     trace.append(SubstepTrace(step_index, substep, float(pre), float(post),
                               defect, tuple(sorted(replaced)), seed))
 
@@ -324,6 +302,38 @@ def _finish_factor(qr, label, step):
         )
 
 
+def _predict_angular(model, state, sub, cfg, trace, step_index):
+    """L substep shared by the three schemes.
+
+    Propagates L = V S^T with the spatial basis frozen and orthonormalizes
+    it in the w_mu inner product.  Returns (L_new, V_new).
+    """
+    l0 = state.v @ state.s.T
+    l1 = _solve_l_substep(model, sub, cfg, l0)
+    qr_v = weighted_mgs(l1, model.wmu, seed=cfg.seed)
+    _finish_factor(qr_v, "angular", step_index)
+    v1 = qr_v.q
+    if cfg.basis_pinning:
+        v1 = _pin_angular_basis(v1, model, seed=cfg.seed)
+    _record(trace, step_index, "L", cfg.seed, l0, l1, model.wmu,
+            qr_v.replaced_columns, v1)
+    return l1, v1
+
+
+def _update_spatial(model, sub, cfg, k0, trace, step_index):
+    """K substep shared by the three schemes.
+
+    Propagates K from k0 with the angular basis frozen and orthonormalizes
+    it in the dx inner product.  Returns the QrResult (X_new, its R).
+    """
+    k1 = _solve_k_substep(model, sub, cfg, k0)
+    qr_x = weighted_mgs(k1, model.wx, seed=cfg.seed)
+    _finish_factor(qr_x, "spatial", step_index)
+    _record(trace, step_index, "K", cfg.seed, k0, k1, model.wx,
+            qr_x.replaced_columns, qr_x.q)
+    return qr_x
+
+
 def gap_step(model, state, cfg, trace=None, step_index=0):
     """One step of the Galerkin alternating-projection scheme.
 
@@ -333,27 +343,11 @@ def gap_step(model, state, cfg, trace=None, step_index=0):
     angular basis and re-orthonormalized to give the new X and S.
     """
     sub0 = assemble_substeps(model, state.x, state.v)
-
-    l0 = state.v @ state.s.T
-    l1 = _solve_l_substep(model, sub0, cfg, l0)
-    qr_v = _orthonormalize(l1, model.wmu, seed=cfg.seed)
-    _finish_factor(qr_v, "angular", step_index)
-    v1 = qr_v.q
-    if cfg.basis_pinning:
-        v1 = _pin_angular_basis(v1, model, seed=cfg.seed)
-    _record(trace, step_index, "L", weighted_norm(l0, model.wmu),
-            weighted_norm(l1, model.wmu), qr_v.replaced_columns, cfg.seed,
-            basis=v1, weights=model.wmu)
+    _, v1 = _predict_angular(model, state, sub0, cfg, trace, step_index)
 
     k0 = state.x @ state.s @ weighted_inner(state.v, v1, model.wmu)
     sub1 = assemble_substeps(model, state.x, v1)
-    k1 = _solve_k_substep(model, sub1, cfg, k0)
-    qr_x = _orthonormalize(k1, model.wx, seed=cfg.seed)
-    _finish_factor(qr_x, "spatial", step_index)
-    _record(trace, step_index, "K", weighted_norm(k0, model.wx),
-            weighted_norm(k1, model.wx), qr_x.replaced_columns, cfg.seed,
-            basis=qr_x.q, weights=model.wx)
-
+    qr_x = _update_spatial(model, sub1, cfg, k0, trace, step_index)
     return LowRankState(qr_x.q, qr_x.r_factor, v1)
 
 
@@ -365,17 +359,7 @@ def psi_step(model, state, cfg, trace=None, step_index=0):
     and the spatial factor is propagated in the predicted angular basis.
     """
     sub0 = assemble_substeps(model, state.x, state.v)
-
-    l0 = state.v @ state.s.T
-    l1 = _solve_l_substep(model, sub0, cfg, l0)
-    qr_v = _orthonormalize(l1, model.wmu, seed=cfg.seed)
-    _finish_factor(qr_v, "angular", step_index)
-    v1 = qr_v.q
-    if cfg.basis_pinning:
-        v1 = _pin_angular_basis(v1, model, seed=cfg.seed)
-    _record(trace, step_index, "L", weighted_norm(l0, model.wmu),
-            weighted_norm(l1, model.wmu), qr_v.replaced_columns, cfg.seed,
-            basis=v1, weights=model.wmu)
+    l1, v1 = _predict_angular(model, state, sub0, cfg, trace, step_index)
 
     s_tilde = weighted_inner(v1, l1, model.wmu).T
     sub1 = assemble_substeps(model, state.x, v1)
@@ -384,17 +368,10 @@ def psi_step(model, state, cfg, trace=None, step_index=0):
         context="backward coefficient substep: the flow grows like "
                 "exp(dt/eps^2) when integrated backward; expected for small "
                 "eps -- prefer the gap or bug scheme there")
-    _record(trace, step_index, "S", float(np.linalg.norm(s_tilde)),
-            float(np.linalg.norm(s_hat)), (), cfg.seed)
+    _record(trace, step_index, "S", cfg.seed, s_tilde, s_hat)
 
-    k0 = state.x @ s_hat
-    k1 = _solve_k_substep(model, sub1, cfg, k0)
-    qr_x = _orthonormalize(k1, model.wx, seed=cfg.seed)
-    _finish_factor(qr_x, "spatial", step_index)
-    _record(trace, step_index, "K", weighted_norm(k0, model.wx),
-            weighted_norm(k1, model.wx), qr_x.replaced_columns, cfg.seed,
-            basis=qr_x.q, weights=model.wx)
-
+    qr_x = _update_spatial(model, sub1, cfg, state.x @ s_hat, trace,
+                           step_index)
     return LowRankState(qr_x.q, qr_x.r_factor, v1)
 
 
@@ -407,35 +384,16 @@ def bug_step(model, state, cfg, trace=None, step_index=0):
     bases and integrated forward with the Galerkin-reduced dynamics.
     """
     sub0 = assemble_substeps(model, state.x, state.v)
-
-    l0 = state.v @ state.s.T
-    l1 = _solve_l_substep(model, sub0, cfg, l0)
-    qr_v = _orthonormalize(l1, model.wmu, seed=cfg.seed)
-    _finish_factor(qr_v, "angular", step_index)
-    v1 = qr_v.q
-    if cfg.basis_pinning:
-        v1 = _pin_angular_basis(v1, model, seed=cfg.seed)
-    _record(trace, step_index, "L", weighted_norm(l0, model.wmu),
-            weighted_norm(l1, model.wmu), qr_v.replaced_columns, cfg.seed,
-            basis=v1, weights=model.wmu)
-
-    k0 = state.x @ state.s
-    k1 = _solve_k_substep(model, sub0, cfg, k0)
-    qr_x = _orthonormalize(k1, model.wx, seed=cfg.seed)
-    _finish_factor(qr_x, "spatial", step_index)
-    x1 = qr_x.q
-    _record(trace, step_index, "K", weighted_norm(k0, model.wx),
-            weighted_norm(k1, model.wx), qr_x.replaced_columns, cfg.seed,
-            basis=x1, weights=model.wx)
+    _, v1 = _predict_angular(model, state, sub0, cfg, trace, step_index)
+    x1 = _update_spatial(model, sub0, cfg, state.x @ state.s, trace,
+                         step_index).q
 
     sub1 = assemble_substeps(model, x1, v1)
     s0 = (weighted_inner(x1, state.x, model.wx) @ state.s
           @ weighted_inner(state.v, v1, model.wmu))
     s1 = _solve_s_substep(model, sub1, cfg, s0, sign=1.0,
                           context="Galerkin coefficient substep")
-    _record(trace, step_index, "S", float(np.linalg.norm(s0)),
-            float(np.linalg.norm(s1)), (), cfg.seed)
-
+    _record(trace, step_index, "S", cfg.seed, s0, s1)
     return LowRankState(x1, s1, v1)
 
 
@@ -469,17 +427,9 @@ def integrate(model, initial, scheme, cfg, n_steps, coalesce_reference=True,
     trace = [] if cfg.debug else None
 
     if scheme == "reference":
-        f = np.asarray(initial, dtype=float)
-        dim = model.grid.n_x * model.quad.n_mu
-        if dim > size_cap:
-            raise SizeCapError(
-                f"reference solve needs a {dim}-dimensional operator, above "
-                f"the cap of {size_cap}"
-            )
         if coalesce_reference:
-            op = full_operator(model)
-            sol = expmv(op, cfg.dt * n_steps, vec(f), cfg.expmv_tol)
-            return unvec(sol, f.shape), trace
+            cfg, n_steps = replace(cfg, dt=cfg.dt * n_steps), 1
+        f = initial
         for i in range(n_steps):
             try:
                 f = reference_step(model, f, cfg, size_cap=size_cap)
@@ -500,13 +450,6 @@ def integrate(model, initial, scheme, cfg, n_steps, coalesce_reference=True,
         except (NumericalFailureError, DegenerateStateError) as err:
             raise type(err)(f"step {i + 1}/{n_steps}: {err}") from err
         if cfg.debug:
-            for basis, w, label in ((state.x, model.wx, "spatial"),
-                                    (state.v, model.wmu, "angular")):
-                gram = weighted_inner(basis, basis, w)
-                defect = float(np.max(np.abs(gram - np.eye(basis.shape[1]))))
-                if defect > 1e-10:
-                    log.warning("step %d: %s basis defect %.2e exceeds 1e-10",
-                                i + 1, label, defect)
             sig = np.linalg.svd(state.s, compute_uv=False)
             if sig[0] > 0 and sig[-1] / sig[0] < _SIGMA_WARN_RATIO:
                 log.warning(

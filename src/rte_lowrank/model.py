@@ -21,6 +21,7 @@ from .wlinalg import (
     dense_expm,
     expmv,
     frob_norm_weighted,
+    orthonormality_defect,
     unvec,
     vec,
     weighted_inner,
@@ -113,8 +114,7 @@ def full_operator(model):
 
 
 def _check_orthonormal(basis, w, label):
-    gram = weighted_inner(basis, basis, w)
-    defect = float(np.max(np.abs(gram - np.eye(basis.shape[1]))))
+    defect = orthonormality_defect(basis, w)
     if defect > _ORTHO_TOL:
         raise OrthonormalityError(label, defect)
 

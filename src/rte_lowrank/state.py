@@ -5,8 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import density
-from .wlinalg import frob_norm_weighted, weighted_inner, weighted_norm, \
-    weighted_truncated_svd
+from .wlinalg import frob_norm_weighted, orthonormality_defect, \
+    weighted_norm, weighted_truncated_svd
 
 
 @dataclass
@@ -58,12 +58,8 @@ def reconstruct(state):
 def orthonormality_defects(state, grid, quad):
     """Max-entry deviations of x^T diag(dx) x and v^T diag(w) v from identity."""
     wx = np.full(grid.n_x, grid.dx)
-    r = state.rank
-    dx_defect = float(np.max(np.abs(
-        weighted_inner(state.x, state.x, wx) - np.eye(r))))
-    dv_defect = float(np.max(np.abs(
-        weighted_inner(state.v, state.v, quad.weights) - np.eye(r))))
-    return dx_defect, dv_defect
+    return (orthonormality_defect(state.x, wx),
+            orthonormality_defect(state.v, quad.weights))
 
 
 def state_weighted_norm(state, grid, quad):
@@ -121,9 +117,3 @@ def report_to_dict(report):
         "sigma_spectrum": [float(s) for s in report.sigma_spectrum],
     }
 
-
-def report_from_dict(d):
-    return ErrorReport(
-        d["rel_l2_density"], d["rel_l2_full"], d["mass"],
-        np.asarray(d["sigma_spectrum"]),
-    )

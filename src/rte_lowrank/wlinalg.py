@@ -1,4 +1,4 @@
-"""Weighted inner products, weighted MGS, weighted truncated SVD, and expmv.
+"""Weighted inner products, weighted QR, weighted truncated SVD, and expmv.
 
 All factorizations here are orthonormal with respect to a diagonal weighted
 inner product <u, v>_w = sum_i w_i u_i v_i, with w either the grid spacing
@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .exceptions import NumericalFailureError
 
@@ -57,6 +56,12 @@ def weighted_norm(v, w):
     return math.sqrt(float(np.sum(w[:, None] * v * v)))
 
 
+def orthonormality_defect(basis, w):
+    """Largest entry of |basis^T diag(w) basis - I|."""
+    gram = weighted_inner(basis, basis, w)
+    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+
+
 def frob_norm_weighted(f, wx, wmu):
     """Frobenius norm of a space-angle matrix in the dx x dmu measure."""
     f = np.asarray(f)
@@ -95,9 +100,11 @@ class SparseOperator:
 class QrResult:
     """Weighted QR factorization a = q @ r_factor with q w-orthonormal.
 
-    Columns listed in ``replaced_columns`` were rank deficient; their q
-    columns are deterministic seeded fallback directions and contribute a
-    zero diagonal entry in r_factor.
+    r_factor is upper triangular with a nonnegative diagonal.  Columns listed
+    in ``replaced_columns`` were rank deficient: their q columns are
+    deterministic seeded fallback directions, their diagonal entry in
+    r_factor is exactly zero, and the entries above it hold the projection
+    of the original column onto the preceding q columns.
     """
 
     q: np.ndarray
@@ -106,7 +113,7 @@ class QrResult:
 
 
 def weighted_mgs(a, w, tau=_MGS_TAU, seed=0):
-    """Modified Gram-Schmidt in the w-inner product, with reorthogonalization.
+    """Householder QR in the w-inner product, with seeded column replacement.
 
     Parameters
     ----------
@@ -115,15 +122,22 @@ def weighted_mgs(a, w, tau=_MGS_TAU, seed=0):
     w : (m,) array
         Positive weights defining the inner product.
     tau : float
-        Relative rank-deficiency threshold.  A column whose post-projection
-        norm falls below tau times its original norm (floored at a
-        machine-scale absolute threshold) is replaced by a fallback vector.
+        Relative rank-deficiency threshold.  A column whose residual after
+        projection onto the preceding columns falls below tau times its
+        original w-norm (floored at a machine-scale absolute threshold) is
+        replaced by a fallback vector.
     seed : int
         Seed of the pseudorandom stream supplying replacement vectors.
 
-    Each column is projected against the previous ones twice ("twice is
-    enough") so the orthonormality defect stays at roundoff even for badly
-    conditioned input.
+    The columns are pre-scaled to unit w-norm and factored by one Householder
+    QR of diag(sqrt(w)) a, which stays orthonormal to roundoff however badly
+    the columns are graded; |R_jj| is the residual of column j after
+    projection onto the preceding columns.  Signs are fixed so that
+    diag(R) >= 0.  While a column not yet replaced is deficient, the first
+    such column j is swapped for sqrt(w) * g, with g the next
+    ``standard_normal(m)`` draw of ``default_rng(seed)``, and the QR is
+    redone.  Each replaced column then gets R_jj = 0 and R[:j, j] = the
+    projection of the original column onto the preceding q columns.
     """
     a = np.asarray(a, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -131,53 +145,35 @@ def weighted_mgs(a, w, tau=_MGS_TAU, seed=0):
     if m < r:
         raise ValueError(f"need at least as many rows as columns, got {m} x {r}")
 
-    col_norms = np.array([weighted_norm(a[:, j], w) for j in range(r)])
-    scale = col_norms.max() if r else 0.0
-    abs_floor = np.finfo(float).eps * scale
+    sq = np.sqrt(w)
+    col_norms = np.sqrt(np.sum(w[:, None] * a * a, axis=0))
+    abs_floor = np.finfo(float).eps * col_norms.max(initial=0.0)
 
     # pre-scale live columns to unit w-norm; undo through r_factor at the end
     col_scale = np.where(col_norms > abs_floor, col_norms, 1.0)
-    a_s = a / col_scale
+    b = sq[:, None] * (a / col_scale)
+    thresh = tau * np.maximum(col_norms, abs_floor) / col_scale
 
-    q = np.zeros((m, r))
-    r_factor = np.zeros((r, r))
-    replaced = set()
     rng = np.random.default_rng(seed)
+    work = b.copy()
+    replaced = set()
+    while True:
+        q, r_factor = np.linalg.qr(work)
+        sign = np.where(np.diag(r_factor) < 0.0, -1.0, 1.0)
+        q *= sign
+        r_factor *= sign[:, None]
+        j = next((j for j in range(r) if j not in replaced
+                  and r_factor[j, j] <= thresh[j]), None)
+        if j is None:
+            break
+        work[:, j] = sq * rng.standard_normal(m)
+        replaced.add(j)
 
-    for j in range(r):
-        v = a_s[:, j].copy()
-        norm0 = weighted_norm(v, w)
-        for _ in range(2):
-            for i in range(j):
-                c = float(np.dot(q[:, i], w * v))
-                v -= c * q[:, i]
-                r_factor[i, j] += c
-        norm1 = weighted_norm(v, w)
-        if norm1 <= tau * max(norm0, abs_floor / col_scale[j]):
-            replaced.add(j)
-            r_factor[j, j] = 0.0
-            v = _replacement_column(q[:, :j], w, rng)
-        else:
-            v /= norm1
-            r_factor[j, j] = norm1
-        q[:, j] = v
-
+    for j in replaced:
+        r_factor[:, j] = 0.0
+        r_factor[:j, j] = q[:, :j].T @ b[:, j]
     r_factor *= col_scale[None, :]
-    return QrResult(q, r_factor, replaced)
-
-
-def _replacement_column(q_prev, w, rng):
-    """Draw a deterministic fallback direction w-orthonormal to q_prev."""
-    m = w.shape[0]
-    for _ in range(100):
-        v = rng.standard_normal(m)
-        for _ in range(2):
-            if q_prev.shape[1]:
-                v -= q_prev @ (q_prev.T @ (w * v))
-        nrm = weighted_norm(v, w)
-        if nrm > 1e-8 * math.sqrt(m):
-            return v / nrm
-    raise NumericalFailureError("could not generate a replacement column")
+    return QrResult(q / sq[:, None], r_factor, replaced)
 
 
 def weighted_truncated_svd(f, r, wx, wmu):

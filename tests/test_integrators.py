@@ -253,6 +253,21 @@ class TestGapProperties:
                    if t.orth_defect is not None)
         assert any(t.orth_defect is not None for t in trace)
 
+    def test_deficient_columns_reported_in_diffusive_limit(self):
+        # at eps = 1e-4 most spatial columns collapse; each collapsed column
+        # must be reported and replaced, leaving S with a nonnegative diagonal
+        m = build(n_x=64, n_mu=16, eps=1e-4)
+        x, mu = m.grid.points, m.quad.nodes
+        coeffs = [1.0, -0.1, -0.01, 1e-3, 1e-4]
+        f0 = coeffs[0] * np.ones((64, 16))
+        for k, c in enumerate(coeffs[1:], start=1):
+            f0 += c * np.outer(np.sin(k * np.pi * x), mu**k)
+        st, _ = from_full(f0, 5, m.grid, m.quad)
+        out, trace = integrate(m, st, "gap", StepConfig(dt=0.1, debug=True),
+                               3)
+        assert any(t.replaced_columns for t in trace)
+        assert np.all(np.diag(out.s) >= 0.0)
+
 
 class TestReference:
     def test_mass_conserved(self):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rte_lowrank.grids import gauss_legendre
 from rte_lowrank.wlinalg import (
@@ -108,6 +110,63 @@ class TestWeightedMgs:
         res = weighted_mgs(a, w)
         gram = weighted_inner(res.q, res.q, w)
         assert np.abs(gram - np.eye(5)).max() <= 1e-12
+
+
+@st.composite
+def qr_inputs(draw):
+    """Graded columns under spread weights, some exactly zero or dependent.
+
+    Returns (a, w, dependent) with dependent the indices of the columns that
+    are zero or an exact combination of earlier generated columns.
+    """
+    r = draw(st.integers(1, 8))
+    m = draw(st.integers(r, 40))
+    w_exp = draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m))
+    grade = draw(st.lists(st.floats(-12.0, 0.0), min_size=r, max_size=r))
+    kinds = draw(st.lists(st.sampled_from(["live", "zero", "dependent"]),
+                          min_size=r, max_size=r))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((m, r)) * 10.0 ** np.array(grade)
+    dependent = set()
+    for j, kind in enumerate(kinds):
+        live = [i for i in range(j) if kinds[i] == "live"]
+        if kind == "zero" or (kind == "dependent" and not live):
+            a[:, j] = 0.0
+        elif kind == "dependent":
+            a[:, j] = a[:, live] @ rng.standard_normal(len(live))
+        if kind != "live":
+            dependent.add(j)
+    return a, 10.0 ** np.array(w_exp), dependent
+
+
+class TestWeightedQrProperties:
+    @given(qr_inputs(), st.integers(0, 2**16))
+    def test_contract(self, inputs, seed):
+        a, w, dependent = inputs
+        res = weighted_mgs(a, w, seed=seed)
+        m, r = a.shape
+        q, rf = res.q, res.r_factor
+        assert q.shape == (m, r) and rf.shape == (r, r)
+        assert np.abs(weighted_inner(q, q, w) - np.eye(r)).max() <= 1e-12
+        assert np.array_equal(rf, np.triu(rf))
+        assert dependent <= res.replaced_columns
+
+        norms = [weighted_norm(a[:, j], w) for j in range(r)]
+        floor = np.finfo(float).eps * max(norms)
+        for j in range(r):
+            err = weighted_norm(q @ rf[:, j] - a[:, j], w)
+            if j in res.replaced_columns:
+                assert rf[j, j] == 0.0
+                # what is left out is the residual the deficiency test saw
+                assert err <= 2e-10 * max(norms[j], floor)
+            else:
+                assert rf[j, j] > 0.0
+                assert err <= 1e-10 * norms[j]
+
+        again = weighted_mgs(a, w, seed=seed)
+        assert np.array_equal(again.q, q)
+        assert np.array_equal(again.r_factor, rf)
+        assert again.replaced_columns == res.replaced_columns
 
 
 class TestWeightedTruncatedSvd:

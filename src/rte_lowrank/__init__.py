@@ -62,6 +62,7 @@ from .wlinalg import (
     weighted_inner,
     weighted_mgs,
     weighted_norm,
+    weighted_singular_values,
     weighted_truncated_svd,
 )
 

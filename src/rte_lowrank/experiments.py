@@ -22,7 +22,8 @@ from .grids import build_diff_matrices, gauss_legendre, uniform_grid
 from .integrators import StepConfig, integrate
 from .model import density, diffusion_limit_density, make_model
 from .state import error_report, from_full, reconstruct, report_to_dict
-from .wlinalg import frob_norm_weighted, weighted_truncated_svd
+from .wlinalg import (frob_norm_weighted, weighted_singular_values,
+                      weighted_truncated_svd)
 
 log = logging.getLogger(__name__)
 
@@ -408,9 +409,7 @@ def cmd_sweep_dt(cfg, outdir):
     f0 = initial_matrix(cfg, grid, quad)
     ref, _ = integrate(model, f0, "reference", step_config(cfg, cfg.t_final), 1)
     ref_norm = frob_norm_weighted(ref, model.wx, model.wmu)
-    sigma = np.linalg.svd(
-        np.sqrt(model.wx)[:, None] * ref * np.sqrt(model.wmu)[None, :],
-        compute_uv=False)
+    sigma = weighted_singular_values(ref, model.wx, model.wmu)
     r = cfg.rank
     sigma_tail = float(sigma[r]) if r < len(sigma) else 0.0
     sigma_tail_rel = sigma_tail / ref_norm
@@ -457,9 +456,7 @@ def cmd_singvals(cfg, outdir):
     else:
         ref, _ = integrate(model, f0, "reference",
                            step_config(cfg, cfg.t_final), 1)
-    sigma = np.linalg.svd(
-        np.sqrt(model.wx)[:, None] * ref * np.sqrt(model.wmu)[None, :],
-        compute_uv=False)
+    sigma = weighted_singular_values(ref, model.wx, model.wmu)
     rows = [(k + 1, s) for k, s in enumerate(sigma)]
     write_csv(Path(outdir) / "singvals.csv", ["index", "sigma"], rows)
     return sigma

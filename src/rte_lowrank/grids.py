@@ -36,11 +36,15 @@ class DiffMatrices:
     """Sparse periodic finite-difference matrices (3 nonzeros per row).
 
     d_x is the second-order centered first derivative, d_xx the standard
-    three-point second derivative.
+    three-point second derivative.  Both are circulant: d_x_symbol =
+    i sin(2 t_k) / dx and d_xx_symbol = -(4 / dx^2) sin^2(t_k), with
+    t_k = pi k / n_x, are their eigenvalues on the rfft modes k = 0..n_x/2.
     """
 
     d_x: sp.csr_matrix
     d_xx: sp.csr_matrix
+    d_x_symbol: np.ndarray
+    d_xx_symbol: np.ndarray
 
 
 def _legendre_and_derivative(n, x):
@@ -100,7 +104,7 @@ def uniform_grid(a, b, n_x):
 
 
 def build_diff_matrices(grid):
-    """Periodic centered d_x and three-point d_xx for a uniform grid."""
+    """Periodic centered d_x and three-point d_xx, with their symbols."""
     n = grid.n_x
     dx = grid.dx
     rows = np.repeat(np.arange(n), 2)
@@ -122,4 +126,8 @@ def build_diff_matrices(grid):
     vals2[1::3] = 1.0 / dx**2
     vals2[2::3] = 1.0 / dx**2
     d_xx = sp.coo_matrix((vals2, (rows2, cols2)), shape=(n, n)).tocsr()
-    return DiffMatrices(d_x, d_xx)
+    # closed forms: unlike an FFT of the column, small symbols keep a
+    # relative roundoff instead of one of order 1e-16 / dx^2
+    theta = np.pi * np.arange(n // 2 + 1) / n
+    return DiffMatrices(d_x, d_xx, 1j * np.sin(2.0 * theta) / dx,
+                        -(4.0 / dx**2) * np.sin(theta) ** 2)

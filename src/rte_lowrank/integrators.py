@@ -7,11 +7,11 @@ solved by exponential action by default, or by implicit Euler.
 The exponential action is computed two ways behind one interface: the generic
 Taylor ``expmv`` when the scaled substep norm is moderate, and exact
 structure-exploiting propagators when the collision stiffness 1/eps^2 makes a
-polynomial method infeasible.  On the uniform periodic grid D_x is circulant,
-so the K flow decouples into r x r blocks under an FFT in space; the L flow
-decouples into n_mu x n_mu blocks under an eigendecomposition of the
-antisymmetric r x r matrix A_x.  Both routes agree to the requested tolerance
-and are cross-checked in the test suite.
+polynomial method infeasible.  These decouple into modes, and one kernel,
+``_propagate_modes``, maps each mode row y_q to y_q exp(scale_q b + c): K on
+the Fourier modes of the circulant D_x (r x r blocks), L on the eigenvectors
+of the antisymmetric r x r A_x (n_mu x n_mu blocks).  Both routes agree to
+the requested tolerance and are cross-checked in the test suite.
 """
 
 import logging
@@ -135,50 +135,39 @@ def _expm_batch(mats):
     return out
 
 
+def _propagate_modes(scale, b, c, y):
+    """Map each mode row y_q to y_q exp(scale_q b + c) by one batched expm."""
+    prop = _expm_batch(scale[:, None, None] * b[None, :, :] + c[None, :, :])
+    return np.einsum("qi,qij->qj", y, prop)
+
+
 def _propagate_k_structured(model, sub, dt, k_mat):
-    """Exact K flow via the FFT diagonalization of the circulant D_x.
+    """Exact K flow on the spatial Fourier modes of the circulant D_x.
 
-    Each spatial Fourier mode q obeys the r x r system
-    dK_q/dt = K_q G_q with G_q = -(d_q/eps) B_mu + (1/eps^2)(C_mu - I),
-    where d_q are the (purely imaginary) eigenvalues of D_x.
+    Row q of rfft(K) obeys dK_q/dt = K_q G_q with
+    G_q = -(d_q/eps) B_mu + (1/eps^2)(C_mu - I), d_q the D_x symbol.
     """
-    n_x = model.grid.n_x
-    r = sub.b_mu.shape[0]
     eps = model.eps
-    d_col = np.asarray(model.diff.d_x[:, [0]].todense()).ravel()
-    d_eig = np.fft.fft(d_col)[: n_x // 2 + 1]
-
-    gen = (
-        -(dt / eps) * d_eig[:, None, None] * sub.b_mu[None, :, :]
-        + (dt / eps**2) * (sub.c_mu - np.eye(r))[None, :, :]
-    )
-    prop = _expm_batch(gen)
-    k_hat = np.fft.rfft(k_mat, axis=0)
-    k_hat = np.einsum("qi,qij->qj", k_hat, prop)
-    return np.fft.irfft(k_hat, n=n_x, axis=0)
+    r = sub.b_mu.shape[0]
+    k_hat = _propagate_modes(-(dt / eps) * model.diff.d_x_symbol, sub.b_mu,
+                             (dt / eps**2) * (sub.c_mu - np.eye(r)),
+                             np.fft.rfft(k_mat, axis=0))
+    return np.fft.irfft(k_hat, n=model.grid.n_x, axis=0)
 
 
 def _propagate_l_structured(model, sub, dt, l_mat):
-    """Exact L flow via the eigendecomposition of the antisymmetric A_x.
+    """Exact L flow on the eigenvectors of the antisymmetric A_x.
 
-    With A_x = U diag(-i g) U^H, the transformed columns of L U decouple into
-    n_mu x n_mu systems H_j = -(i g_j / eps) diag(mu) + (1/eps^2)(W^T - I).
+    With A_x = U diag(-i g) U^H, row j of (L U)^T obeys the row form
+    dy_j/dt = y_j H_j with H_j = -(i g_j/eps) diag(mu) + (1/eps^2)(W_mu - I),
+    the per-mode generator of the full operator with g_j in place of d_q.
     """
-    n_mu = model.quad.n_mu
     eps = model.eps
-    a_skew = 0.5 * (sub.a_x - sub.a_x.T)
-    gam, u = np.linalg.eigh(1j * a_skew)
-
-    coll = (model.w_mu_matrix.T - np.eye(n_mu)) / eps**2
-    gen = (
-        (-1j * dt / eps) * gam[:, None, None]
-        * np.diag(model.quad.nodes)[None, :, :]
-        + dt * coll[None, :, :]
-    )
-    prop = _expm_batch(gen)
-    lt = l_mat.astype(complex) @ u
-    lt = np.einsum("jab,bj->aj", prop, lt)
-    return np.real(lt @ u.conj().T)
+    gam, u = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))
+    coll = (dt / eps**2) * (model.w_mu_matrix - np.eye(model.quad.n_mu))
+    rows = _propagate_modes((-1j * dt / eps) * gam, np.diag(model.quad.nodes),
+                            coll, (l_mat @ u).T)
+    return np.real(rows.T @ u.conj().T)
 
 
 def _s_generator(model, sub, sign):

@@ -18,16 +18,15 @@ import scipy.sparse as sp
 from .exceptions import OrthonormalityError
 from .grids import AngularQuadrature, DiffMatrices, SpatialGrid
 from .wlinalg import (
-    dense_expm,
-    expmv,
+    SparseOperator,
     frob_norm_weighted,
     orthonormality_defect,
     unvec,
     vec,
     weighted_inner,
-    SparseOperator,
-    DENSE_EXPM_LIMIT,
 )
+# unused here, but bench/tracing.py rebinds both names in this module
+from .wlinalg import dense_expm, expmv  # noqa: F401
 
 # explicit sparse matrices are only assembled below this nonzero count
 _MATERIALIZE_NNZ = 5_000_000
@@ -208,22 +207,18 @@ def density(model, f):
 
 
 def diffusion_limit_density(model, rho0, t):
-    """Evolve a density by the discrete diffusion limit exp((t/3) D_xx)."""
+    """Evolve a density by the discrete diffusion limit exp((t/3) D_xx).
+
+    D_xx is circulant, so the flow is the exact Fourier multiplier
+    exp((t/3) d_xx_symbol) on the rfft of rho0.
+    """
     if t < 0:
         raise ValueError("t must be nonnegative")
     rho0 = np.asarray(rho0, dtype=float)
     if t == 0.0:
         return rho0.copy()
-    n_x = model.grid.n_x
-    if n_x <= DENSE_EXPM_LIMIT:
-        return dense_expm((t / 3.0) * model.diff.d_xx.toarray()) @ rho0
-    op = SparseOperator(
-        n_x,
-        lambda u: model.diff.d_xx @ u / 3.0,
-        model.diff.d_xx / 3.0,
-        name="diffusion_limit_operator",
-    )
-    return expmv(op, t, rho0, tol=1e-12)
+    decay = np.exp((t / 3.0) * model.diff.d_xx_symbol)
+    return np.fft.irfft(decay * np.fft.rfft(rho0), n=model.grid.n_x)
 
 
 def tangent_residual(model, state):

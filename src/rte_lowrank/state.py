@@ -6,7 +6,7 @@ import numpy as np
 
 from .model import density
 from .wlinalg import frob_norm_weighted, orthonormality_defect, \
-    weighted_norm, weighted_truncated_svd
+    weighted_norm, weighted_singular_values, weighted_truncated_svd
 
 
 @dataclass
@@ -92,8 +92,7 @@ def error_report(approx, reference, model):
     rel_full = frob_norm_weighted(f_a - f_r, wx, wmu) / full_norm
     mass = float(model.grid.dx * np.sum(f_a @ wmu))
 
-    scaled = np.sqrt(wx)[:, None] * f_r * np.sqrt(wmu)[None, :]
-    sigma = np.linalg.svd(scaled, compute_uv=False)
+    sigma = weighted_singular_values(f_r, wx, wmu)
     return ErrorReport(float(rel_rho), float(rel_full), mass, sigma)
 
 

@@ -176,6 +176,12 @@ def weighted_mgs(a, w, tau=_MGS_TAU, seed=0):
     return QrResult(q / sq[:, None], r_factor, replaced)
 
 
+def weighted_singular_values(f, wx, wmu):
+    """Singular values of f in the (wx, wmu)-weighted norm, descending."""
+    return np.linalg.svd(np.sqrt(wx)[:, None] * f * np.sqrt(wmu)[None, :],
+                         compute_uv=False)
+
+
 def weighted_truncated_svd(f, r, wx, wmu):
     """Best rank-r approximation of f in the (wx, wmu)-weighted norm.
 

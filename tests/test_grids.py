@@ -121,3 +121,13 @@ class TestDiffMatrices:
         applied = d.d_x @ mode
         expected = 1j * np.sin(k * np.pi * g.dx) / g.dx * mode
         assert np.abs(applied - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_x", [2, 3, 4, 5, 25, 64, 101])
+    def test_symbols_are_rfft_of_first_column(self, n_x):
+        g = uniform_grid(0.0, 2.0, n_x)
+        d = build_diff_matrices(g)
+        assert d.d_x_symbol.shape == d.d_xx_symbol.shape == (n_x // 2 + 1,)
+        col_x = np.fft.rfft(d.d_x[:, [0]].toarray().ravel())
+        col_xx = np.fft.rfft(d.d_xx[:, [0]].toarray().ravel())
+        assert np.abs(d.d_x_symbol - col_x).max() <= 1e-14 / g.dx
+        assert np.abs(d.d_xx_symbol - col_xx).max() <= 1e-14 / g.dx**2

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given
+from hypothesis import strategies
 
 from rte_lowrank.exceptions import (
     DegenerateStateError,
@@ -9,6 +12,8 @@ from rte_lowrank.exceptions import (
 from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
 from rte_lowrank.integrators import (
     StepConfig,
+    _propagate_k_structured,
+    _propagate_l_structured,
     bug_step,
     gap_step,
     integrate,
@@ -16,17 +21,26 @@ from rte_lowrank.integrators import (
     reference_step,
 )
 from rte_lowrank.model import (
+    assemble_substeps,
     density,
     diffusion_limit_density,
     full_rhs,
     make_model,
+    operator_K,
+    operator_L,
 )
 from rte_lowrank.state import (
     from_full,
     orthonormality_defects,
     reconstruct,
 )
-from rte_lowrank.wlinalg import frob_norm_weighted, weighted_norm
+from rte_lowrank.wlinalg import (
+    frob_norm_weighted,
+    unvec,
+    vec,
+    weighted_mgs,
+    weighted_norm,
+)
 
 ALL_STEPS = [("gap", gap_step), ("psi", psi_step), ("bug", bug_step)]
 
@@ -158,6 +172,46 @@ class TestOracleEquivalence:
             out, _ = integrate(m, st, "gap", cfg, n)
             errs.append(rel_err(reconstruct(out), exact, m))
         assert errs[1] <= 0.75 * errs[0]
+
+
+def basis_with_constant(n, r, w, rng):
+    """w-orthonormal n x r basis whose first column is constant."""
+    cols = np.column_stack([np.ones(n), rng.standard_normal((n, r - 1))])
+    return weighted_mgs(cols, w).q
+
+
+class TestStructuredPropagators:
+    # operator, structured flow, and the row count of the propagated factor
+    FLOWS = {
+        "K": (operator_K, _propagate_k_structured, lambda m: m.grid.n_x),
+        "L": (operator_L, _propagate_l_structured, lambda m: m.quad.n_mu),
+    }
+
+    @pytest.mark.parametrize("flow", ["K", "L"])
+    @pytest.mark.parametrize("parity", [0, 1])
+    @given(half=strategies.integers(1, 19), n_mu=strategies.integers(2, 12),
+           rank=strategies.integers(1, 6),
+           log_eps=strategies.floats(-4.0, 1.0),
+           log_dt=strategies.floats(-4.0, 0.0),
+           seed=strategies.integers(0, 2**32 - 1))
+    def test_matches_dense_expm_oracle(self, flow, parity, half, n_mu, rank,
+                                       log_eps, log_dt, seed):
+        eps, dt = 10.0**log_eps, 10.0**log_dt
+        m = build(n_x=2 * half + parity, n_mu=n_mu, eps=eps)
+        r = min(rank, n_mu, m.grid.n_x)
+        rng = np.random.default_rng(seed)
+        # the constant columns carry the isotropic mode, which survives the
+        # 1/eps^2 collision decay and keeps the relative error meaningful
+        x = basis_with_constant(m.grid.n_x, r, m.wx, rng)
+        v = basis_with_constant(n_mu, r, m.wmu, rng)
+        sub = assemble_substeps(m, x, v)
+        operator, propagate, rows = self.FLOWS[flow]
+        y0 = rng.standard_normal((rows(m), r))
+        oracle = unvec(sla.expm(dt * operator(m, sub).matrix.toarray())
+                       @ vec(y0), y0.shape)
+        out = propagate(m, sub, dt, y0)
+        err = np.linalg.norm(out - oracle) / np.linalg.norm(oracle)
+        assert err <= (1e-10 if eps >= 1e-2 else 1e-7)
 
 
 class TestPsiInstability:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rte_lowrank.exceptions import OrthonormalityError
 from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
@@ -293,6 +296,16 @@ class TestDiffusionLimit:
         continuum = np.exp(-np.pi**2 / 3.0) * rho
         rel = np.abs(out - continuum).max() / np.abs(continuum).max()
         assert rel <= 1e-3
+
+    @given(n_x=st.integers(2, 300), t=st.floats(1e-4, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_expm_oracle(self, n_x, t, seed):
+        m = build(n_x=n_x)
+        rho = 1.0 + np.random.default_rng(seed).standard_normal(n_x)
+        out = diffusion_limit_density(m, rho, t)
+        oracle = sla.expm((t / 3.0) * m.diff.d_xx.toarray()) @ rho
+        err = np.linalg.norm(out - oracle) / np.linalg.norm(oracle)
+        assert err <= 1e-9
 
 
 class TestTangentResidual:

@@ -35,6 +35,7 @@ from .model import (
     assemble_substeps,
     density,
     diffusion_limit_density,
+    full_flow,
     full_operator,
     full_rhs,
     make_model,

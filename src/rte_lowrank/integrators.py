@@ -12,6 +12,12 @@ polynomial method infeasible.  These decouple into modes, and one kernel,
 the Fourier modes of the circulant D_x (r x r blocks), L on the eigenvectors
 of the antisymmetric r x r A_x (n_mu x n_mu blocks).  Both routes agree to
 the requested tolerance and are cross-checked in the test suite.
+
+The dense reference is the exact flow of the full system,
+``model.full_flow``: an rfft in x and one n_mu x n_mu exponential per
+Fourier mode, the blocks of the L flow with the D_x symbol in place of the
+eigenvalues of A_x, each made real by one fixed unitary similarity.  It runs
+no Taylor loop, so ``expmv_tol`` does not affect it.
 """
 
 import logging
@@ -24,9 +30,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import DegenerateStateError, NumericalFailureError, SizeCapError
-from .model import assemble_substeps, full_operator, operator_K, operator_L
+from .model import assemble_substeps, full_flow, operator_K, operator_L
+# unused here, but bench/tracing.py rebinds this name in this module
+from .model import full_operator  # noqa: F401
 from .state import LowRankState
 from .wlinalg import (
+    DENSE_EXPM_LIMIT,
     expmv,
     orthonormality_defect,
     unvec,
@@ -387,17 +396,26 @@ def bug_step(model, state, cfg, trace=None, step_index=0):
 
 
 def reference_step(model, f, cfg, size_cap=REFERENCE_SIZE_CAP):
-    """Advance the full value matrix by exp(dt A) with the system operator."""
+    """Advance the full value matrix by the exact flow exp(dt A)."""
     f = np.asarray(f, dtype=float)
-    dim = model.grid.n_x * model.quad.n_mu
+    n_mu = model.quad.n_mu
+    dim = model.grid.n_x * n_mu
     if dim > size_cap:
         raise SizeCapError(
             f"reference solve needs a {dim}-dimensional operator, above the "
             f"cap of {size_cap}; reduce n_x * n_mu or use a low-rank scheme"
         )
-    op = full_operator(model)
-    sol = expmv(op, cfg.dt, vec(f), cfg.expmv_tol)
-    return unvec(sol, f.shape)
+    if n_mu > DENSE_EXPM_LIMIT:
+        raise SizeCapError(
+            f"reference solve needs {n_mu} x {n_mu} exponentials, above the "
+            f"dense limit of {DENSE_EXPM_LIMIT}; reduce n_mu"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = full_flow(model, f, cfg.dt)
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailureError(
+            f"reference flow overflowed (eps={model.eps:g}, dt={cfg.dt:g})")
+    return out
 
 
 def integrate(model, initial, scheme, cfg, n_steps, coalesce_reference=True,

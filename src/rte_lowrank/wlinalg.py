@@ -248,7 +248,9 @@ def expmv(op, t, v, tol=1e-10):
     The workhorse is a truncated Taylor series with time-step scaling: t is
     split into m substeps so the scaled operator-norm estimate is at most 1,
     and within each substep terms are summed until the term norm drops below
-    the (per-substep) tolerance, capped at 60 terms.  Very stiff operators of
+    the (per-substep) tolerance.  A substep that has not met it after 60
+    terms (the norm estimate was too low) raises NumericalFailureError
+    rather than return an unconverged sum.  Very stiff operators of
     small dimension are routed through the dense exponential instead, where
     the Taylor loop would need millions of substeps.
     """
@@ -285,12 +287,19 @@ def expmv(op, t, v, tol=1e-10):
         for k in range(1, 61):
             term = (h / k) * op.apply(term)
             acc += term
-            if np.linalg.norm(term) <= tol_seg * np.linalg.norm(acc):
+            converged = np.linalg.norm(term) <= tol_seg * np.linalg.norm(acc)
+            if converged:
                 break
         w = acc
         if not np.all(np.isfinite(w)):
             raise NumericalFailureError(
                 f"exp({t} * {op.name}) v overflowed during the Taylor sweep"
+            )
+        if not converged:
+            raise NumericalFailureError(
+                f"exp({t} * {op.name}) v: a Taylor segment missed its "
+                f"tolerance after 60 terms (norm estimate "
+                f"{scaled / abs(t):.3g} too low?)"
             )
     return w
 

@@ -285,6 +285,22 @@ class TestCompare:
         lines = (tmp_path / "compare.csv").read_text().splitlines()
         assert lines[0] == "scheme,rel_l2_full,rel_l2_density,status"
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    def test_diffusive_regime_above_dense_fallback(self, tmp_path, eps):
+        # 64 x 16 = 1024 dimensions: a Taylor reference here needs on the
+        # order of t/eps^2 operator applies; the per-mode flow does not
+        cfg = RunConfig.from_dict({
+            **TINY, "n_x": 64, "n_mu": 16, "rank": 4, "eps": eps,
+            "dt": 0.1, "t_final": 1.0, "initial_condition": "poly_fourier",
+            "ic_coeffs": [1.0, -0.1, 0.01, -0.001],
+        })
+        by_scheme = {r[0]: r for r in cmd_compare(cfg, tmp_path)}
+        for scheme in ("gap", "bug"):
+            assert by_scheme[scheme][3] == "ok"
+            assert by_scheme[scheme][1] <= 1e-5
+        assert by_scheme["psi"][3] == "diverged"
+        assert by_scheme["reference"][1] == 0.0
+
 
 class TestCli:
     def test_run_success_exit_zero(self, tmp_path):

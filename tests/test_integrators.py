@@ -24,6 +24,7 @@ from rte_lowrank.model import (
     assemble_substeps,
     density,
     diffusion_limit_density,
+    full_operator,
     full_rhs,
     make_model,
     operator_K,
@@ -35,6 +36,7 @@ from rte_lowrank.state import (
     reconstruct,
 )
 from rte_lowrank.wlinalg import (
+    DENSE_EXPM_LIMIT,
     frob_norm_weighted,
     unvec,
     vec,
@@ -341,11 +343,14 @@ class TestReference:
         n1 = frob_norm_weighted(f1, m.wx, m.wmu)
         assert n1 <= n0 * (1.0 + 1e-10)
 
-    def test_diffusive_reference_matches_limit(self):
+    # 64 x 16 = 1024 dimensions lies above expmv's 600-dimension dense
+    # fallback, where a Taylor reference at eps = 1e-4 needs ~2e8 segments
+    @pytest.mark.parametrize("n_x, n_mu", [(32, 8), (64, 16)])
+    def test_diffusive_reference_matches_limit(self, n_x, n_mu):
         # continuous-level AP: the full solve approaches the diffusion limit
-        m = build(n_x=32, n_mu=8, eps=1e-4)
+        m = build(n_x=n_x, n_mu=n_mu, eps=1e-4)
         rho0 = 1.0 + 0.5 * np.sin(np.pi * m.grid.points)
-        f0 = np.outer(rho0, np.ones(8))
+        f0 = np.outer(rho0, np.ones(n_mu))
         out, _ = integrate(m, f0, "reference", StepConfig(dt=1.0), 1)
         rho = density(m, out)
         rho_lim = diffusion_limit_density(m, density(m, f0), 1.0)
@@ -366,3 +371,36 @@ class TestReference:
         with pytest.raises(SizeCapError):
             reference_step(m, np.ones((64, 8)), StepConfig(dt=0.1),
                            size_cap=100)
+
+    def test_n_mu_above_dense_limit_rejected(self, monkeypatch):
+        from rte_lowrank import model as model_module
+
+        def no_expm(a):
+            raise AssertionError("an exponential was computed")
+
+        monkeypatch.setattr(model_module, "dense_expm", no_expm)
+        n_mu = DENSE_EXPM_LIMIT + 1
+        m = build(n_x=4, n_mu=n_mu)
+        with pytest.raises(SizeCapError) as err:
+            reference_step(m, np.ones((4, n_mu)), StepConfig(dt=0.1))
+        assert str(DENSE_EXPM_LIMIT) in str(err.value)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @given(half=strategies.integers(1, 19), n_mu=strategies.integers(2, 12),
+           log_eps=strategies.floats(-4.0, 1.0),
+           log_t=strategies.floats(-4.0, 0.0),
+           seed=strategies.integers(0, 2**32 - 1))
+    def test_matches_dense_expm_oracle(self, parity, half, n_mu, log_eps,
+                                       log_t, seed):
+        eps, t = 10.0**log_eps, 10.0**log_t
+        n_x = 2 * half + parity
+        m = build(n_x=n_x, n_mu=n_mu, eps=eps)
+        rng = np.random.default_rng(seed)
+        # the constant carries the isotropic mode, which survives the
+        # 1/eps^2 collision decay and keeps the relative error meaningful
+        f0 = 1.0 + rng.standard_normal((n_x, n_mu))
+        oracle = unvec(sla.expm(t * full_operator(m).matrix.toarray())
+                       @ vec(f0), f0.shape)
+        out = reference_step(m, f0, StepConfig(dt=t))
+        err = np.linalg.norm(out - oracle) / np.linalg.norm(oracle)
+        assert err <= (1e-10 if eps >= 1e-2 else 1e-7)

@@ -295,6 +295,24 @@ class TestExpmv:
             expmv(op, 1.0, np.ones(6), 1e-10)
         assert "hot_diagonal" in str(err.value)
 
+    def test_unconverged_taylor_segment_raises(self, monkeypatch):
+        from rte_lowrank import wlinalg
+        from rte_lowrank.exceptions import NumericalFailureError
+        # ||A|| = 50, so with the true norm the sum converges; told 0.5, one
+        # segment of h ||A|| = 50 would need ~150 terms
+        d = sp.diags(np.linspace(-50.0, 50.0, 11)).tocsr()
+        op = SparseOperator(11, lambda u: d @ u, d, name="underestimated")
+        v = np.ones(11)
+        assert expmv(op, 1.0, v, 1e-10) == pytest.approx(
+            np.exp(d.diagonal()), rel=1e-9)
+        true_norm = wlinalg.estimate_operator_norm
+        monkeypatch.setattr(wlinalg, "estimate_operator_norm",
+                            lambda o: true_norm(o) / 100.0)
+        with pytest.raises(NumericalFailureError) as err:
+            expmv(op, 1.0, v, 1e-10)
+        assert "underestimated" in str(err.value)
+        assert "60 terms" in str(err.value)
+
     def test_sparse_operator_linearity(self):
         rng = np.random.default_rng(9)
         op = random_sparse_operator(40, rng)

@@ -57,7 +57,6 @@ class RunConfig:
     ic_coeffs: Optional[list] = None
     substep_solver: str = "exponential"
     expmv_tol: float = 1e-10
-    exponential_method: str = "auto"
     output_dir: Optional[str] = None
     seed: int = 0
     basis_pinning: bool = False
@@ -129,18 +128,6 @@ class RunResult:
     wall_time_seconds: float
     diagnostics: Optional[list] = field(default=None)
 
-    def to_dict(self):
-        return {
-            "config": self.config,
-            "reference_kind": self.reference_kind,
-            "error_report": self.error_report,
-            "delta0": self.delta0,
-            "sigma_tail": self.sigma_tail,
-            "n_steps": self.n_steps,
-            "wall_time_seconds": self.wall_time_seconds,
-            "diagnostics": self.diagnostics,
-        }
-
 
 def n_steps(t_final, dt):
     """round(t_final / dt), validating that dt divides t_final."""
@@ -208,7 +195,6 @@ def step_config(cfg, dt):
         dt=dt,
         substep_solver=cfg.substep_solver,
         expmv_tol=cfg.expmv_tol,
-        exponential_method=cfg.exponential_method,
         basis_pinning=cfg.basis_pinning,
         debug=cfg.debug_trace,
         seed=cfg.seed,
@@ -219,23 +205,6 @@ def _diffusion_lift(model, f0, t):
     """Angularly constant matrix carrying the diffusion-limit density."""
     rho = diffusion_limit_density(model, density(model, f0), t)
     return np.outer(rho, np.ones(model.quad.n_mu))
-
-
-def _trace_to_dicts(trace):
-    if trace is None:
-        return None
-    return [
-        {
-            "step_index": t.step_index,
-            "substep": t.substep,
-            "pre_norm": t.pre_norm,
-            "post_norm": t.post_norm,
-            "orth_defect": t.orth_defect,
-            "replaced_columns": list(t.replaced_columns),
-            "seed": t.seed,
-        }
-        for t in trace
-    ]
 
 
 def run_single(cfg, dt=None, eps=None, model=None, f0=None,
@@ -291,7 +260,7 @@ def run_single(cfg, dt=None, eps=None, model=None, f0=None,
         sigma_tail=float(sigma_tail),
         n_steps=n,
         wall_time_seconds=wall,
-        diagnostics=_trace_to_dicts(trace),
+        diagnostics=None if trace is None else [asdict(t) for t in trace],
     ), f_final
 
 
@@ -299,7 +268,7 @@ def write_result_json(result, outdir, name="result.json"):
     path = Path(outdir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(result), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 

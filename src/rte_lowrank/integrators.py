@@ -4,14 +4,17 @@ Each low-rank step is built from substep flows for the angular factor L, the
 spatial factor K, and (for PSI/BUG) the coefficient matrix S.  Substeps are
 solved by exponential action by default, or by implicit Euler.
 
-The exponential action is computed two ways behind one interface: the generic
-Taylor ``expmv`` when the scaled substep norm is moderate, and exact
-structure-exploiting propagators when the collision stiffness 1/eps^2 makes a
-polynomial method infeasible.  These decouple into modes, and one kernel,
-``_propagate_modes``, maps each mode row y_q to y_q exp(scale_q b + c): K on
-the Fourier modes of the circulant D_x (r x r blocks), L on the eigenvectors
-of the antisymmetric r x r A_x (n_mu x n_mu blocks).  Both routes agree to
-the requested tolerance and are cross-checked in the test suite.
+The L and K exponentials are one decision, ``_solve_substep``, made from one
+number: the closed-form bound ``_norm_bound`` on the substep operator's
+spectral norm.  While dt times the bound is at most _STRUCTURED_THRESHOLD,
+the Taylor ``expmv`` runs with its segments sized by that bound; beyond it,
+where the collision stiffness 1/eps^2 makes a polynomial method infeasible,
+the flow is propagated exactly.  The exact flows decouple into modes, and
+one kernel, ``_propagate_modes``, maps each mode row y_q to
+y_q exp(scale_q b + c): K on the Fourier modes of the circulant D_x (r x r
+blocks), L on the eigenvectors of the antisymmetric r x r A_x (real
+n_mu x n_mu blocks, by the flip similarity of the reference).  Both routes
+agree to the requested tolerance and are cross-checked in the test suite.
 
 The dense reference is the exact flow of the full system,
 ``model.full_flow``: an rfft in x and one n_mu x n_mu exponential per
@@ -30,7 +33,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import DegenerateStateError, NumericalFailureError, SizeCapError
-from .model import assemble_substeps, full_flow, operator_K, operator_L
+from .model import (assemble_substeps, from_flip_basis, full_flow,
+                    operator_K, operator_L, to_flip_basis)
 # unused here, but bench/tracing.py rebinds this name in this module
 from .model import full_operator  # noqa: F401
 from .state import LowRankState
@@ -52,24 +56,18 @@ REFERENCE_SIZE_CAP = 200_000
 _SIGMA_WARN_RATIO = 1e-13
 _ORTH_WARN = 1e-10
 
-# scaled substep norm above which "auto" takes the structured propagators
+# dt times the substep norm bound above which the exact mode flows replace
+# the Taylor expmv
 _STRUCTURED_THRESHOLD = 100.0
 
 
 @dataclass
 class StepConfig:
-    """Time step size and substep-solver selection.
-
-    ``exponential_method`` chooses how exp(dt A) v is evaluated for the
-    substep operators: "expmv" (generic Taylor), "structured" (exact
-    FFT/eigendecomposition solve), or "auto" (expmv while the scaled substep
-    norm is at most _STRUCTURED_THRESHOLD, structured beyond).
-    """
+    """Time step size and substep-solver selection."""
 
     dt: float
     substep_solver: str = "exponential"
     expmv_tol: float = 1e-10
-    exponential_method: str = "auto"
     basis_pinning: bool = False
     debug: bool = False
     seed: int = 0
@@ -82,9 +80,6 @@ class StepConfig:
                 f"expmv_tol must lie in (0, 1e-2), got {self.expmv_tol}")
         if self.substep_solver not in ("exponential", "implicit_euler"):
             raise ValueError(f"unknown substep solver {self.substep_solver!r}")
-        if self.exponential_method not in ("auto", "expmv", "structured"):
-            raise ValueError(
-                f"unknown exponential method {self.exponential_method!r}")
 
 
 @dataclass
@@ -169,14 +164,18 @@ def _propagate_l_structured(model, sub, dt, l_mat):
 
     With A_x = U diag(-i g) U^H, row j of (L U)^T obeys the row form
     dy_j/dt = y_j H_j with H_j = -(i g_j/eps) diag(mu) + (1/eps^2)(W_mu - I),
-    the per-mode generator of the full operator with g_j in place of d_q.
+    the per-mode generator of the full operator with g_j in place of the D_x
+    symbol.  As in ``model.full_flow``, the flip similarity makes each block
+    real: y_j exp(dt H_j) = from_flip_basis(to_flip_basis(y_j) exp(dt M_j))
+    with M_j = (g_j/eps) diag(mu) J + (1/eps^2)(W_mu - I).
     """
     eps = model.eps
     gam, u = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))
     coll = (dt / eps**2) * (model.w_mu_matrix - np.eye(model.quad.n_mu))
-    rows = _propagate_modes((-1j * dt / eps) * gam, np.diag(model.quad.nodes),
-                            coll, (l_mat @ u).T)
-    return np.real(rows.T @ u.conj().T)
+    rows = _propagate_modes((dt / eps) * gam,
+                            np.diag(model.quad.nodes)[:, ::-1], coll,
+                            to_flip_basis((l_mat @ u).T))
+    return np.real(from_flip_basis(rows).T @ u.conj().T)
 
 
 def _s_generator(model, sub, sign):
@@ -197,16 +196,27 @@ def _s_generator(model, sub, sign):
 # substep solvers
 # ---------------------------------------------------------------------------
 
-def _l_norm_bound(model, sub, dt):
-    mu_max = float(np.max(np.abs(model.quad.nodes)))
-    return abs(dt) * (np.linalg.norm(sub.a_x, 2) * mu_max / model.eps
-                      + 2.0 / model.eps**2)
+def _norm_bound(model, sub, factor):
+    """Upper bound on the spectral norm of the L or K substep operator.
 
-
-def _k_norm_bound(model, sub, dt):
-    dx_norm = 1.0 / model.grid.dx
-    return abs(dt) * (np.linalg.norm(sub.b_mu, 2) * dx_norm / model.eps
-                      + 2.0 / model.eps**2)
+    Transport plus collision (triangle inequality).  The L transport
+    A_x kron diag(mu) has norm ||A_x|| max|mu|, the K transport
+    B_mu^T kron D_x at most ||B_mu|| / dx, as every D_x symbol is at most
+    1/dx in modulus.  Both collision parts, before the 1/eps^2, have norm
+    at most 2.  W_mu^T - I = -(I - P), with P = (1/2) 1 w^T a projection
+    because the weights sum to 2, has the norm of P, (1/2)||1|| ||w||, which
+    for Gauss-Legendre weights rises with n_mu to about 1.11 (measured up
+    to n_mu = 2000).  C_mu - I has its eigenvalues in [-1, 0]:
+    C_mu = (1/2) u u^T with u = V^T w and
+    ||u||^2 = ||V V^T diag(w) 1||_w^2 <= ||1||_w^2 = 2.  A true bound makes
+    the Taylor segment count of ``expmv`` a guarantee.
+    """
+    if factor == "L":
+        transport = (np.linalg.norm(sub.a_x, 2)
+                     * np.abs(model.quad.nodes).max())
+    else:
+        transport = np.linalg.norm(sub.b_mu, 2) / model.grid.dx
+    return transport / model.eps + 2.0 / model.eps**2
 
 
 def _implicit_euler_sparse(op, dt, b):
@@ -217,32 +227,25 @@ def _implicit_euler_sparse(op, dt, b):
     return sol
 
 
-def _solve_l_substep(model, sub, cfg, l_mat):
-    if cfg.substep_solver == "implicit_euler":
-        op = operator_L(model, sub)
-        return unvec(_implicit_euler_sparse(op, cfg.dt, vec(l_mat)), l_mat.shape)
-    method = cfg.exponential_method
-    if method == "auto":
-        method = ("expmv" if _l_norm_bound(model, sub, cfg.dt)
-                  <= _STRUCTURED_THRESHOLD else "structured")
-    if method == "expmv":
-        op = operator_L(model, sub)
-        return unvec(expmv(op, cfg.dt, vec(l_mat), cfg.expmv_tol), l_mat.shape)
-    return _propagate_l_structured(model, sub, cfg.dt, l_mat)
+def _solve_substep(model, sub, cfg, factor, mat):
+    """Advance the factor mat of substep ``factor`` ("L" or "K") by cfg.dt.
 
-
-def _solve_k_substep(model, sub, cfg, k_mat):
+    The exponential takes the Taylor ``expmv``, its segments sized by
+    ``_norm_bound``, while dt times the bound is at most
+    _STRUCTURED_THRESHOLD, and the exact mode flow beyond.
+    """
+    operator = operator_L if factor == "L" else operator_K
     if cfg.substep_solver == "implicit_euler":
-        op = operator_K(model, sub)
-        return unvec(_implicit_euler_sparse(op, cfg.dt, vec(k_mat)), k_mat.shape)
-    method = cfg.exponential_method
-    if method == "auto":
-        method = ("expmv" if _k_norm_bound(model, sub, cfg.dt)
-                  <= _STRUCTURED_THRESHOLD else "structured")
-    if method == "expmv":
-        op = operator_K(model, sub)
-        return unvec(expmv(op, cfg.dt, vec(k_mat), cfg.expmv_tol), k_mat.shape)
-    return _propagate_k_structured(model, sub, cfg.dt, k_mat)
+        sol = _implicit_euler_sparse(operator(model, sub), cfg.dt, vec(mat))
+        return unvec(sol, mat.shape)
+    bound = _norm_bound(model, sub, factor)
+    if cfg.dt * bound <= _STRUCTURED_THRESHOLD:
+        sol = expmv(operator(model, sub), cfg.dt, vec(mat), cfg.expmv_tol,
+                    norm=bound)
+        return unvec(sol, mat.shape)
+    if factor == "L":
+        return _propagate_l_structured(model, sub, cfg.dt, mat)
+    return _propagate_k_structured(model, sub, cfg.dt, mat)
 
 
 def _solve_s_substep(model, sub, cfg, s_mat, sign, context):
@@ -307,7 +310,7 @@ def _predict_angular(model, state, sub, cfg, trace, step_index):
     it in the w_mu inner product.  Returns (L_new, V_new).
     """
     l0 = state.v @ state.s.T
-    l1 = _solve_l_substep(model, sub, cfg, l0)
+    l1 = _solve_substep(model, sub, cfg, "L", l0)
     qr_v = weighted_mgs(l1, model.wmu, seed=cfg.seed)
     _finish_factor(qr_v, "angular", step_index)
     v1 = qr_v.q
@@ -324,7 +327,7 @@ def _update_spatial(model, sub, cfg, k0, trace, step_index):
     Propagates K from k0 with the angular basis frozen and orthonormalizes
     it in the dx inner product.  Returns the QrResult (X_new, its R).
     """
-    k1 = _solve_k_substep(model, sub, cfg, k0)
+    k1 = _solve_substep(model, sub, cfg, "K", k0)
     qr_x = weighted_mgs(k1, model.wx, seed=cfg.seed)
     _finish_factor(qr_x, "spatial", step_index)
     _record(trace, step_index, "K", cfg.seed, k0, k1, model.wx,
@@ -418,32 +421,22 @@ def reference_step(model, f, cfg, size_cap=REFERENCE_SIZE_CAP):
     return out
 
 
-def integrate(model, initial, scheme, cfg, n_steps, coalesce_reference=True,
-              size_cap=REFERENCE_SIZE_CAP):
+def integrate(model, initial, scheme, cfg, n_steps):
     """Apply the chosen one-step map n_steps times.
 
     Returns (final, traces) where final is a LowRankState for the low-rank
     schemes or a dense matrix for the reference, and traces is a list of
     SubstepTrace records when cfg.debug is set (otherwise None).
 
-    Since the system is linear and autonomous, the reference flow may be
-    coalesced into a single exponential over n_steps * dt (the default).
+    The reference flow is exact, so it takes one step over n_steps * dt.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     trace = [] if cfg.debug else None
 
     if scheme == "reference":
-        if coalesce_reference:
-            cfg, n_steps = replace(cfg, dt=cfg.dt * n_steps), 1
-        f = initial
-        for i in range(n_steps):
-            try:
-                f = reference_step(model, f, cfg, size_cap=size_cap)
-            except NumericalFailureError as err:
-                raise NumericalFailureError(
-                    f"step {i + 1}/{n_steps}: {err}") from err
-        return f, trace
+        return reference_step(model, initial,
+                              replace(cfg, dt=cfg.dt * n_steps)), trace
 
     try:
         step_fn = {"gap": gap_step, "psi": psi_step, "bug": bug_step}[scheme]

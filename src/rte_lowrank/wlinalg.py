@@ -15,11 +15,6 @@ from .exceptions import NumericalFailureError
 
 DENSE_EXPM_LIMIT = 2000
 
-# expmv switches to a dense exponential for operators this stiff but small;
-# beyond _DENSE_FALLBACK_DIM the Taylor loop is used regardless of cost.
-_DENSE_SWITCH_NORM = 4096.0
-_DENSE_FALLBACK_DIM = 600
-
 _MGS_TAU = 1e-10
 _NORM_EST_SEED = 0x5EED
 
@@ -72,9 +67,9 @@ class SparseOperator:
     """A linear map exposed through its action on vectors.
 
     ``matrix`` optionally carries an explicit sparse form (used by implicit
-    solves, the dense fallback of expmv, and cross-checking tests); it can be
-    supplied directly or through a factory that is invoked on first access,
-    so hot paths that only need the action never pay for assembly.
+    solves and cross-checking tests); it can be supplied directly or through
+    a factory that is invoked on first access, so hot paths that only need
+    the action never pay for assembly.
     """
 
     def __init__(self, dim, apply, matrix=None, name="operator",
@@ -84,10 +79,6 @@ class SparseOperator:
         self.name = name
         self._matrix = matrix
         self._matrix_factory = matrix_factory
-
-    @property
-    def has_matrix(self):
-        return self._matrix is not None or self._matrix_factory is not None
 
     @property
     def matrix(self):
@@ -234,7 +225,7 @@ def estimate_operator_norm(op, n_iter=8):
     return est
 
 
-def expmv(op, t, v, tol=1e-10):
+def expmv(op, t, v, tol=1e-10, norm=None):
     """Compute exp(t A) v using only the action of A.
 
     Parameters
@@ -244,15 +235,20 @@ def expmv(op, t, v, tol=1e-10):
     v : (op.dim,) array
     tol : float
         Target relative accuracy.
+    norm : float, optional
+        An upper bound on the spectral norm of A.  When omitted, the norm is
+        estimated by power iteration (:func:`estimate_operator_norm`).
 
     The workhorse is a truncated Taylor series with time-step scaling: t is
-    split into m substeps so the scaled operator-norm estimate is at most 1,
-    and within each substep terms are summed until the term norm drops below
-    the (per-substep) tolerance.  A substep that has not met it after 60
-    terms (the norm estimate was too low) raises NumericalFailureError
-    rather than return an unconverged sum.  Very stiff operators of
-    small dimension are routed through the dense exponential instead, where
-    the Taylor loop would need millions of substeps.
+    split into m substeps so the scaled norm is at most 1/1.1, and within
+    each substep terms are summed until the term norm drops below the
+    (per-substep) tolerance.  With a true bound the k-th term is at most
+    1/(1.1^k k!) of the segment's input, so every segment converges well
+    within 60 terms; sizing segments from a norm bound follows Al-Mohy &
+    Higham, SISC 33(2), 2011.  The power-iteration estimate can fall short
+    of the norm, and a substep that has not met its tolerance after 60
+    terms raises NumericalFailureError rather than return an unconverged
+    sum.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -262,20 +258,13 @@ def expmv(op, t, v, tol=1e-10):
     if t == 0.0:
         return v.copy()
 
-    scaled = estimate_operator_norm(op) * abs(t)
+    if norm is None:
+        norm = estimate_operator_norm(op)
+    scaled = norm * abs(t)
     if not np.isfinite(scaled):
         raise NumericalFailureError(
-            f"norm estimate of {op.name} is not finite (t={t})"
+            f"norm of {op.name} is not finite (t={t})"
         )
-
-    if scaled > _DENSE_SWITCH_NORM and op.dim <= _DENSE_FALLBACK_DIM \
-            and op.has_matrix:
-        w = dense_expm(t * op.matrix.toarray()) @ v
-        if not np.all(np.isfinite(w)):
-            raise NumericalFailureError(
-                f"exp({t} * {op.name}) v overflowed (dense fallback)"
-            )
-        return w
 
     n_seg = max(1, int(math.ceil(scaled * 1.1)))
     h = t / n_seg
@@ -298,8 +287,7 @@ def expmv(op, t, v, tol=1e-10):
         if not converged:
             raise NumericalFailureError(
                 f"exp({t} * {op.name}) v: a Taylor segment missed its "
-                f"tolerance after 60 terms (norm estimate "
-                f"{scaled / abs(t):.3g} too low?)"
+                f"tolerance after 60 terms (norm {norm:.3g} too low?)"
             )
     return w
 

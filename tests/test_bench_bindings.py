@@ -4,6 +4,14 @@ or renamed binding fail in the test suite, not only in a benchmark run."""
 
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
+from rte_lowrank.integrators import StepConfig
+from rte_lowrank.model import make_model
+from rte_lowrank.state import from_full
+
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -17,3 +25,28 @@ def test_tracer_finds_and_restores_every_binding(monkeypatch):
         assert model.dense_expm is not wlinalg.dense_expm
     assert model.dense_expm is wlinalg.dense_expm
     assert integrators.expmv is wlinalg.expmv
+
+
+@pytest.mark.parametrize("eps, route", [(1e-3, "structured"), (1.0, "expmv")])
+def test_tracer_books_each_substep_route(monkeypatch, eps, route):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import tracing
+
+    from rte_lowrank import integrators
+
+    grid = uniform_grid(0.0, 2.0, 48)
+    quad = gauss_legendre(12)
+    m = make_model(grid, quad, build_diff_matrices(grid), eps)
+    x, mu = grid.points, quad.nodes
+    f0 = (1.0 + 0.3 * np.outer(np.sin(np.pi * x), mu)
+          + 0.1 * np.outer(np.cos(np.pi * x), mu**2))
+    st, _ = from_full(f0, 4, grid, quad)
+    tracer = tracing.Tracer()
+    with tracing.instrument([], tracer, n_mu=quad.n_mu):
+        integrators.gap_step(m, st, StepConfig(dt=0.02))
+    routes = {key: n for key, n in tracer.counts.items()
+              if key.startswith("integrators.route.")}
+    # rank 4 < n_mu, so the block size tells the K stack from the L stack
+    assert routes == {f"integrators.route.L.{route}": 1,
+                      f"integrators.route.K.{route}": 1}
+    assert "wlinalg.estimate_operator_norm" not in tracer.names

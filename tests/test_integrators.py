@@ -4,6 +4,7 @@ import scipy.linalg as sla
 from hypothesis import given
 from hypothesis import strategies
 
+from rte_lowrank import integrators, wlinalg
 from rte_lowrank.exceptions import (
     DegenerateStateError,
     NumericalFailureError,
@@ -12,6 +13,7 @@ from rte_lowrank.exceptions import (
 from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
 from rte_lowrank.integrators import (
     StepConfig,
+    _norm_bound,
     _propagate_k_structured,
     _propagate_l_structured,
     bug_step,
@@ -155,12 +157,13 @@ class TestOracleEquivalence:
             assert frob_norm_weighted(a - b, m.wx, m.wmu) <= \
                 1e-10 * frob_norm_weighted(a, m.wx, m.wmu)
 
-    def test_structured_and_expmv_routes_agree(self):
+    def test_structured_and_expmv_routes_agree(self, monkeypatch):
         m = build(n_x=48, n_mu=12, eps=0.05)
         st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
-        out_s = gap_step(m, st, StepConfig(dt=0.02, exponential_method="structured"))
-        out_e = gap_step(m, st, StepConfig(dt=0.02, exponential_method="expmv",
-                                           expmv_tol=1e-12))
+        monkeypatch.setattr(integrators, "_STRUCTURED_THRESHOLD", 0.0)
+        out_s = gap_step(m, st, StepConfig(dt=0.02))
+        monkeypatch.setattr(integrators, "_STRUCTURED_THRESHOLD", np.inf)
+        out_e = gap_step(m, st, StepConfig(dt=0.02, expmv_tol=1e-12))
         assert rel_err(reconstruct(out_s), reconstruct(out_e), m) <= 1e-9
 
     def test_implicit_euler_first_order(self):
@@ -214,6 +217,47 @@ class TestStructuredPropagators:
         out = propagate(m, sub, dt, y0)
         err = np.linalg.norm(out - oracle) / np.linalg.norm(oracle)
         assert err <= (1e-10 if eps >= 1e-2 else 1e-7)
+
+
+class TestSubstepNorm:
+    @pytest.mark.parametrize("factor", ["K", "L"])
+    @pytest.mark.parametrize("parity", [0, 1])
+    @given(half=strategies.integers(1, 19), n_mu=strategies.integers(2, 12),
+           rank=strategies.integers(1, 6),
+           log_eps=strategies.floats(-4.0, 1.0),
+           log_dt=strategies.floats(-4.0, 0.0),
+           seed=strategies.integers(0, 2**32 - 1))
+    def test_bound_is_an_upper_bound(self, factor, parity, half, n_mu, rank,
+                                     log_eps, log_dt, seed):
+        # a true bound turns expmv's Taylor segment count into a guarantee
+        eps, dt = 10.0**log_eps, 10.0**log_dt
+        m = build(n_x=2 * half + parity, n_mu=n_mu, eps=eps)
+        r = min(rank, n_mu, m.grid.n_x)
+        rng = np.random.default_rng(seed)
+        x = basis_with_constant(m.grid.n_x, r, m.wx, rng)
+        v = basis_with_constant(n_mu, r, m.wmu, rng)
+        sub = assemble_substeps(m, x, v)
+        operator = operator_L if factor == "L" else operator_K
+        exact = np.linalg.norm(dt * operator(m, sub).matrix.toarray(), 2)
+        assert dt * _norm_bound(m, sub, factor) >= exact
+
+    def test_substeps_run_no_power_iteration(self, monkeypatch):
+        def no_estimate(op):
+            raise AssertionError(f"power iteration on {op.name}")
+
+        calls = []
+
+        def counted_expmv(*args, **kwargs):
+            calls.append(args[0].name)
+            return wlinalg.expmv(*args, **kwargs)
+
+        monkeypatch.setattr(wlinalg, "estimate_operator_norm", no_estimate)
+        monkeypatch.setattr(integrators, "expmv", counted_expmv)
+        m = build(n_x=48, n_mu=12, eps=0.5)
+        st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
+        for _, step in ALL_STEPS:
+            step(m, st, StepConfig(dt=0.02))
+        assert len(calls) == 6
 
 
 class TestPsiInstability:
@@ -343,8 +387,6 @@ class TestReference:
         n1 = frob_norm_weighted(f1, m.wx, m.wmu)
         assert n1 <= n0 * (1.0 + 1e-10)
 
-    # 64 x 16 = 1024 dimensions lies above expmv's 600-dimension dense
-    # fallback, where a Taylor reference at eps = 1e-4 needs ~2e8 segments
     @pytest.mark.parametrize("n_x, n_mu", [(32, 8), (64, 16)])
     def test_diffusive_reference_matches_limit(self, n_x, n_mu):
         # continuous-level AP: the full solve approaches the diffusion limit
@@ -362,8 +404,9 @@ class TestReference:
         f0 = generic_matrix(m)
         cfg = StepConfig(dt=0.1)
         whole, _ = integrate(m, f0, "reference", cfg, 10)
-        stepped, _ = integrate(m, f0, "reference", cfg, 10,
-                               coalesce_reference=False)
+        stepped = f0
+        for _ in range(10):
+            stepped = reference_step(m, stepped, cfg)
         assert rel_err(whole, stepped, m) <= 10 * cfg.expmv_tol
 
     def test_size_cap(self):

@@ -73,8 +73,22 @@ def make_model(grid, quad, diff, eps):
     return RteModel(grid, quad, diff, float(eps), w_mu_matrix)
 
 
+def _centered_difference(a):
+    """Rows a[i+1] - a[i-1] on the periodic grid: 2 dx D_x a as a stencil."""
+    out = np.empty_like(a)
+    np.subtract(a[2:], a[:-2], out=out[1:-1])
+    np.subtract(a[1], a[-1], out=out[0])
+    np.subtract(a[0], a[-2], out=out[-1])
+    return out
+
+
 def full_rhs(model, f):
-    """Right-hand side of the semi-discrete transfer equation."""
+    """Right-hand side of the semi-discrete transfer equation.
+
+    The transport term is the two-point stencil of D_x scaled per column by
+    -mu/(2 dx eps); the collision F W_mu - F is rank one plus identity,
+    (1/2)(F w_mu) 1^T - F, so neither needs a matrix product.
+    """
     f = np.asarray(f, dtype=float)
     if f.shape != (model.grid.n_x, model.quad.n_mu):
         raise ValueError(
@@ -82,9 +96,11 @@ def full_rhs(model, f):
             f"({model.grid.n_x}, {model.quad.n_mu})"
         )
     eps = model.eps
-    transport = -(model.diff.d_x @ f) * model.quad.nodes[None, :] / eps
-    collision = (f @ model.w_mu_matrix - f) / eps**2
-    return transport + collision
+    out = _centered_difference(f)
+    out *= model.quad.nodes * (-0.5 / (model.grid.dx * eps))
+    out += (0.5 / eps**2) * (f @ model.wmu)[:, None]
+    out -= f / eps**2
+    return out
 
 
 def full_operator(model):
@@ -146,20 +162,28 @@ def operator_L(model, sub):
 
     Realizes dL/dt = -(1/eps) diag(mu) L A_x^T + (1/eps^2)(W_mu^T L - L) on
     vec(L), i.e. -(1/eps) A_x kron diag(mu) + (1/eps^2)(I kron W_mu^T - I).
+    The apply forms L (-A_x^T/eps), with the r x r block built once here,
+    scales its rows by mu, and adds the rank-one collision: the one row
+    (1/2)(w_mu^T L)/eps^2 on every row, minus L/eps^2.
     """
     n_mu = model.quad.n_mu
     r = sub.a_x.shape[0]
     eps = model.eps
     mu = model.quad.nodes
-    wt = model.w_mu_matrix.T
     a_x = sub.a_x
+    transport = -a_x.T / eps
+    half_w = (0.5 / eps**2) * model.wmu
 
     def apply(u):
         l = unvec(u, (n_mu, r))
-        out = -(mu[:, None] * (l @ a_x.T)) / eps + (wt @ l - l) / eps**2
+        out = l @ transport
+        out *= mu[:, None]
+        out += half_w @ l
+        out -= l / eps**2
         return vec(out)
 
     def build_matrix():
+        wt = model.w_mu_matrix.T
         return (
             -sp.kron(sp.csr_matrix(a_x), sp.diags(mu), format="csr") / eps
             + (sp.kron(sp.identity(r), sp.csr_matrix(wt), format="csr")
@@ -174,22 +198,27 @@ def operator_K(model, sub):
     """Propagation operator for the vectorized spatial factor K (n_x x r).
 
     Realizes dK/dt = -(1/eps) D_x K B_mu + (1/eps^2)(K C_mu - K) on vec(K),
-    i.e. -(1/eps) B_mu^T kron D_x + (1/eps^2)(C_mu^T kron I - I).
+    i.e. -(1/eps) B_mu^T kron D_x + (1/eps^2)(C_mu^T kron I - I).  The apply
+    takes D_x as its two-point stencil, K[i+1] - K[i-1], times the r x r
+    block -B_mu/(2 dx eps), plus K times (C_mu - I)/eps^2; both blocks are
+    formed once here, and the sparse D_x is used only by ``build_matrix``.
     """
     n_x = model.grid.n_x
     r = sub.b_mu.shape[0]
     eps = model.eps
-    d_x = model.diff.d_x
     b_mu, c_mu = sub.b_mu, sub.c_mu
+    transport = b_mu * (-0.5 / (model.grid.dx * eps))
+    collision = (c_mu - np.eye(r)) / eps**2
 
     def apply(u):
         k = unvec(u, (n_x, r))
-        out = -(d_x @ k @ b_mu) / eps + (k @ c_mu - k) / eps**2
+        out = _centered_difference(k) @ transport
+        out += k @ collision
         return vec(out)
 
     def build_matrix():
         return (
-            -sp.kron(sp.csr_matrix(b_mu.T), d_x, format="csr") / eps
+            -sp.kron(sp.csr_matrix(b_mu.T), model.diff.d_x, format="csr") / eps
             + (sp.kron(sp.csr_matrix(c_mu.T), sp.identity(n_x), format="csr")
                - sp.identity(r * n_x, format="csr")) / eps**2
         ).tocsr()

@@ -145,7 +145,7 @@ def weighted_mgs(a, w, tau=_MGS_TAU, seed=0):
     b = sq[:, None] * (a / col_scale)
     thresh = tau * np.maximum(col_norms, abs_floor) / col_scale
 
-    rng = np.random.default_rng(seed)
+    rng = None  # built at the first deficient column: most calls have none
     work = b.copy()
     replaced = set()
     while True:
@@ -157,6 +157,8 @@ def weighted_mgs(a, w, tau=_MGS_TAU, seed=0):
                   and r_factor[j, j] <= thresh[j]), None)
         if j is None:
             break
+        if rng is None:
+            rng = np.random.default_rng(seed)
         work[:, j] = sq * rng.standard_normal(m)
         replaced.add(j)
 

@@ -50,3 +50,24 @@ def test_tracer_books_each_substep_route(monkeypatch, eps, route):
     assert routes == {f"integrators.route.L.{route}": 1,
                       f"integrators.route.K.{route}": 1}
     assert "wlinalg.estimate_operator_norm" not in tracer.names
+
+
+def test_tracer_counts_substep_applies(monkeypatch):
+    # the per-layer apply counts are read through op.apply; an expmv route
+    # that bypassed it would read 0 without failing any other test
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import tracing
+
+    from rte_lowrank import integrators
+
+    grid = uniform_grid(0.0, 2.0, 48)
+    quad = gauss_legendre(12)
+    m = make_model(grid, quad, build_diff_matrices(grid), 1.0)
+    x, mu = grid.points, quad.nodes
+    f0 = 1.0 + 0.3 * np.outer(np.sin(np.pi * x), mu)
+    st, _ = from_full(f0, 2, grid, quad)
+    tracer = tracing.Tracer()
+    with tracing.instrument([], tracer, n_mu=quad.n_mu):
+        integrators.gap_step(m, st, StepConfig(dt=0.02))
+    assert tracer.counts["model.operator_L.applies"] > 0
+    assert tracer.counts["model.operator_K.applies"] > 0

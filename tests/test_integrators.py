@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies
 
 from rte_lowrank import integrators, wlinalg
@@ -12,6 +12,7 @@ from rte_lowrank.exceptions import (
 )
 from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
 from rte_lowrank.integrators import (
+    _STRUCTURED_THRESHOLD,
     StepConfig,
     _norm_bound,
     _propagate_k_structured,
@@ -39,6 +40,7 @@ from rte_lowrank.state import (
 )
 from rte_lowrank.wlinalg import (
     DENSE_EXPM_LIMIT,
+    expmv,
     frob_norm_weighted,
     unvec,
     vec,
@@ -258,6 +260,36 @@ class TestSubstepNorm:
         for _, step in ALL_STEPS:
             step(m, st, StepConfig(dt=0.02))
         assert len(calls) == 6
+
+
+class TestTaylorRoute:
+    @pytest.mark.parametrize("factor", ["K", "L"])
+    @pytest.mark.parametrize("parity", [0, 1])
+    @given(half=strategies.integers(1, 19), n_mu=strategies.integers(2, 16),
+           rank=strategies.integers(1, 10),
+           log_eps=strategies.floats(-4.0, 1.0),
+           log_dt=strategies.floats(-4.0, 0.0),
+           seed=strategies.integers(0, 2**32 - 1))
+    def test_matches_dense_expm_oracle(self, factor, parity, half, n_mu, rank,
+                                       log_eps, log_dt, seed):
+        # the route _solve_substep takes while dt times the bound is at most
+        # the threshold: expmv with its segments sized by that bound
+        eps, dt = 10.0**log_eps, 10.0**log_dt
+        m = build(n_x=2 * half + parity, n_mu=n_mu, eps=eps)
+        r = min(rank, n_mu, m.grid.n_x)
+        rng = np.random.default_rng(seed)
+        x = basis_with_constant(m.grid.n_x, r, m.wx, rng)
+        v = basis_with_constant(n_mu, r, m.wmu, rng)
+        sub = assemble_substeps(m, x, v)
+        bound = _norm_bound(m, sub, factor)
+        assume(dt * bound <= _STRUCTURED_THRESHOLD)
+        op = (operator_L if factor == "L" else operator_K)(m, sub)
+        y0 = vec(rng.standard_normal((n_mu if factor == "L" else m.grid.n_x,
+                                      r)))
+        oracle = sla.expm(dt * op.matrix.toarray()) @ y0
+        out = expmv(op, dt, y0, 1e-10, norm=bound)
+        # the requested tolerance; the worst of 3400 scanned cases was 5.7e-12
+        assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 
 class TestPsiInstability:

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rte_lowrank.exceptions import OrthonormalityError
@@ -254,6 +256,47 @@ class TestSubstepOperators:
         out = unvec(expmv(op, 25.0, vec(k), 1e-12), k.shape)
         assert np.abs(out[:, 0] - k[:, 0]).max() <= 1e-10 * np.abs(k).max()
         assert np.abs(out[:, 1]).max() <= 1e-10
+
+
+class TestApplyMatchesMatrix:
+    # the applies run the two-point D_x stencil and the rank-one collision;
+    # the matrices are Kronecker products of the sparse D_x and of W_mu
+    OPERATORS = {
+        "L": operator_L,
+        "K": operator_K,
+        "full": lambda m, sub: full_operator(m),
+    }
+
+    @pytest.mark.parametrize("which", ["L", "K", "full"])
+    @pytest.mark.parametrize("parity", [0, 1])
+    @given(half=st.integers(1, 19), n_mu=st.integers(2, 12),
+           rank=st.integers(1, 6), log_eps=st.floats(-4.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    # n_x = 2 and 3, where both stencil neighbours are wraparound rows
+    @example(half=1, n_mu=3, rank=2, log_eps=-1.0, seed=0)
+    def test_apply_matches_matrix(self, which, parity, half, n_mu, rank,
+                                  log_eps, seed):
+        m = build(n_x=2 * half + parity, n_mu=n_mu, eps=10.0**log_eps)
+        r = min(rank, n_mu, m.grid.n_x)
+        x, v = random_orthobases(m, r, seed)
+        op = self.OPERATORS[which](m, assemble_substeps(m, x, v))
+        u = np.random.default_rng(seed + 1).standard_normal(op.dim)
+        oracle = op.matrix @ u
+        assert np.linalg.norm(op.apply(u) - oracle) <= \
+            1e-13 * np.linalg.norm(oracle)
+
+    def test_applies_do_not_read_sparse_d_x(self):
+        m = build(n_x=33, eps=0.3)
+        x, v = random_orthobases(m, 3, seed=10)
+        sub = assemble_substeps(m, x, v)
+        bare = make_model(m.grid, m.quad, dataclasses.replace(m.diff, d_x=None),
+                          m.eps)
+        rng = np.random.default_rng(11)
+        k = vec(rng.standard_normal((33, 3)))
+        assert np.array_equal(operator_K(bare, sub).apply(k),
+                              operator_K(m, sub).apply(k))
+        f = rng.standard_normal((33, 8))
+        assert np.array_equal(full_rhs(bare, f), full_rhs(m, f))
 
 
 class TestDensity:

@@ -2,7 +2,7 @@
 
 Usage:
     rte run|sweep-eps|sweep-dt|singvals|compare --config <path>
-        [--out <dir>] [--workers <n>] [--override key=value ...]
+        [--out <dir>] [--override key=value ...]
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 size-cap
 rejection.
@@ -48,8 +48,6 @@ def build_parser():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None,
-                       help="concurrent sweep jobs")
         p.add_argument("--override", nargs="*", default=[], metavar="KEY=VAL",
                        help="config field overrides (values parsed as JSON)")
         p.add_argument("-v", "--verbose", action="store_true")
@@ -64,8 +62,6 @@ def main(argv=None):
     )
     try:
         cfg = load_config(args.config, args.override)
-        if args.workers is not None:
-            cfg.workers = args.workers
         outdir = resolve_output_dir(cfg, args.out)
         _COMMANDS[args.command](cfg, outdir)
     except ConfigError as err:

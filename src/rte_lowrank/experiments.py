@@ -10,7 +10,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -62,9 +61,16 @@ class RunConfig:
     basis_pinning: bool = False
     debug_trace: bool = False
     compare_reference: bool = False
-    workers: int = 1
 
     def validate(self, allow_zero_t=False):
+        for name in ("n_x", "n_mu", "rank", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("t_final", "expmv_tol"):
+            _as_float(name, getattr(self, name))
         a, b = self.domain
         if not b > a:
             raise ConfigError(f"domain: need b > a, got {self.domain}")
@@ -79,16 +85,21 @@ class RunConfig:
         if self.initial_condition not in INITIAL_CONDITIONS:
             raise ConfigError(
                 f"initial_condition: unknown value {self.initial_condition!r}")
-        if self.initial_condition == "poly_fourier" and not self.ic_coeffs:
-            raise ConfigError("poly_fourier needs a nonempty ic_coeffs list")
+        if self.initial_condition == "poly_fourier":
+            if not isinstance(self.ic_coeffs, list) or not self.ic_coeffs:
+                raise ConfigError(
+                    "poly_fourier needs a nonempty ic_coeffs list")
+            _as_floats("ic_coeffs", self.ic_coeffs)
         for e in np.atleast_1d(np.asarray(self.eps, dtype=float)):
             if not 0.0 < e <= 10.0:
                 raise ConfigError(f"eps entries must lie in (0, 10], got {e}")
-        if self.t_final > 0:
-            for d in np.atleast_1d(np.asarray(self.dt, dtype=float)):
-                n_steps(self.t_final, float(d))
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        for d in (self.dt if isinstance(self.dt, list) else [self.dt]):
+            try:
+                step_config(self, d)
+            except ValueError as err:  # dt <= 0, a bad solver or tolerance
+                raise ConfigError(str(err)) from None
+            if self.t_final > 0:
+                n_steps(self.t_final, d)
         return self
 
     def to_dict(self):
@@ -103,16 +114,26 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         cfg = cls(**d)
-        cfg.domain = tuple(float(v) for v in cfg.domain)
-        if isinstance(cfg.eps, list):
-            cfg.eps = [float(v) for v in cfg.eps]
-        else:
-            cfg.eps = float(cfg.eps)
-        if isinstance(cfg.dt, list):
-            cfg.dt = [float(v) for v in cfg.dt]
-        else:
-            cfg.dt = float(cfg.dt)
+        if not isinstance(cfg.domain, (list, tuple)) or len(cfg.domain) != 2:
+            raise ConfigError(f"domain: need [a, b], got {cfg.domain!r}")
+        cfg.domain = tuple(_as_floats("domain", cfg.domain))
+        cfg.eps = _as_floats("eps", cfg.eps)
+        cfg.dt = _as_floats("dt", cfg.dt)
         return cfg
+
+
+def _as_float(name, value):
+    """value as a float; a ConfigError unless it is an int or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_floats(name, value):
+    """A list of numbers as a list of floats, a number as a float."""
+    if isinstance(value, (list, tuple)):
+        return [_as_float(name, v) for v in value]
+    return _as_float(name, value)
 
 
 @dataclass
@@ -207,46 +228,47 @@ def _diffusion_lift(model, f0, t):
     return np.outer(rho, np.ones(model.quad.n_mu))
 
 
-def run_single(cfg, dt=None, eps=None, model=None, f0=None,
-               reference_matrix=None):
-    """Execute one integration and assemble its RunResult.
+def _dense_reference(model, f0, cfg):
+    """The exact flow of the full system from f0 over cfg.t_final."""
+    ref, _ = integrate(model, f0, "reference", step_config(cfg, cfg.t_final), 1)
+    return ref
 
-    ``dt``/``eps`` override the config scalars (used by sweeps).  The error
-    report compares against a dense reference solution when
-    cfg.compare_reference is set (or one is supplied), and against the
-    angularly lifted diffusion-limit density otherwise.
+
+def _model_and_initial(cfg, eps):
+    """The model at eps on the config's grid, and the initial matrix."""
+    grid, quad, diff = build_setup(cfg)
+    return (make_model(grid, quad, diff, _as_float("eps", eps)),
+            initial_matrix(cfg, grid, quad))
+
+
+def run_single(cfg, model, f0, dt=None, reference_matrix=None):
+    """Integrate f0 under model and assemble its RunResult.
+
+    ``dt`` overrides the config scalar (used by sweep-dt).  The error report
+    compares against a dense reference solution when cfg.compare_reference
+    is set (or one is supplied), and against the angularly lifted
+    diffusion-limit density otherwise.
     """
-    dt = float(dt if dt is not None else cfg.dt)
-    eps = float(eps if eps is not None else cfg.eps)
+    dt = _as_float("dt", dt if dt is not None else cfg.dt)
     n = n_steps(cfg.t_final, dt)
 
     t0 = time.perf_counter()
-    if model is None:
-        grid, quad, diff = build_setup(cfg)
-        model = make_model(grid, quad, diff, eps)
-    else:
-        grid, quad = model.grid, model.quad
-    if f0 is None:
-        f0 = initial_matrix(cfg, grid, quad)
-
     scfg = step_config(cfg, dt)
-    wx = model.wx
-    _, _, _, sigma_tail = weighted_truncated_svd(f0, cfg.rank, wx, model.wmu)
+    _, _, _, sigma_tail = weighted_truncated_svd(f0, cfg.rank, model.wx,
+                                                 model.wmu)
 
     if cfg.integrator == "reference":
-        final, trace = integrate(model, f0, "reference", scfg, n)
-        f_final = final
+        f_final, trace = integrate(model, f0, "reference", scfg, n)
         delta0 = 0.0
     else:
-        state, delta0 = from_full(f0, cfg.rank, grid, quad)
+        state, delta0 = from_full(f0, cfg.rank, model.grid, model.quad)
         final, trace = integrate(model, state, cfg.integrator, scfg, n)
         f_final = reconstruct(final)
 
     if reference_matrix is not None:
         ref, kind = reference_matrix, "dense"
     elif cfg.compare_reference:
-        ref, _ = integrate(model, f0, "reference", step_config(cfg, cfg.t_final), 1)
-        kind = "dense"
+        ref, kind = _dense_reference(model, f0, cfg), "dense"
     else:
         ref, kind = _diffusion_lift(model, f0, cfg.t_final), "diffusion_limit"
 
@@ -291,21 +313,13 @@ def write_csv(path, header, rows):
     return path
 
 
-def _run_jobs(jobs, workers):
-    """Evaluate thunks, possibly concurrently, preserving input order."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
-
-
 def cmd_run(cfg, outdir):
     """Single integration; writes result.json (+ errors.csv vs dense ref)."""
     cfg.validate()
     if isinstance(cfg.eps, list) or isinstance(cfg.dt, list):
         raise ConfigError("run needs scalar eps and dt; use a sweep command")
-    result, _ = run_single(cfg)
+    model, f0 = _model_and_initial(cfg, cfg.eps)
+    result, _ = run_single(cfg, model, f0)
     write_result_json(result, outdir)
     if result.reference_kind == "dense":
         rep = result.error_report
@@ -327,30 +341,24 @@ def cmd_sweep_eps(cfg, outdir):
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps list must be strictly descending")
 
-    grid, quad, diff = build_setup(cfg)
-    f0 = initial_matrix(cfg, grid, quad)
     # the diffusion-limit density does not depend on eps: lift it once
-    lift_model = make_model(grid, quad, diff, eps_list[0])
+    lift_model, f0 = _model_and_initial(cfg, eps_list[0])
     lift = _diffusion_lift(lift_model, f0, cfg.t_final)
+    grid, quad, diff = lift_model.grid, lift_model.quad, lift_model.diff
 
-    def job(eps):
-        model = make_model(grid, quad, diff, eps)
-        return run_single(cfg, eps=eps, model=model, f0=f0,
-                          reference_matrix=lift)
-
-    results = _run_jobs([lambda e=e: job(e) for e in eps_list], cfg.workers)
+    results = [run_single(cfg, make_model(grid, quad, diff, eps), f0,
+                          reference_matrix=lift)[0] for eps in eps_list]
     rows = [
         (eps, res.error_report["rel_l2_density"], res.wall_time_seconds)
-        for eps, (res, _) in zip(eps_list, results)
+        for eps, res in zip(eps_list, results)
     ]
     write_csv(Path(outdir) / "sweep_eps.csv",
               ["eps", "rel_l2_density", "wall_time_seconds"], rows)
     summary = RunResult(
         config=cfg.to_dict(), reference_kind="diffusion_limit",
-        error_report=results[-1][0].error_report,
-        delta0=results[-1][0].delta0, sigma_tail=results[-1][0].sigma_tail,
-        n_steps=results[-1][0].n_steps,
-        wall_time_seconds=sum(r.wall_time_seconds for r, _ in results),
+        error_report=results[-1].error_report, delta0=results[-1].delta0,
+        sigma_tail=results[-1].sigma_tail, n_steps=results[-1].n_steps,
+        wall_time_seconds=sum(r.wall_time_seconds for r in results),
     )
     write_result_json(summary, outdir)
     return rows
@@ -373,26 +381,18 @@ def cmd_sweep_dt(cfg, outdir):
     if not dt_list:
         raise ConfigError("dt list is empty")
 
-    grid, quad, diff = build_setup(cfg)
-    model = make_model(grid, quad, diff, float(cfg.eps))
-    f0 = initial_matrix(cfg, grid, quad)
-    ref, _ = integrate(model, f0, "reference", step_config(cfg, cfg.t_final), 1)
+    model, f0 = _model_and_initial(cfg, cfg.eps)
+    ref = _dense_reference(model, f0, cfg)
     ref_norm = frob_norm_weighted(ref, model.wx, model.wmu)
     sigma = weighted_singular_values(ref, model.wx, model.wmu)
     r = cfg.rank
     sigma_tail = float(sigma[r]) if r < len(sigma) else 0.0
     sigma_tail_rel = sigma_tail / ref_norm
 
-    def job(dt):
-        res, _ = run_single(cfg, dt=dt, model=model, f0=f0,
-                            reference_matrix=ref)
-        return res
-
-    results = _run_jobs([lambda d=d: job(d) for d in dt_list], cfg.workers)
-    rows = [
-        (dt, res.error_report["rel_l2_full"], sigma_tail)
-        for dt, res in zip(dt_list, results)
-    ]
+    rows = []
+    for dt in dt_list:
+        res, _ = run_single(cfg, model, f0, dt=dt, reference_matrix=ref)
+        rows.append((dt, res.error_report["rel_l2_full"], sigma_tail))
     write_csv(Path(outdir) / "sweep_dt.csv",
               ["dt", "rel_l2_full", "sigma_tail"], rows)
 
@@ -417,14 +417,8 @@ def cmd_sweep_dt(cfg, outdir):
 def cmd_singvals(cfg, outdir):
     """Weighted singular values of the reference solution at t_final."""
     cfg.validate(allow_zero_t=True)
-    grid, quad, diff = build_setup(cfg)
-    model = make_model(grid, quad, diff, float(cfg.eps))
-    f0 = initial_matrix(cfg, grid, quad)
-    if cfg.t_final == 0:
-        ref = f0
-    else:
-        ref, _ = integrate(model, f0, "reference",
-                           step_config(cfg, cfg.t_final), 1)
+    model, f0 = _model_and_initial(cfg, cfg.eps)
+    ref = f0 if cfg.t_final == 0 else _dense_reference(model, f0, cfg)
     sigma = weighted_singular_values(ref, model.wx, model.wmu)
     rows = [(k + 1, s) for k, s in enumerate(sigma)]
     write_csv(Path(outdir) / "singvals.csv", ["index", "sigma"], rows)
@@ -434,16 +428,14 @@ def cmd_singvals(cfg, outdir):
 def cmd_compare(cfg, outdir):
     """gap/psi/bug/reference errors against the dense reference at fixed eps."""
     cfg.validate()
-    grid, quad, diff = build_setup(cfg)
-    model = make_model(grid, quad, diff, float(cfg.eps))
-    f0 = initial_matrix(cfg, grid, quad)
-    ref, _ = integrate(model, f0, "reference", step_config(cfg, cfg.t_final), 1)
+    model, f0 = _model_and_initial(cfg, cfg.eps)
+    ref = _dense_reference(model, f0, cfg)
 
     rows = []
     for scheme in ("gap", "psi", "bug"):
         sub = RunConfig.from_dict({**cfg.to_dict(), "integrator": scheme})
         try:
-            res, _ = run_single(sub, model=model, f0=f0, reference_matrix=ref)
+            res, _ = run_single(sub, model, f0, reference_matrix=ref)
             rows.append((scheme, res.error_report["rel_l2_full"],
                          res.error_report["rel_l2_density"], "ok"))
         except (NumericalFailureError, DegenerateStateError) as err:

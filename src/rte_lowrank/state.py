@@ -62,12 +62,6 @@ def orthonormality_defects(state, grid, quad):
             orthonormality_defect(state.v, quad.weights))
 
 
-def state_weighted_norm(state, grid, quad):
-    """Weighted norm of the reconstruction, computed as ||s||_F."""
-    del grid, quad
-    return float(np.linalg.norm(state.s))
-
-
 def error_report(approx, reference, model):
     """Relative L2 errors, mass, and the reference's weighted spectrum.
 

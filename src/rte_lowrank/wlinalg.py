@@ -103,7 +103,7 @@ class QrResult:
     replaced_columns: set = field(default_factory=set)
 
 
-def weighted_mgs(a, w, tau=_MGS_TAU, seed=0):
+def weighted_mgs(a, w, seed=0):
     """Householder QR in the w-inner product, with seeded column replacement.
 
     Parameters
@@ -112,11 +112,6 @@ def weighted_mgs(a, w, tau=_MGS_TAU, seed=0):
         Columns to orthonormalize, m >= r.
     w : (m,) array
         Positive weights defining the inner product.
-    tau : float
-        Relative rank-deficiency threshold.  A column whose residual after
-        projection onto the preceding columns falls below tau times its
-        original w-norm (floored at a machine-scale absolute threshold) is
-        replaced by a fallback vector.
     seed : int
         Seed of the pseudorandom stream supplying replacement vectors.
 
@@ -124,7 +119,9 @@ def weighted_mgs(a, w, tau=_MGS_TAU, seed=0):
     QR of diag(sqrt(w)) a, which stays orthonormal to roundoff however badly
     the columns are graded; |R_jj| is the residual of column j after
     projection onto the preceding columns.  Signs are fixed so that
-    diag(R) >= 0.  While a column not yet replaced is deficient, the first
+    diag(R) >= 0.  A column is deficient when that residual falls below
+    _MGS_TAU times its original w-norm, floored at a machine-scale absolute
+    threshold.  While a column not yet replaced is deficient, the first
     such column j is swapped for sqrt(w) * g, with g the next
     ``standard_normal(m)`` draw of ``default_rng(seed)``, and the QR is
     redone.  Each replaced column then gets R_jj = 0 and R[:j, j] = the
@@ -143,7 +140,7 @@ def weighted_mgs(a, w, tau=_MGS_TAU, seed=0):
     # pre-scale live columns to unit w-norm; undo through r_factor at the end
     col_scale = np.where(col_norms > abs_floor, col_norms, 1.0)
     b = sq[:, None] * (a / col_scale)
-    thresh = tau * np.maximum(col_norms, abs_floor) / col_scale
+    thresh = _MGS_TAU * np.maximum(col_norms, abs_floor) / col_scale
 
     rng = None  # built at the first deficient column: most calls have none
     work = b.copy()
@@ -211,13 +208,13 @@ def weighted_truncated_svd(f, r, wx, wmu):
     return x, s, v, sigma_tail
 
 
-def estimate_operator_norm(op, n_iter=8):
+def estimate_operator_norm(op):
     """Power-iteration estimate of the spectral norm of op (8 iterations)."""
     rng = np.random.default_rng(_NORM_EST_SEED)
     v = rng.standard_normal(op.dim)
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(n_iter):
+    for _ in range(8):
         av = op.apply(v)
         nrm = np.linalg.norm(av)
         if nrm == 0.0 or not np.isfinite(nrm):
@@ -272,25 +269,28 @@ def expmv(op, t, v, tol=1e-10, norm=None):
     h = t / n_seg
     tol_seg = max(tol / n_seg, 4 * np.finfo(float).eps)
     w = v.copy()
-    for _ in range(n_seg):
-        term = w.copy()
-        acc = w.copy()
-        for k in range(1, 61):
-            term = (h / k) * op.apply(term)
-            acc += term
-            converged = np.linalg.norm(term) <= tol_seg * np.linalg.norm(acc)
-            if converged:
-                break
-        w = acc
-        if not np.all(np.isfinite(w)):
-            raise NumericalFailureError(
-                f"exp({t} * {op.name}) v overflowed during the Taylor sweep"
-            )
-        if not converged:
-            raise NumericalFailureError(
-                f"exp({t} * {op.name}) v: a Taylor segment missed its "
-                f"tolerance after 60 terms (norm {norm:.3g} too low?)"
-            )
+    # an overflowing sum is caught by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_seg):
+            term = w.copy()
+            acc = w.copy()
+            for k in range(1, 61):
+                term = (h / k) * op.apply(term)
+                acc += term
+                converged = (np.linalg.norm(term)
+                             <= tol_seg * np.linalg.norm(acc))
+                if converged:
+                    break
+            w = acc
+            if not np.all(np.isfinite(w)):
+                raise NumericalFailureError(
+                    f"exp({t} * {op.name}) v overflowed during the Taylor sweep"
+                )
+            if not converged:
+                raise NumericalFailureError(
+                    f"exp({t} * {op.name}) v: a Taylor segment missed its "
+                    f"tolerance after 60 terms (norm {norm:.3g} too low?)"
+                )
     return w
 
 

@@ -179,14 +179,6 @@ class TestSweepEps:
         assert errs[1] < errs[0]
         assert errs[2] < errs[1]
 
-    def test_workers_match_serial(self, tmp_path):
-        base = {**TINY, "eps": [1.0, 0.5, 0.25]}
-        serial = cmd_sweep_eps(RunConfig.from_dict(base), tmp_path / "s")
-        threaded = cmd_sweep_eps(
-            RunConfig.from_dict({**base, "workers": 3}), tmp_path / "t")
-        for (e1, v1, _), (e2, v2, _) in zip(serial, threaded):
-            assert e1 == e2 and v1 == v2
-
 
 class TestSweepDt:
     def test_degenerate_single_dt(self, tmp_path):
@@ -312,6 +304,34 @@ class TestCli:
         path = write_cfg(tmp_path, {**TINY, "integrator": "nope"})
         assert cli_main(["run", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == 2
+
+    # each must be rejected before any work, not escape as a ValueError,
+    # ZeroDivisionError or TypeError (exit 1); the 64 x 16 run at
+    # eps = 1e-4 replaces columns, so a bad seed would otherwise fail only
+    # mid-run, in default_rng
+    @pytest.mark.parametrize("command,override", [
+        ("run", 'substep_solver="magic"'),
+        ("run", "expmv_tol=0.5"),
+        ("run", "expmv_tol=0"),
+        ("run", "dt=0"),
+        ("sweep-dt", "dt=[0.1,0]"),
+        ("run", 'eps="abc"'),
+        ("run", 't_final="1"'),
+        ("run", "rank=2.5"),
+        ("run", 'n_x="a"'),
+        ("run", "domain=[0,1,2]"),
+        ("run", 'ic_coeffs=[1,"a"]'),
+        ("run", "seed=-1"),
+        ("run", "seed=1.5"),
+    ])
+    def test_malformed_override_exit_two(self, tmp_path, command, override):
+        path = write_cfg(tmp_path, {
+            **TINY, "n_x": 64, "n_mu": 16, "eps": 1e-4, "t_final": 0.3,
+            "rank": 5, "initial_condition": "poly_fourier",
+            "ic_coeffs": [1.0, -0.1, -0.01, 1e-3, 1e-4]})
+        assert cli_main([command, "--config", str(path),
+                         "--out", str(tmp_path / "out"),
+                         "--override", override]) == 2
 
     def test_size_cap_exit_four(self, tmp_path):
         path = write_cfg(tmp_path, {**TINY, "integrator": "reference",

@@ -17,6 +17,7 @@ from rte_lowrank.integrators import (
     _norm_bound,
     _propagate_k_structured,
     _propagate_l_structured,
+    _solve_s_substep,
     bug_step,
     gap_step,
     integrate,
@@ -290,6 +291,77 @@ class TestTaylorRoute:
         out = expmv(op, dt, y0, 1e-10, norm=bound)
         # the requested tolerance; the worst of 3400 scanned cases was 5.7e-12
         assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+class TestSSubstep:
+    @staticmethod
+    def galerkin_generator(m, sub, x):
+        """G(S) = X^T diag(dx) unvec(K-apply(vec(X S))), column by column.
+
+        Built from the K operator's action, not from a Kronecker formula, so
+        a transposed factor in the substep's own generator shows.
+        """
+        r = x.shape[1]
+        op = operator_K(m, sub)
+        gen = np.empty((r * r, r * r))
+        for j in range(r * r):
+            k_dot = unvec(op.apply(vec(x @ unvec(np.eye(r * r)[j], (r, r)))),
+                          (m.grid.n_x, r))
+            gen[:, j] = vec(x.T @ (m.wx[:, None] * k_dot))
+        return gen
+
+    # no backward implicit Euler: I + dt G is singular wherever dt times a
+    # collision eigenvalue of G reaches -1 (eps = dt = 1), so the solve has
+    # no accuracy to compare
+    @pytest.mark.parametrize("sign,solver", [(1.0, "exponential"),
+                                             (-1.0, "exponential"),
+                                             (1.0, "implicit_euler")])
+    @given(n_x=strategies.integers(8, 39), n_mu=strategies.integers(2, 11),
+           rank=strategies.integers(1, 6),
+           log_eps=strategies.floats(-4.0, 1.0),
+           log_dt=strategies.floats(-4.0, 0.0),
+           seed=strategies.integers(0, 2**32 - 1))
+    def test_matches_galerkin_oracle(self, sign, solver, n_x, n_mu, rank,
+                                     log_eps, log_dt, seed):
+        eps, dt = 10.0**log_eps, 10.0**log_dt
+        # the backward (PSI) flow grows like exp(dt/eps^2); beyond this it
+        # overflows or loses every digit to cancellation
+        assume(sign > 0 or dt / eps**2 <= 30.0)
+        m = build(n_x=n_x, n_mu=n_mu, eps=eps)
+        r = min(rank, n_mu)
+        rng = np.random.default_rng(seed)
+        x = basis_with_constant(n_x, r, m.wx, rng)
+        v = basis_with_constant(n_mu, r, m.wmu, rng)
+        sub = assemble_substeps(m, x, v)
+        s0 = rng.standard_normal((r, r))
+        gen = sign * self.galerkin_generator(m, sub, x)
+        if solver == "exponential":
+            oracle = sla.expm(dt * gen) @ vec(s0)
+        else:
+            oracle = np.linalg.solve(np.eye(r * r) - dt * gen, vec(s0))
+        out = _solve_s_substep(m, sub, StepConfig(dt, substep_solver=solver),
+                               s0, sign, "test")
+        assert (np.linalg.norm(vec(out) - oracle)
+                <= 1e-10 * np.linalg.norm(oracle))
+
+
+class TestRegimeGrid:
+    # every cell ends finite or raises the documented error; the one
+    # expected divergence is PSI's backward substep once dt/eps^2 is large
+    @pytest.mark.parametrize("dt", [1e-3, 0.1])
+    @pytest.mark.parametrize("eps", [10.0, 0.1, 1e-2, 1e-4])
+    @pytest.mark.parametrize("scheme", ["gap", "psi", "bug"])
+    def test_finite_or_documented_failure(self, scheme, eps, dt):
+        m = build(n_x=32, n_mu=8, eps=eps)
+        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
+        stiffness = dt / eps**2
+        assert stiffness <= 100 or stiffness >= 1e3
+        if scheme == "psi" and stiffness >= 1e3:
+            with pytest.raises(NumericalFailureError):
+                integrate(m, st, scheme, StepConfig(dt=dt), 2)
+            return
+        out, _ = integrate(m, st, scheme, StepConfig(dt=dt), 2)
+        assert np.all(np.isfinite(reconstruct(out)))
 
 
 class TestPsiInstability:

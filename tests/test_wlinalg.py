@@ -287,6 +287,7 @@ class TestExpmv:
         with pytest.raises(ValueError):
             expmv(op, 1.0, np.ones(8), tol=1e-10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_names_operator_and_time(self):
         from rte_lowrank.exceptions import NumericalFailureError
         d = sp.diags(np.full(6, 2000.0)).tocsr()

@@ -54,11 +54,9 @@ class RunConfig:
     integrator: str = "gap"
     initial_condition: str = "parabolic"
     ic_coeffs: Optional[list] = None
-    substep_solver: str = "exponential"
     expmv_tol: float = 1e-10
     output_dir: Optional[str] = None
-    seed: int = 0
-    basis_pinning: bool = False
+    seed: int = 0  # validated, but selects nothing
     debug_trace: bool = False
     compare_reference: bool = False
 
@@ -96,7 +94,7 @@ class RunConfig:
         for d in (self.dt if isinstance(self.dt, list) else [self.dt]):
             try:
                 step_config(self, d)
-            except ValueError as err:  # dt <= 0, a bad solver or tolerance
+            except ValueError as err:  # dt <= 0 or a bad tolerance
                 raise ConfigError(str(err)) from None
             if self.t_final > 0:
                 n_steps(self.t_final, d)
@@ -114,6 +112,15 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         cfg = cls(**d)
+        # before resolve_output_dir reads output_dir, and before a truthy
+        # string can switch a flag on
+        if cfg.output_dir is not None and not isinstance(cfg.output_dir, str):
+            raise ConfigError(
+                f"output_dir must be a string, got {cfg.output_dir!r}")
+        for name in ("debug_trace", "compare_reference"):
+            if not isinstance(getattr(cfg, name), bool):
+                raise ConfigError(
+                    f"{name} must be true or false, got {getattr(cfg, name)!r}")
         if not isinstance(cfg.domain, (list, tuple)) or len(cfg.domain) != 2:
             raise ConfigError(f"domain: need [a, b], got {cfg.domain!r}")
         cfg.domain = tuple(_as_floats("domain", cfg.domain))
@@ -212,14 +219,7 @@ def initial_matrix(cfg, grid, quad):
 
 
 def step_config(cfg, dt):
-    return StepConfig(
-        dt=dt,
-        substep_solver=cfg.substep_solver,
-        expmv_tol=cfg.expmv_tol,
-        basis_pinning=cfg.basis_pinning,
-        debug=cfg.debug_trace,
-        seed=cfg.seed,
-    )
+    return StepConfig(dt=dt, expmv_tol=cfg.expmv_tol, debug=cfg.debug_trace)
 
 
 def _diffusion_lift(model, f0, t):

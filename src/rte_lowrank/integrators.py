@@ -1,8 +1,11 @@
 """One-step maps: GAP, PSI, BUG, and the dense reference solver.
 
 Each low-rank step is built from substep flows for the angular factor L, the
-spatial factor K, and (for PSI/BUG) the coefficient matrix S.  Substeps are
-solved by exponential action by default, or by implicit Euler.
+spatial factor K, and (for PSI/BUG) the coefficient matrix S, each advanced
+by its exponential.  The new L and K are orthonormalized by the weighted
+QR, whose deficient columns are replaced from a fixed ladder: Legendre
+polynomials P_k(mu) in angle, which start 1, mu, the span the diffusion
+limit needs, and the grid's Fourier modes in space.
 
 The L and K exponentials are one decision, ``_solve_substep``, made from one
 number: the closed-form bound ``_norm_bound`` on the substep operator's
@@ -29,8 +32,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .exceptions import DegenerateStateError, NumericalFailureError, SizeCapError
 from .model import assemble_substeps, full_flow, operator_K, operator_L
@@ -62,14 +63,11 @@ _STRUCTURED_THRESHOLD = 100.0
 
 @dataclass
 class StepConfig:
-    """Time step size and substep-solver selection."""
+    """Time step size, Taylor tolerance and substep tracing."""
 
     dt: float
-    substep_solver: str = "exponential"
     expmv_tol: float = 1e-10
-    basis_pinning: bool = False
     debug: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -77,8 +75,6 @@ class StepConfig:
         if not 0.0 < self.expmv_tol < 1e-2:
             raise ValueError(
                 f"expmv_tol must lie in (0, 1e-2), got {self.expmv_tol}")
-        if self.substep_solver not in ("exponential", "implicit_euler"):
-            raise ValueError(f"unknown substep solver {self.substep_solver!r}")
 
 
 @dataclass
@@ -91,39 +87,6 @@ class SubstepTrace:
     post_norm: float
     orth_defect: Optional[float]
     replaced_columns: tuple
-    seed: int
-
-
-def _pin_angular_basis(v1, model, seed=0):
-    """Rebuild v1 so column 1 is proportional to 1 and column 2 to mu."""
-    n_mu, r = v1.shape
-    w = model.wmu
-    candidates = [np.ones(n_mu)]
-    if r >= 2:
-        candidates.append(model.quad.nodes.astype(float))
-    candidates.extend(v1[:, j] for j in range(r))
-
-    kept = []
-    for cand in candidates:
-        if len(kept) == r:
-            break
-        v = cand.astype(float).copy()
-        ref = weighted_norm(v, w)
-        for _ in range(2):
-            for q in kept:
-                v -= float(np.dot(q, w * v)) * q
-        nrm = weighted_norm(v, w)
-        if ref > 0 and nrm > 1e-8 * ref:
-            kept.append(v / nrm)
-    rng = np.random.default_rng(seed)
-    while len(kept) < r:
-        v = rng.standard_normal(n_mu)
-        for q in kept:
-            v -= float(np.dot(q, w * v)) * q
-        nrm = weighted_norm(v, w)
-        if nrm > 1e-10:
-            kept.append(v / nrm)
-    return np.column_stack(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +183,6 @@ def _norm_bound(model, sub, factor):
     return transport / model.eps + 2.0 / model.eps**2
 
 
-def _implicit_euler_sparse(op, dt, b):
-    lhs = (sp.identity(op.dim, format="csr") - dt * op.matrix).tocsc()
-    sol = spla.spsolve(lhs, b)
-    if not np.all(np.isfinite(sol)):
-        raise NumericalFailureError(f"implicit solve with {op.name} failed")
-    return sol
-
-
 def _solve_substep(model, sub, cfg, factor, mat):
     """Advance the factor mat of substep ``factor`` ("L" or "K") by cfg.dt.
 
@@ -236,9 +191,6 @@ def _solve_substep(model, sub, cfg, factor, mat):
     _STRUCTURED_THRESHOLD, and the exact mode flow beyond.
     """
     operator = operator_L if factor == "L" else operator_K
-    if cfg.substep_solver == "implicit_euler":
-        sol = _implicit_euler_sparse(operator(model, sub), cfg.dt, vec(mat))
-        return unvec(sol, mat.shape)
     bound = _norm_bound(model, sub, factor)
     if cfg.dt * bound <= _STRUCTURED_THRESHOLD:
         sol = expmv(operator(model, sub), cfg.dt, vec(mat), cfg.expmv_tol,
@@ -252,12 +204,8 @@ def _solve_substep(model, sub, cfg, factor, mat):
 def _solve_s_substep(model, sub, cfg, s_mat, sign, context):
     gen = _s_generator(model, sub, sign)
     r = s_mat.shape[0]
-    if cfg.substep_solver == "implicit_euler":
-        sol = np.linalg.solve(np.eye(r * r) - cfg.dt * gen, vec(s_mat))
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            prop = sla.expm(cfg.dt * gen)
-            sol = prop @ vec(s_mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = sla.expm(cfg.dt * gen) @ vec(s_mat)
     if not np.all(np.isfinite(sol)):
         raise NumericalFailureError(
             f"{context} overflowed (eps={model.eps:g}, dt={cfg.dt:g})"
@@ -272,7 +220,7 @@ def _solve_s_substep(model, sub, cfg, s_mat, sign, context):
 _BASIS_LABEL = {"L": "angular", "K": "spatial"}
 
 
-def _record(trace, step_index, substep, seed, before, after, w=None,
+def _record(trace, step_index, substep, before, after, w=None,
             replaced=(), basis=None):
     """Append a SubstepTrace when tracing.
 
@@ -293,7 +241,7 @@ def _record(trace, step_index, substep, seed, before, after, w=None,
                         step_index + 1, _BASIS_LABEL[substep], defect,
                         _ORTH_WARN)
     trace.append(SubstepTrace(step_index, substep, float(pre), float(post),
-                              defect, tuple(sorted(replaced)), seed))
+                              defect, tuple(sorted(replaced))))
 
 
 def _finish_factor(qr, label, step):
@@ -304,6 +252,35 @@ def _finish_factor(qr, label, step):
         )
 
 
+def _legendre_ladder(model):
+    """Angular replacement candidates P_k(mu), k = 0, 1, ...: 1, mu, ...
+
+    On the n_mu Gauss-Legendre nodes the first n_mu of them are
+    w_mu-orthogonal, so they span R^n_mu.
+    """
+    mu = model.quad.nodes
+    return lambda k: np.polynomial.legendre.Legendre.basis(k)(mu)
+
+
+def _fourier_ladder(model):
+    """Spatial replacement candidates 1, sin t, cos t, sin 2t, cos 2t, ...
+
+    t = 2 pi i / n_x on the periodic grid.  For even n_x the Nyquist sine
+    vanishes on the grid and is left out: candidate n_x - 1 is the Nyquist
+    cosine.  The first n_x candidates are then orthogonal, so they span
+    R^n_x.
+    """
+    n_x = model.grid.n_x
+    t = 2.0 * np.pi * np.arange(n_x) / n_x
+
+    def candidate(k):
+        j = (k + 1) // 2
+        if k % 2 and 2 * j != n_x:
+            return np.sin(j * t)
+        return np.cos(j * t)
+    return candidate
+
+
 def _predict_angular(model, state, sub, cfg, trace, step_index):
     """L substep shared by the three schemes.
 
@@ -312,14 +289,11 @@ def _predict_angular(model, state, sub, cfg, trace, step_index):
     """
     l0 = state.v @ state.s.T
     l1 = _solve_substep(model, sub, cfg, "L", l0)
-    qr_v = weighted_mgs(l1, model.wmu, seed=cfg.seed)
+    qr_v = weighted_mgs(l1, model.wmu, ladder=_legendre_ladder(model))
     _finish_factor(qr_v, "angular", step_index)
-    v1 = qr_v.q
-    if cfg.basis_pinning:
-        v1 = _pin_angular_basis(v1, model, seed=cfg.seed)
-    _record(trace, step_index, "L", cfg.seed, l0, l1, model.wmu,
-            qr_v.replaced_columns, v1)
-    return l1, v1
+    _record(trace, step_index, "L", l0, l1, model.wmu,
+            qr_v.replaced_columns, qr_v.q)
+    return l1, qr_v.q
 
 
 def _update_spatial(model, sub, cfg, k0, trace, step_index):
@@ -329,9 +303,9 @@ def _update_spatial(model, sub, cfg, k0, trace, step_index):
     it in the dx inner product.  Returns the QrResult (X_new, its R).
     """
     k1 = _solve_substep(model, sub, cfg, "K", k0)
-    qr_x = weighted_mgs(k1, model.wx, seed=cfg.seed)
+    qr_x = weighted_mgs(k1, model.wx, ladder=_fourier_ladder(model))
     _finish_factor(qr_x, "spatial", step_index)
-    _record(trace, step_index, "K", cfg.seed, k0, k1, model.wx,
+    _record(trace, step_index, "K", k0, k1, model.wx,
             qr_x.replaced_columns, qr_x.q)
     return qr_x
 
@@ -370,7 +344,7 @@ def psi_step(model, state, cfg, trace=None, step_index=0):
         context="backward coefficient substep: the flow grows like "
                 "exp(dt/eps^2) when integrated backward; expected for small "
                 "eps -- prefer the gap or bug scheme there")
-    _record(trace, step_index, "S", cfg.seed, s_tilde, s_hat)
+    _record(trace, step_index, "S", s_tilde, s_hat)
 
     qr_x = _update_spatial(model, sub1, cfg, state.x @ s_hat, trace,
                            step_index)
@@ -395,7 +369,7 @@ def bug_step(model, state, cfg, trace=None, step_index=0):
           @ weighted_inner(state.v, v1, model.wmu))
     s1 = _solve_s_substep(model, sub1, cfg, s0, sign=1.0,
                           context="Galerkin coefficient substep")
-    _record(trace, step_index, "S", cfg.seed, s0, s1)
+    _record(trace, step_index, "S", s0, s1)
     return LowRankState(x1, s1, v1)
 
 

@@ -66,8 +66,8 @@ def frob_norm_weighted(f, wx, wmu):
 class SparseOperator:
     """A linear map exposed through its action on vectors.
 
-    ``matrix`` optionally carries an explicit sparse form (used by implicit
-    solves and cross-checking tests); it can be supplied directly or through
+    ``matrix`` optionally carries an explicit sparse form (used by
+    cross-checking tests); it can be supplied directly or through
     a factory that is invoked on first access, so hot paths that only need
     the action never pay for assembly.
     """
@@ -92,8 +92,8 @@ class QrResult:
     """Weighted QR factorization a = q @ r_factor with q w-orthonormal.
 
     r_factor is upper triangular with a nonnegative diagonal.  Columns listed
-    in ``replaced_columns`` were rank deficient: their q columns are
-    deterministic seeded fallback directions, their diagonal entry in
+    in ``replaced_columns`` were rank deficient: their q columns come from
+    the caller's deterministic replacement ladder, their diagonal entry in
     r_factor is exactly zero, and the entries above it hold the projection
     of the original column onto the preceding q columns.
     """
@@ -103,8 +103,8 @@ class QrResult:
     replaced_columns: set = field(default_factory=set)
 
 
-def weighted_mgs(a, w, seed=0):
-    """Householder QR in the w-inner product, with seeded column replacement.
+def weighted_mgs(a, w, ladder=None):
+    """Householder QR in the w-inner product, with laddered column replacement.
 
     Parameters
     ----------
@@ -112,8 +112,11 @@ def weighted_mgs(a, w, seed=0):
         Columns to orthonormalize, m >= r.
     w : (m,) array
         Positive weights defining the inner product.
-    seed : int
-        Seed of the pseudorandom stream supplying replacement vectors.
+    ladder : callable, optional
+        ``ladder(k)`` is the k-th replacement candidate, an (m,) array, for
+        k = 0, 1, ..., m - 1; the first m candidates must span R^m.  Built
+        one at a time, so no m x m basis is ever stored.  Defaults to the
+        unit vectors e_k.
 
     The columns are pre-scaled to unit w-norm and factored by one Householder
     QR of diag(sqrt(w)) a, which stays orthonormal to roundoff however badly
@@ -121,17 +124,21 @@ def weighted_mgs(a, w, seed=0):
     projection onto the preceding columns.  Signs are fixed so that
     diag(R) >= 0.  A column is deficient when that residual falls below
     _MGS_TAU times its original w-norm, floored at a machine-scale absolute
-    threshold.  While a column not yet replaced is deficient, the first
-    such column j is swapped for sqrt(w) * g, with g the next
-    ``standard_normal(m)`` draw of ``default_rng(seed)``, and the QR is
-    redone.  Each replaced column then gets R_jj = 0 and R[:j, j] = the
-    projection of the original column onto the preceding q columns.
+    threshold.  While a column is deficient, the first such column j takes
+    the next ladder candidate, scaled to unit w-norm, and the QR is redone.
+    A candidate already in the span of the preceding columns comes back
+    deficient and is passed over in turn.  Each replaced column then gets
+    R_jj = 0 and R[:j, j] = the projection of the original column onto the
+    preceding q columns.
     """
     a = np.asarray(a, dtype=float)
     w = np.asarray(w, dtype=float)
     m, r = a.shape
     if m < r:
         raise ValueError(f"need at least as many rows as columns, got {m} x {r}")
+    if ladder is None:
+        def ladder(k):
+            return np.eye(1, m, k)[0]
 
     sq = np.sqrt(w)
     col_norms = np.sqrt(np.sum(w[:, None] * a * a, axis=0))
@@ -142,21 +149,22 @@ def weighted_mgs(a, w, seed=0):
     b = sq[:, None] * (a / col_scale)
     thresh = _MGS_TAU * np.maximum(col_norms, abs_floor) / col_scale
 
-    rng = None  # built at the first deficient column: most calls have none
     work = b.copy()
     replaced = set()
-    while True:
+    for k in range(m + 1):
         q, r_factor = np.linalg.qr(work)
         sign = np.where(np.diag(r_factor) < 0.0, -1.0, 1.0)
         q *= sign
         r_factor *= sign[:, None]
-        j = next((j for j in range(r) if j not in replaced
-                  and r_factor[j, j] <= thresh[j]), None)
+        j = next((j for j in range(r) if r_factor[j, j] <= thresh[j]), None)
         if j is None:
             break
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        work[:, j] = sq * rng.standard_normal(m)
+        if k == m:
+            raise ValueError(
+                f"the first {m} ladder candidates do not span R^{m}")
+        cand = sq * ladder(k)
+        work[:, j] = cand / np.linalg.norm(cand)
+        thresh[j] = _MGS_TAU
         replaced.add(j)
 
     for j in replaced:

@@ -306,11 +306,16 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 2
 
     # each must be rejected before any work, not escape as a ValueError,
-    # ZeroDivisionError or TypeError (exit 1); the 64 x 16 run at
-    # eps = 1e-4 replaces columns, so a bad seed would otherwise fail only
-    # mid-run, in default_rng
+    # ZeroDivisionError or TypeError (exit 1), nor run with a string read as
+    # a flag (exit 0); the seed selects nothing, but is still validated
     @pytest.mark.parametrize("command,override", [
         ("run", 'substep_solver="magic"'),
+        ("run", 'substep_solver="exponential"'),
+        ("run", "basis_pinning=true"),
+        ("run", "output_dir=5"),
+        ("run", "output_dir=[1]"),
+        ("run", 'compare_reference="false"'),
+        ("run", 'debug_trace="no"'),
         ("run", "expmv_tol=0.5"),
         ("run", "expmv_tol=0"),
         ("run", "dt=0"),

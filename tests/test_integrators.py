@@ -14,6 +14,8 @@ from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
 from rte_lowrank.integrators import (
     _STRUCTURED_THRESHOLD,
     StepConfig,
+    _fourier_ladder,
+    _legendre_ladder,
     _norm_bound,
     _propagate_k_structured,
     _propagate_l_structured,
@@ -119,8 +121,6 @@ class TestStepBasics:
             StepConfig(dt=0.0)
         with pytest.raises(ValueError):
             StepConfig(dt=0.1, expmv_tol=0.5)
-        with pytest.raises(ValueError):
-            StepConfig(dt=0.1, substep_solver="magic")
 
 
 class TestOracleEquivalence:
@@ -169,23 +169,37 @@ class TestOracleEquivalence:
         out_e = gap_step(m, st, StepConfig(dt=0.02, expmv_tol=1e-12))
         assert rel_err(reconstruct(out_s), reconstruct(out_e), m) <= 1e-9
 
-    def test_implicit_euler_first_order(self):
-        m = build(n_x=32, n_mu=8, eps=0.5)
-        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
-        exact = reconstruct(gap_step(m, st, StepConfig(dt=0.01)))
-        errs = []
-        for dt in (0.01, 0.005):
-            n = round(0.01 / dt)
-            cfg = StepConfig(dt=dt, substep_solver="implicit_euler")
-            out, _ = integrate(m, st, "gap", cfg, n)
-            errs.append(rel_err(reconstruct(out), exact, m))
-        assert errs[1] <= 0.75 * errs[0]
-
 
 def basis_with_constant(n, r, w, rng):
     """w-orthonormal n x r basis whose first column is constant."""
     cols = np.column_stack([np.ones(n), rng.standard_normal((n, r - 1))])
     return weighted_mgs(cols, w).q
+
+
+class TestReplacementLadders:
+    def test_candidate_in_span_is_passed_over(self):
+        # column 1 is twice the constant column 0; P_0 = 1 is already in the
+        # span, so the replacement is P_1 = mu
+        m = build(n_x=16, n_mu=12)
+        a = np.column_stack([np.ones(12), 2.0 * np.ones(12)])
+        res = weighted_mgs(a, m.wmu, ladder=_legendre_ladder(m))
+        assert res.replaced_columns == {1}
+        mu_hat = m.quad.nodes / weighted_norm(m.quad.nodes, m.wmu)
+        assert np.abs(res.q[:, 1] - mu_hat).max() <= 1e-12
+
+    @pytest.mark.parametrize("factor", ["K", "L"])
+    def test_first_candidates_are_a_basis(self, factor):
+        # even n_x would lose a direction to the Nyquist sine, which is zero
+        # on the grid; the ladders are w-orthogonal, so sigma_min/sigma_max
+        # is at least 1/sqrt(2 n_mu - 1)
+        sizes = range(2, 41) if factor == "K" else range(2, 21)
+        for n in sizes:
+            m = build(n_x=n) if factor == "K" else build(n_mu=n)
+            ladder, w = ((_fourier_ladder(m), m.wx) if factor == "K"
+                         else (_legendre_ladder(m), m.wmu))
+            cands = np.column_stack([ladder(k) for k in range(n)])
+            sig = np.linalg.svd(np.sqrt(w)[:, None] * cands, compute_uv=False)
+            assert sig[-1] >= 0.1 * sig[0], n
 
 
 class TestStructuredPropagators:
@@ -310,18 +324,15 @@ class TestSSubstep:
             gen[:, j] = vec(x.T @ (m.wx[:, None] * k_dot))
         return gen
 
-    # no backward implicit Euler: I + dt G is singular wherever dt times a
-    # collision eigenvalue of G reaches -1 (eps = dt = 1), so the solve has
-    # no accuracy to compare
-    @pytest.mark.parametrize("sign,solver", [(1.0, "exponential"),
-                                             (-1.0, "exponential"),
-                                             (1.0, "implicit_euler")])
+    # forward (BUG) and backward (PSI), each by its exact exponential
+    @pytest.mark.parametrize("sign", [1.0, -1.0],
+                             ids=["1.0-exponential", "-1.0-exponential"])
     @given(n_x=strategies.integers(8, 39), n_mu=strategies.integers(2, 11),
            rank=strategies.integers(1, 6),
            log_eps=strategies.floats(-4.0, 1.0),
            log_dt=strategies.floats(-4.0, 0.0),
            seed=strategies.integers(0, 2**32 - 1))
-    def test_matches_galerkin_oracle(self, sign, solver, n_x, n_mu, rank,
+    def test_matches_galerkin_oracle(self, sign, n_x, n_mu, rank,
                                      log_eps, log_dt, seed):
         eps, dt = 10.0**log_eps, 10.0**log_dt
         # the backward (PSI) flow grows like exp(dt/eps^2); beyond this it
@@ -335,12 +346,8 @@ class TestSSubstep:
         sub = assemble_substeps(m, x, v)
         s0 = rng.standard_normal((r, r))
         gen = sign * self.galerkin_generator(m, sub, x)
-        if solver == "exponential":
-            oracle = sla.expm(dt * gen) @ vec(s0)
-        else:
-            oracle = np.linalg.solve(np.eye(r * r) - dt * gen, vec(s0))
-        out = _solve_s_substep(m, sub, StepConfig(dt, substep_solver=solver),
-                               s0, sign, "test")
+        oracle = sla.expm(dt * gen) @ vec(s0)
+        out = _solve_s_substep(m, sub, StepConfig(dt), s0, sign, "test")
         assert (np.linalg.norm(vec(out) - oracle)
                 <= 1e-10 * np.linalg.norm(oracle))
 
@@ -435,16 +442,6 @@ class TestGapProperties:
         for idx in (0, 1):
             assert resid[1e-2][idx] <= 0.5 * resid[1e-1][idx]
             assert resid[1e-3][idx] <= 0.5 * resid[1e-2][idx]
-
-    def test_basis_pinning_fixes_leading_columns(self):
-        m = build(n_x=64, n_mu=16, eps=1e-2)
-        st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
-        out = gap_step(m, st, StepConfig(dt=0.1, basis_pinning=True))
-        one_hat = np.ones(16) / weighted_norm(np.ones(16), m.wmu)
-        mu_hat = m.quad.nodes / weighted_norm(m.quad.nodes, m.wmu)
-        assert np.abs(np.abs(out.v[:, 0]) - one_hat).max() <= 1e-12
-        assert np.abs(np.abs(out.v[:, 1]) - np.abs(mu_hat)).max() <= 1e-12
-        assert max(orthonormality_defects(out, m.grid, m.quad)) <= 1e-10
 
     def test_debug_trace_records_substeps(self):
         m = build()

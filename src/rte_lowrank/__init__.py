@@ -21,7 +21,6 @@ from .grids import (
 )
 from .integrators import (
     REFERENCE_SIZE_CAP,
-    StepConfig,
     SubstepTrace,
     bug_step,
     gap_step,

@@ -10,7 +10,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DegenerateStateError, NumericalFailureError
 from .grids import build_diff_matrices, gauss_legendre, uniform_grid
-from .integrators import StepConfig, integrate
+from .integrators import integrate
 from .model import density, diffusion_limit_density, make_model
 from .state import error_report, from_full, reconstruct, report_to_dict
 from .wlinalg import (frob_norm_weighted, weighted_singular_values,
@@ -54,7 +54,6 @@ class RunConfig:
     integrator: str = "gap"
     initial_condition: str = "parabolic"
     ic_coeffs: Optional[list] = None
-    expmv_tol: float = 1e-10
     output_dir: Optional[str] = None
     seed: int = 0  # validated, but selects nothing
     debug_trace: bool = False
@@ -67,8 +66,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("t_final", "expmv_tol"):
-            _as_float(name, getattr(self, name))
+        _as_float("t_final", self.t_final)
         a, b = self.domain
         if not b > a:
             raise ConfigError(f"domain: need b > a, got {self.domain}")
@@ -92,10 +90,8 @@ class RunConfig:
             if not 0.0 < e <= 10.0:
                 raise ConfigError(f"eps entries must lie in (0, 10], got {e}")
         for d in (self.dt if isinstance(self.dt, list) else [self.dt]):
-            try:
-                step_config(self, d)
-            except ValueError as err:  # dt <= 0 or a bad tolerance
-                raise ConfigError(str(err)) from None
+            if not d > 0:
+                raise ConfigError(f"dt must be positive, got {d}")
             if self.t_final > 0:
                 n_steps(self.t_final, d)
         return self
@@ -218,10 +214,6 @@ def initial_matrix(cfg, grid, quad):
     return f
 
 
-def step_config(cfg, dt):
-    return StepConfig(dt=dt, expmv_tol=cfg.expmv_tol, debug=cfg.debug_trace)
-
-
 def _diffusion_lift(model, f0, t):
     """Angularly constant matrix carrying the diffusion-limit density."""
     rho = diffusion_limit_density(model, density(model, f0), t)
@@ -230,7 +222,7 @@ def _diffusion_lift(model, f0, t):
 
 def _dense_reference(model, f0, cfg):
     """The exact flow of the full system from f0 over cfg.t_final."""
-    ref, _ = integrate(model, f0, "reference", step_config(cfg, cfg.t_final), 1)
+    ref, _ = integrate(model, f0, "reference", cfg.t_final, 1)
     return ref
 
 
@@ -241,32 +233,33 @@ def _model_and_initial(cfg, eps):
             initial_matrix(cfg, grid, quad))
 
 
-def run_single(cfg, model, f0, dt=None, reference_matrix=None):
+def run_single(cfg, model, f0, dt=None, reference=None):
     """Integrate f0 under model and assemble its RunResult.
 
-    ``dt`` overrides the config scalar (used by sweep-dt).  The error report
-    compares against a dense reference solution when cfg.compare_reference
-    is set (or one is supplied), and against the angularly lifted
-    diffusion-limit density otherwise.
+    ``dt`` overrides the config scalar (used by sweep-dt).  ``reference`` is
+    a (matrix, kind) pair to measure the error against; without one, the
+    run builds the dense reference when cfg.compare_reference is set and
+    the angularly lifted diffusion-limit density otherwise.
     """
     dt = _as_float("dt", dt if dt is not None else cfg.dt)
     n = n_steps(cfg.t_final, dt)
 
     t0 = time.perf_counter()
-    scfg = step_config(cfg, dt)
     _, _, _, sigma_tail = weighted_truncated_svd(f0, cfg.rank, model.wx,
                                                  model.wmu)
 
     if cfg.integrator == "reference":
-        f_final, trace = integrate(model, f0, "reference", scfg, n)
+        f_final, trace = integrate(model, f0, "reference", dt, n,
+                                   debug=cfg.debug_trace)
         delta0 = 0.0
     else:
         state, delta0 = from_full(f0, cfg.rank, model.grid, model.quad)
-        final, trace = integrate(model, state, cfg.integrator, scfg, n)
+        final, trace = integrate(model, state, cfg.integrator, dt, n,
+                                 debug=cfg.debug_trace)
         f_final = reconstruct(final)
 
-    if reference_matrix is not None:
-        ref, kind = reference_matrix, "dense"
+    if reference is not None:
+        ref, kind = reference
     elif cfg.compare_reference:
         ref, kind = _dense_reference(model, f0, cfg), "dense"
     else:
@@ -343,23 +336,20 @@ def cmd_sweep_eps(cfg, outdir):
 
     # the diffusion-limit density does not depend on eps: lift it once
     lift_model, f0 = _model_and_initial(cfg, eps_list[0])
-    lift = _diffusion_lift(lift_model, f0, cfg.t_final)
+    lift = (_diffusion_lift(lift_model, f0, cfg.t_final), "diffusion_limit")
     grid, quad, diff = lift_model.grid, lift_model.quad, lift_model.diff
 
     results = [run_single(cfg, make_model(grid, quad, diff, eps), f0,
-                          reference_matrix=lift)[0] for eps in eps_list]
+                          reference=lift)[0] for eps in eps_list]
     rows = [
         (eps, res.error_report["rel_l2_density"], res.wall_time_seconds)
         for eps, res in zip(eps_list, results)
     ]
     write_csv(Path(outdir) / "sweep_eps.csv",
               ["eps", "rel_l2_density", "wall_time_seconds"], rows)
-    summary = RunResult(
-        config=cfg.to_dict(), reference_kind="diffusion_limit",
-        error_report=results[-1].error_report, delta0=results[-1].delta0,
-        sigma_tail=results[-1].sigma_tail, n_steps=results[-1].n_steps,
-        wall_time_seconds=sum(r.wall_time_seconds for r in results),
-    )
+    summary = replace(
+        results[-1], config=cfg.to_dict(), diagnostics=None,
+        wall_time_seconds=sum(r.wall_time_seconds for r in results))
     write_result_json(summary, outdir)
     return rows
 
@@ -391,7 +381,7 @@ def cmd_sweep_dt(cfg, outdir):
 
     rows = []
     for dt in dt_list:
-        res, _ = run_single(cfg, model, f0, dt=dt, reference_matrix=ref)
+        res, _ = run_single(cfg, model, f0, dt=dt, reference=(ref, "dense"))
         rows.append((dt, res.error_report["rel_l2_full"], sigma_tail))
     write_csv(Path(outdir) / "sweep_dt.csv",
               ["dt", "rel_l2_full", "sigma_tail"], rows)
@@ -435,7 +425,7 @@ def cmd_compare(cfg, outdir):
     for scheme in ("gap", "psi", "bug"):
         sub = RunConfig.from_dict({**cfg.to_dict(), "integrator": scheme})
         try:
-            res, _ = run_single(sub, model, f0, reference_matrix=ref)
+            res, _ = run_single(sub, model, f0, reference=(ref, "dense"))
             rows.append((scheme, res.error_report["rel_l2_full"],
                          res.error_report["rel_l2_density"], "ok"))
         except (NumericalFailureError, DegenerateStateError) as err:

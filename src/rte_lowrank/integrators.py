@@ -12,22 +12,23 @@ number: the closed-form bound ``_norm_bound`` on the substep operator's
 spectral norm.  While dt times the bound is at most _STRUCTURED_THRESHOLD,
 the Taylor ``expmv`` runs with its segments sized by that bound; beyond it,
 where the collision stiffness 1/eps^2 makes a polynomial method infeasible,
-the flow is propagated exactly.  The exact flows decouple into modes, and
-one kernel, ``_propagate_modes``, maps each mode row y_q to
-y_q exp(scale_q b + c): K on the Fourier modes of the circulant D_x (r x r
-blocks), L on the eigenvectors of the antisymmetric r x r A_x (complex
-n_mu x n_mu blocks).  Both routes agree to the requested tolerance and are
-cross-checked in the test suite.
+the flow is propagated exactly.  The Taylor tolerance is the fixed
+accuracy target EXPMV_TOL, as in Al-Mohy & Higham, SISC 33(2), 2011.  The
+exact flows decouple into modes, and one kernel, ``_propagate_modes``, maps
+each mode row y_q to y_q exp(scale_q b + c): K on the Fourier modes of the
+circulant D_x (r x r blocks), L on the eigenvectors of the antisymmetric
+r x r A_x (complex n_mu x n_mu blocks).  Both routes agree to that
+tolerance and are cross-checked in the test suite.
 
 The dense reference is the exact flow of the full system,
 ``model.full_flow``: an rfft in x and one n_mu x n_mu exponential per
 Fourier mode, the blocks of the L flow with the D_x symbol in place of the
 eigenvalues of A_x, each made real by one fixed unitary similarity.  It runs
-no Taylor loop, so ``expmv_tol`` does not affect it.
+no Taylor loop, so EXPMV_TOL does not affect it.
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -53,28 +54,15 @@ log = logging.getLogger(__name__)
 
 REFERENCE_SIZE_CAP = 200_000
 
+# target relative accuracy of every Taylor substep
+EXPMV_TOL = 1e-10
+
 _SIGMA_WARN_RATIO = 1e-13
 _ORTH_WARN = 1e-10
 
 # dt times the substep norm bound above which the exact mode flows replace
 # the Taylor expmv
 _STRUCTURED_THRESHOLD = 100.0
-
-
-@dataclass
-class StepConfig:
-    """Time step size, Taylor tolerance and substep tracing."""
-
-    dt: float
-    expmv_tol: float = 1e-10
-    debug: bool = False
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not 0.0 < self.expmv_tol < 1e-2:
-            raise ValueError(
-                f"expmv_tol must lie in (0, 1e-2), got {self.expmv_tol}")
 
 
 @dataclass
@@ -183,8 +171,8 @@ def _norm_bound(model, sub, factor):
     return transport / model.eps + 2.0 / model.eps**2
 
 
-def _solve_substep(model, sub, cfg, factor, mat):
-    """Advance the factor mat of substep ``factor`` ("L" or "K") by cfg.dt.
+def _solve_substep(model, sub, dt, factor, mat):
+    """Advance the factor mat of substep ``factor`` ("L" or "K") by dt.
 
     The exponential takes the Taylor ``expmv``, its segments sized by
     ``_norm_bound``, while dt times the bound is at most
@@ -192,23 +180,22 @@ def _solve_substep(model, sub, cfg, factor, mat):
     """
     operator = operator_L if factor == "L" else operator_K
     bound = _norm_bound(model, sub, factor)
-    if cfg.dt * bound <= _STRUCTURED_THRESHOLD:
-        sol = expmv(operator(model, sub), cfg.dt, vec(mat), cfg.expmv_tol,
-                    norm=bound)
+    if dt * bound <= _STRUCTURED_THRESHOLD:
+        sol = expmv(operator(model, sub), dt, vec(mat), EXPMV_TOL, norm=bound)
         return unvec(sol, mat.shape)
     if factor == "L":
-        return _propagate_l_structured(model, sub, cfg.dt, mat)
-    return _propagate_k_structured(model, sub, cfg.dt, mat)
+        return _propagate_l_structured(model, sub, dt, mat)
+    return _propagate_k_structured(model, sub, dt, mat)
 
 
-def _solve_s_substep(model, sub, cfg, s_mat, sign, context):
+def _solve_s_substep(model, sub, dt, s_mat, sign, context):
     gen = _s_generator(model, sub, sign)
     r = s_mat.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = sla.expm(cfg.dt * gen) @ vec(s_mat)
+        sol = sla.expm(dt * gen) @ vec(s_mat)
     if not np.all(np.isfinite(sol)):
         raise NumericalFailureError(
-            f"{context} overflowed (eps={model.eps:g}, dt={cfg.dt:g})"
+            f"{context} overflowed (eps={model.eps:g}, dt={dt:g})"
         )
     return unvec(sol, (r, r))
 
@@ -244,12 +231,17 @@ def _record(trace, step_index, substep, before, after, w=None,
                               defect, tuple(sorted(replaced))))
 
 
-def _finish_factor(qr, label, step):
+def _finish_factor(qr, label):
     if len(qr.replaced_columns) == qr.q.shape[1]:
         raise DegenerateStateError(
-            f"all {qr.q.shape[1]} columns of the {label} factor collapsed at "
-            f"step {step}; the state has lost its rank entirely"
+            f"all {qr.q.shape[1]} columns of the {label} factor collapsed; "
+            f"the state has lost its rank entirely"
         )
+
+
+def _check_positive(name, value):
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _legendre_ladder(model):
@@ -281,36 +273,36 @@ def _fourier_ladder(model):
     return candidate
 
 
-def _predict_angular(model, state, sub, cfg, trace, step_index):
+def _predict_angular(model, state, sub, dt, trace, step_index):
     """L substep shared by the three schemes.
 
     Propagates L = V S^T with the spatial basis frozen and orthonormalizes
     it in the w_mu inner product.  Returns (L_new, V_new).
     """
     l0 = state.v @ state.s.T
-    l1 = _solve_substep(model, sub, cfg, "L", l0)
+    l1 = _solve_substep(model, sub, dt, "L", l0)
     qr_v = weighted_mgs(l1, model.wmu, ladder=_legendre_ladder(model))
-    _finish_factor(qr_v, "angular", step_index)
+    _finish_factor(qr_v, "angular")
     _record(trace, step_index, "L", l0, l1, model.wmu,
             qr_v.replaced_columns, qr_v.q)
     return l1, qr_v.q
 
 
-def _update_spatial(model, sub, cfg, k0, trace, step_index):
+def _update_spatial(model, sub, dt, k0, trace, step_index):
     """K substep shared by the three schemes.
 
     Propagates K from k0 with the angular basis frozen and orthonormalizes
     it in the dx inner product.  Returns the QrResult (X_new, its R).
     """
-    k1 = _solve_substep(model, sub, cfg, "K", k0)
+    k1 = _solve_substep(model, sub, dt, "K", k0)
     qr_x = weighted_mgs(k1, model.wx, ladder=_fourier_ladder(model))
-    _finish_factor(qr_x, "spatial", step_index)
+    _finish_factor(qr_x, "spatial")
     _record(trace, step_index, "K", k0, k1, model.wx,
             qr_x.replaced_columns, qr_x.q)
     return qr_x
 
 
-def gap_step(model, state, cfg, trace=None, step_index=0):
+def gap_step(model, state, dt, trace=None, step_index=0):
     """One step of the Galerkin alternating-projection scheme.
 
     First the angular factor is predicted: L = V S^T is propagated with the
@@ -318,40 +310,42 @@ def gap_step(model, state, cfg, trace=None, step_index=0):
     spatial factor K = X S (V_old^T diag(w) V_new) is propagated in the new
     angular basis and re-orthonormalized to give the new X and S.
     """
+    _check_positive("dt", dt)
     sub0 = assemble_substeps(model, state.x, state.v)
-    _, v1 = _predict_angular(model, state, sub0, cfg, trace, step_index)
+    _, v1 = _predict_angular(model, state, sub0, dt, trace, step_index)
 
     k0 = state.x @ state.s @ weighted_inner(state.v, v1, model.wmu)
     sub1 = assemble_substeps(model, state.x, v1)
-    qr_x = _update_spatial(model, sub1, cfg, k0, trace, step_index)
+    qr_x = _update_spatial(model, sub1, dt, k0, trace, step_index)
     return LowRankState(qr_x.q, qr_x.r_factor, v1)
 
 
-def psi_step(model, state, cfg, trace=None, step_index=0):
+def psi_step(model, state, dt, trace=None, step_index=0):
     """One Lie splitting step of the projector-splitting integrator.
 
     The L substep matches GAP's; the coefficient matrix is then integrated
     backward in time (the known instability source for collisional problems),
     and the spatial factor is propagated in the predicted angular basis.
     """
+    _check_positive("dt", dt)
     sub0 = assemble_substeps(model, state.x, state.v)
-    l1, v1 = _predict_angular(model, state, sub0, cfg, trace, step_index)
+    l1, v1 = _predict_angular(model, state, sub0, dt, trace, step_index)
 
     s_tilde = weighted_inner(v1, l1, model.wmu).T
     sub1 = assemble_substeps(model, state.x, v1)
     s_hat = _solve_s_substep(
-        model, sub1, cfg, s_tilde, sign=-1.0,
+        model, sub1, dt, s_tilde, sign=-1.0,
         context="backward coefficient substep: the flow grows like "
                 "exp(dt/eps^2) when integrated backward; expected for small "
                 "eps -- prefer the gap or bug scheme there")
     _record(trace, step_index, "S", s_tilde, s_hat)
 
-    qr_x = _update_spatial(model, sub1, cfg, state.x @ s_hat, trace,
+    qr_x = _update_spatial(model, sub1, dt, state.x @ s_hat, trace,
                            step_index)
     return LowRankState(qr_x.q, qr_x.r_factor, v1)
 
 
-def bug_step(model, state, cfg, trace=None, step_index=0):
+def bug_step(model, state, dt, trace=None, step_index=0):
     """One step of the basis-update-and-Galerkin scheme.
 
     Both basis predictions start from the same initial state: the L substep
@@ -359,29 +353,32 @@ def bug_step(model, state, cfg, trace=None, step_index=0):
     yields X_new.  The coefficient matrix is then projected into the new
     bases and integrated forward with the Galerkin-reduced dynamics.
     """
+    _check_positive("dt", dt)
     sub0 = assemble_substeps(model, state.x, state.v)
-    _, v1 = _predict_angular(model, state, sub0, cfg, trace, step_index)
-    x1 = _update_spatial(model, sub0, cfg, state.x @ state.s, trace,
+    _, v1 = _predict_angular(model, state, sub0, dt, trace, step_index)
+    x1 = _update_spatial(model, sub0, dt, state.x @ state.s, trace,
                          step_index).q
 
     sub1 = assemble_substeps(model, x1, v1)
     s0 = (weighted_inner(x1, state.x, model.wx) @ state.s
           @ weighted_inner(state.v, v1, model.wmu))
-    s1 = _solve_s_substep(model, sub1, cfg, s0, sign=1.0,
+    s1 = _solve_s_substep(model, sub1, dt, s0, sign=1.0,
                           context="Galerkin coefficient substep")
     _record(trace, step_index, "S", s0, s1)
     return LowRankState(x1, s1, v1)
 
 
-def reference_step(model, f, cfg, size_cap=REFERENCE_SIZE_CAP):
-    """Advance the full value matrix by the exact flow exp(dt A)."""
+def reference_step(model, f, t):
+    """Advance the full value matrix by the exact flow exp(t A)."""
+    _check_positive("t", t)
     f = np.asarray(f, dtype=float)
     n_mu = model.quad.n_mu
     dim = model.grid.n_x * n_mu
-    if dim > size_cap:
+    if dim > REFERENCE_SIZE_CAP:
         raise SizeCapError(
             f"reference solve needs a {dim}-dimensional operator, above the "
-            f"cap of {size_cap}; reduce n_x * n_mu or use a low-rank scheme"
+            f"cap of {REFERENCE_SIZE_CAP}; reduce n_x * n_mu or use a "
+            f"low-rank scheme"
         )
     if n_mu > DENSE_EXPM_LIMIT:
         raise SizeCapError(
@@ -389,29 +386,29 @@ def reference_step(model, f, cfg, size_cap=REFERENCE_SIZE_CAP):
             f"dense limit of {DENSE_EXPM_LIMIT}; reduce n_mu"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        out = full_flow(model, f, cfg.dt)
+        out = full_flow(model, f, t)
     if not np.all(np.isfinite(out)):
         raise NumericalFailureError(
-            f"reference flow overflowed (eps={model.eps:g}, dt={cfg.dt:g})")
+            f"reference flow overflowed (eps={model.eps:g}, t={t:g})")
     return out
 
 
-def integrate(model, initial, scheme, cfg, n_steps):
+def integrate(model, initial, scheme, dt, n_steps, debug=False):
     """Apply the chosen one-step map n_steps times.
 
     Returns (final, traces) where final is a LowRankState for the low-rank
     schemes or a dense matrix for the reference, and traces is a list of
-    SubstepTrace records when cfg.debug is set (otherwise None).
+    SubstepTrace records when debug is set (otherwise None).
 
     The reference flow is exact, so it takes one step over n_steps * dt.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    trace = [] if cfg.debug else None
+    _check_positive("dt", dt)
+    trace = [] if debug else None
 
     if scheme == "reference":
-        return reference_step(model, initial,
-                              replace(cfg, dt=cfg.dt * n_steps)), trace
+        return reference_step(model, initial, dt * n_steps), trace
 
     try:
         step_fn = {"gap": gap_step, "psi": psi_step, "bug": bug_step}[scheme]
@@ -421,10 +418,10 @@ def integrate(model, initial, scheme, cfg, n_steps):
     state = initial
     for i in range(n_steps):
         try:
-            state = step_fn(model, state, cfg, trace=trace, step_index=i)
+            state = step_fn(model, state, dt, trace=trace, step_index=i)
         except (NumericalFailureError, DegenerateStateError) as err:
             raise type(err)(f"step {i + 1}/{n_steps}: {err}") from err
-        if cfg.debug:
+        if debug:
             sig = np.linalg.svd(state.s, compute_uv=False)
             if sig[0] > 0 and sig[-1] / sig[0] < _SIGMA_WARN_RATIO:
                 log.warning(

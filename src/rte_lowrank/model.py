@@ -31,9 +31,6 @@ from .wlinalg import (
 # unused here, but bench/tracing.py rebinds this name in this module
 from .wlinalg import expmv  # noqa: F401
 
-# explicit sparse matrices are only assembled below this nonzero count
-_MATERIALIZE_NNZ = 5_000_000
-
 _ORTHO_TOL = 1e-8
 
 
@@ -108,7 +105,7 @@ def full_operator(model):
 
     The map equals -(1/eps) diag(mu) kron D_x + (1/eps^2)(W_mu^T kron I - I).
     The apply closure evaluates the matrix form directly; the explicit sparse
-    matrix is assembled only when small enough to be cheap.
+    matrix is assembled only when ``.matrix`` is read.
     """
     n_x, n_mu = model.grid.n_x, model.quad.n_mu
     dim = n_x * n_mu
@@ -125,10 +122,8 @@ def full_operator(model):
                - sp.identity(dim, format="csr")) / eps**2
         ).tocsr()
 
-    nnz_est = n_x * (2 * n_mu + n_mu * n_mu + n_mu)
-    factory = build_matrix if nnz_est <= _MATERIALIZE_NNZ else None
     return SparseOperator(dim, apply, name="full_rte_operator",
-                          matrix_factory=factory)
+                          matrix_factory=build_matrix)
 
 
 def _check_orthonormal(basis, w, label):

@@ -141,7 +141,13 @@ def weighted_mgs(a, w, ladder=None):
             return np.eye(1, m, k)[0]
 
     sq = np.sqrt(w)
-    col_norms = np.sqrt(np.sum(w[:, None] * a * a, axis=0))
+    # square each column scaled by a power of two near its largest entry:
+    # the scaling is exact, so ordinary columns round as unscaled ones do,
+    # and finite huge entries cannot overflow
+    _, exp2 = np.frexp(np.abs(a).max(axis=0, initial=0.0))
+    pow2 = np.ldexp(1.0, exp2 - 1)
+    a_pow2 = a / pow2
+    col_norms = pow2 * np.sqrt(np.sum(w[:, None] * a_pow2 * a_pow2, axis=0))
     abs_floor = np.finfo(float).eps * col_norms.max(initial=0.0)
 
     # pre-scale live columns to unit w-norm; undo through r_factor at the end
@@ -302,12 +308,13 @@ def expmv(op, t, v, tol=1e-10, norm=None):
     return w
 
 
-def dense_expm(a, dense_limit=DENSE_EXPM_LIMIT):
+def dense_expm(a):
     """Dense matrix exponential (Pade with scaling and squaring)."""
     a = np.asarray(a)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"expected a square matrix, got {a.shape}")
-    if n > dense_limit:
-        raise ValueError(f"matrix dimension {n} exceeds dense limit {dense_limit}")
+    if n > DENSE_EXPM_LIMIT:
+        raise ValueError(
+            f"matrix dimension {n} exceeds dense limit {DENSE_EXPM_LIMIT}")
     return sla.expm(a)

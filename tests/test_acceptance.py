@@ -24,7 +24,7 @@ from rte_lowrank.experiments import (
 )
 from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
 from rte_lowrank.integrators import (
-    StepConfig,
+    EXPMV_TOL,
     bug_step,
     gap_step,
     psi_step,
@@ -99,11 +99,10 @@ def test_criterion_3_full_rank_oracle_equivalence():
         f0 = 1.0 + 0.3 * np.outer(np.sin(np.pi * m.grid.points),
                                   m.quad.nodes)
         st, _ = from_full(f0, 8, m.grid, m.quad)
-        cfg = StepConfig(dt=1e-3)
-        ref = reference_step(m, f0, cfg)
+        ref = reference_step(m, f0, 1e-3)
         ref_norm = frob_norm_weighted(ref, m.wx, m.wmu)
         for step in (gap_step, psi_step, bug_step):
-            out = reconstruct(step(m, st, cfg))
+            out = reconstruct(step(m, st, 1e-3))
             err = frob_norm_weighted(out - ref, m.wx, m.wmu) / ref_norm
             assert err <= 1e-5, step.__name__
 
@@ -149,11 +148,10 @@ def test_criterion_5_structural_invariants():
                            (1e-4, (gap_step, bug_step))):
             m = build(64, 16, eps)
             f0 = generic_matrix(m)
-            cfg = StepConfig(dt=0.1)
             for step in steps:
                 st, _ = from_full(f0, 4, m.grid, m.quad)
                 for _ in range(5):
-                    st = step(m, st, cfg)
+                    st = step(m, st, 0.1)
                     assert max(orthonormality_defects(st, m.grid, m.quad)) \
                         <= 1e-10
 
@@ -182,22 +180,21 @@ def test_criterion_5_structural_invariants():
                 inner = float(np.einsum("i,ij,j->", m.wx, f * rhs, m.wmu))
                 assert inner <= 1e-12 * scale**2 / eps
 
-        # GAP weighted norm non-increasing within 10 * expmv_tol
+        # GAP weighted norm non-increasing within 10 * EXPMV_TOL
         for eps in (1.0, 1e-3):
             m = build(64, 16, eps)
             st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
-            cfg = StepConfig(dt=0.1)
             prev = float(np.linalg.norm(st.s))
             for _ in range(10):
-                st = gap_step(m, st, cfg)
+                st = gap_step(m, st, 0.1)
                 cur = float(np.linalg.norm(st.s))
-                assert cur <= prev * (1.0 + 10 * cfg.expmv_tol)
+                assert cur <= prev * (1.0 + 10 * EXPMV_TOL)
                 prev = cur
 
         # reference conserves mass within 1e-10 relative
         m = build(48, 12, 0.5)
         f0 = generic_matrix(m)
-        f1 = reference_step(m, f0, StepConfig(dt=0.2))
+        f1 = reference_step(m, f0, 0.2)
         m0 = m.grid.dx * np.sum(f0 @ m.wmu)
         m1 = m.grid.dx * np.sum(f1 @ m.wmu)
         assert abs(m1 - m0) <= 1e-10 * abs(m0)
@@ -230,7 +227,7 @@ def test_criterion_7_basis_alignment():
         for eps in (1e-1, 1e-2, 1e-3):
             m = build(128, 32, eps)
             st, _ = from_full(f0, 4, m.grid, m.quad)
-            out = gap_step(m, st, StepConfig(dt=0.1))
+            out = gap_step(m, st, 0.1)
             vals = []
             for g in (np.ones(32), m.quad.nodes.astype(float)):
                 proj = out.v @ (out.v.T @ (m.wmu * g))

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
-from rte_lowrank.integrators import StepConfig
 from rte_lowrank.model import make_model
 from rte_lowrank.state import from_full
 
@@ -43,7 +42,7 @@ def test_tracer_books_each_substep_route(monkeypatch, eps, route):
     st, _ = from_full(f0, 4, grid, quad)
     tracer = tracing.Tracer()
     with tracing.instrument([], tracer, n_mu=quad.n_mu):
-        integrators.gap_step(m, st, StepConfig(dt=0.02))
+        integrators.gap_step(m, st, 0.02)
     routes = {key: n for key, n in tracer.counts.items()
               if key.startswith("integrators.route.")}
     # rank 4 < n_mu, so the block size tells the K stack from the L stack
@@ -68,6 +67,6 @@ def test_tracer_counts_substep_applies(monkeypatch):
     st, _ = from_full(f0, 2, grid, quad)
     tracer = tracing.Tracer()
     with tracing.instrument([], tracer, n_mu=quad.n_mu):
-        integrators.gap_step(m, st, StepConfig(dt=0.02))
+        integrators.gap_step(m, st, 0.02)
     assert tracer.counts["model.operator_L.applies"] > 0
     assert tracer.counts["model.operator_K.applies"] > 0

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rte_lowrank import experiments
 from rte_lowrank.cli import main as cli_main
 from rte_lowrank.exceptions import ConfigError, SizeCapError
 from rte_lowrank.experiments import (
@@ -50,6 +53,16 @@ class TestRunConfig:
         path = write_cfg(tmp_path, cfg.to_dict())
         again = load_config(path)
         assert again == cfg
+
+    def test_readme_table_lists_every_field(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        table = readme.read_text().split("### Config format", 1)[1]
+        cells = [line.split("|")[1] for line in table.split("###", 1)[0]
+                 .splitlines() if line.startswith("| `")]
+        listed = [name for cell in cells
+                  for name in re.findall(r"`(\w+)`", cell)]
+        assert sorted(listed) == sorted(
+            f.name for f in dataclasses.fields(RunConfig))
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
@@ -163,6 +176,22 @@ class TestSweepEps:
         lines = (tmp_path / "sweep_eps.csv").read_text().splitlines()
         assert lines[0] == "eps,rel_l2_density,wall_time_seconds"
         assert len(lines) == 2
+
+    def test_jobs_report_diffusion_limit(self, tmp_path, monkeypatch):
+        kinds = []
+        real = experiments.run_single
+
+        def recorded(*args, **kwargs):
+            result, f_final = real(*args, **kwargs)
+            kinds.append(result.reference_kind)
+            return result, f_final
+
+        monkeypatch.setattr(experiments, "run_single", recorded)
+        cmd_sweep_eps(RunConfig.from_dict({**TINY, "eps": [1.0, 0.5]}),
+                      tmp_path)
+        assert kinds == ["diffusion_limit", "diffusion_limit"]
+        summary = json.loads((tmp_path / "result.json").read_text())
+        assert summary["reference_kind"] == "diffusion_limit"
 
     def test_requires_descending(self, tmp_path):
         cfg = RunConfig.from_dict({**TINY, "eps": [0.1, 1.0]})
@@ -349,6 +378,20 @@ class TestCli:
                                     "eps": 1e-3, "t_final": 0.1})
         assert cli_main(["run", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == 3
+
+    def test_psi_overflow_names_backward_substep(self, tmp_path, capsys):
+        # PSI's factors grow past 1e154 before the backward substep
+        # overflows; their column norms must not overflow first and report
+        # the spatial factor as collapsed
+        path = write_cfg(tmp_path, {
+            **TINY, "integrator": "psi", "n_x": 64, "n_mu": 16, "rank": 5,
+            "eps": 1e-2, "dt": 0.01, "t_final": 0.2,
+            "initial_condition": "fourier_ladder"})
+        assert cli_main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "backward coefficient substep" in err
+        assert "collapsed" not in err
 
     def test_override_flag(self, tmp_path):
         path = write_cfg(tmp_path, TINY)

@@ -13,7 +13,7 @@ from rte_lowrank.exceptions import (
 from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
 from rte_lowrank.integrators import (
     _STRUCTURED_THRESHOLD,
-    StepConfig,
+    EXPMV_TOL,
     _fourier_ladder,
     _legendre_ladder,
     _norm_bound,
@@ -82,7 +82,7 @@ class TestStepBasics:
     def test_vanishing_dt_is_identity(self, name, step):
         m = build()
         st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
-        out = step(m, st, StepConfig(dt=1e-12))
+        out = step(m, st, 1e-12)
         assert rel_err(reconstruct(out), reconstruct(st), m) <= 1e-9
 
     @pytest.mark.parametrize("name,step", ALL_STEPS)
@@ -92,35 +92,57 @@ class TestStepBasics:
             pytest.skip("backward substep diverges for small eps")
         m = build(eps=eps)
         st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
-        out = step(m, st, StepConfig(dt=0.05))
+        out = step(m, st, 0.05)
         assert max(orthonormality_defects(out, m.grid, m.quad)) <= 1e-10
 
     def test_integrate_one_step_equals_direct_call(self):
         m = build()
         st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
-        cfg = StepConfig(dt=0.02)
-        direct = gap_step(m, st, cfg)
-        via, _ = integrate(m, st, "gap", cfg, 1)
+        direct = gap_step(m, st, 0.02)
+        via, _ = integrate(m, st, "gap", 0.02, 1)
         assert np.array_equal(reconstruct(direct), reconstruct(via))
 
     def test_unknown_scheme(self):
         m = build()
         st, _ = from_full(generic_matrix(m), 2, m.grid, m.quad)
         with pytest.raises(ValueError):
-            integrate(m, st, "rk4", StepConfig(dt=0.1), 1)
+            integrate(m, st, "rk4", 0.1, 1)
 
     def test_degenerate_state_detected(self):
         m = build()
         st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
         st.s = np.zeros_like(st.s)
         with pytest.raises(DegenerateStateError):
-            gap_step(m, st, StepConfig(dt=0.1))
+            gap_step(m, st, 0.1)
 
-    def test_step_config_validation(self):
-        with pytest.raises(ValueError):
-            StepConfig(dt=0.0)
-        with pytest.raises(ValueError):
-            StepConfig(dt=0.1, expmv_tol=0.5)
+    def test_degenerate_state_names_one_step(self):
+        # integrate prefixes the 1-based step; the inner message adds none
+        m = build()
+        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
+        st.s = np.zeros_like(st.s)
+        with pytest.raises(DegenerateStateError) as err:
+            integrate(m, st, "gap", 0.1, 2)
+        assert str(err.value).startswith("step 1/2: all 3 columns")
+        assert str(err.value).count("step") == 1
+
+    def test_step_config_validation(self, monkeypatch):
+        # every public entry rejects dt <= 0 before any work
+        def no_work(*args):
+            raise AssertionError("a substep was assembled")
+
+        monkeypatch.setattr(integrators, "assemble_substeps", no_work)
+        m = build()
+        st, _ = from_full(generic_matrix(m), 2, m.grid, m.quad)
+        f0 = reconstruct(st)
+        for dt in (0.0, -0.1):
+            for _, step in ALL_STEPS:
+                with pytest.raises(ValueError, match="dt must be positive"):
+                    step(m, st, dt)
+            for scheme in ("gap", "reference"):
+                with pytest.raises(ValueError, match="dt must be positive"):
+                    integrate(m, st if scheme == "gap" else f0, scheme, dt, 1)
+            with pytest.raises(ValueError, match="t must be positive"):
+                reference_step(m, f0, dt)
 
 
 class TestOracleEquivalence:
@@ -129,10 +151,9 @@ class TestOracleEquivalence:
         m = build(n_x=16, n_mu=8)
         f0 = 1.0 + 0.3 * np.outer(np.sin(np.pi * m.grid.points), m.quad.nodes)
         st, _ = from_full(f0, 8, m.grid, m.quad)
-        cfg = StepConfig(dt=1e-3)
-        ref = reference_step(m, f0, cfg)
+        ref = reference_step(m, f0, 1e-3)
         for name, step in ALL_STEPS:
-            out = step(m, st, cfg)
+            out = step(m, st, 1e-3)
             assert rel_err(reconstruct(out), ref, m) <= 1e-5, name
 
     def test_diffusive_single_step_matches_limit(self):
@@ -141,7 +162,7 @@ class TestOracleEquivalence:
         rho0 = (4.0 / 3.0) * ((m.grid.points - 1.0) ** 2 + 1.0)
         f0 = np.outer(rho0, np.ones(16))
         st, _ = from_full(f0, 2, m.grid, m.quad)
-        out = gap_step(m, st, StepConfig(dt=0.1))
+        out = gap_step(m, st, 0.1)
         rho_gap = density(m, reconstruct(out))
         rho_lim = diffusion_limit_density(m, density(m, f0), 0.1)
         err = weighted_norm(rho_gap - rho_lim, m.wx) / weighted_norm(rho_lim, m.wx)
@@ -154,9 +175,8 @@ class TestOracleEquivalence:
             rho = 1.0 + 0.5 * np.sin(np.pi * m.grid.points)
             f0 = np.outer(rho, np.ones(8))
             st, _ = from_full(f0, 1, m.grid, m.quad)
-            cfg = StepConfig(dt=0.05)
-            a = reconstruct(gap_step(m, st, cfg))
-            b = reconstruct(bug_step(m, st, cfg))
+            a = reconstruct(gap_step(m, st, 0.05))
+            b = reconstruct(bug_step(m, st, 0.05))
             assert frob_norm_weighted(a - b, m.wx, m.wmu) <= \
                 1e-10 * frob_norm_weighted(a, m.wx, m.wmu)
 
@@ -164,9 +184,10 @@ class TestOracleEquivalence:
         m = build(n_x=48, n_mu=12, eps=0.05)
         st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
         monkeypatch.setattr(integrators, "_STRUCTURED_THRESHOLD", 0.0)
-        out_s = gap_step(m, st, StepConfig(dt=0.02))
+        out_s = gap_step(m, st, 0.02)
         monkeypatch.setattr(integrators, "_STRUCTURED_THRESHOLD", np.inf)
-        out_e = gap_step(m, st, StepConfig(dt=0.02, expmv_tol=1e-12))
+        monkeypatch.setattr(integrators, "EXPMV_TOL", 1e-12)
+        out_e = gap_step(m, st, 0.02)
         assert rel_err(reconstruct(out_s), reconstruct(out_e), m) <= 1e-9
 
 
@@ -273,7 +294,7 @@ class TestSubstepNorm:
         m = build(n_x=48, n_mu=12, eps=0.5)
         st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
         for _, step in ALL_STEPS:
-            step(m, st, StepConfig(dt=0.02))
+            step(m, st, 0.02)
         assert len(calls) == 6
 
 
@@ -347,7 +368,7 @@ class TestSSubstep:
         s0 = rng.standard_normal((r, r))
         gen = sign * self.galerkin_generator(m, sub, x)
         oracle = sla.expm(dt * gen) @ vec(s0)
-        out = _solve_s_substep(m, sub, StepConfig(dt), s0, sign, "test")
+        out = _solve_s_substep(m, sub, dt, s0, sign, "test")
         assert (np.linalg.norm(vec(out) - oracle)
                 <= 1e-10 * np.linalg.norm(oracle))
 
@@ -365,9 +386,9 @@ class TestRegimeGrid:
         assert stiffness <= 100 or stiffness >= 1e3
         if scheme == "psi" and stiffness >= 1e3:
             with pytest.raises(NumericalFailureError):
-                integrate(m, st, scheme, StepConfig(dt=dt), 2)
+                integrate(m, st, scheme, dt, 2)
             return
-        out, _ = integrate(m, st, scheme, StepConfig(dt=dt), 2)
+        out, _ = integrate(m, st, scheme, dt, 2)
         assert np.all(np.isfinite(reconstruct(out)))
 
 
@@ -376,14 +397,14 @@ class TestPsiInstability:
         m = build(n_x=64, n_mu=16, eps=1e-3)
         st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
         with pytest.raises(NumericalFailureError) as err:
-            psi_step(m, st, StepConfig(dt=0.1))
+            psi_step(m, st, 0.1)
         assert "backward" in str(err.value)
 
     def test_backward_substep_amplifies_at_moderate_eps(self):
         m = build(n_x=64, n_mu=16, eps=0.05)
         st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
         trace = []
-        psi_step(m, st, StepConfig(dt=0.1, debug=True), trace=trace)
+        psi_step(m, st, 0.1, trace=trace)
         s_rec = [t for t in trace if t.substep == "S"][0]
         assert s_rec.post_norm > s_rec.pre_norm
 
@@ -393,12 +414,11 @@ class TestGapProperties:
     def test_weighted_norm_non_increasing(self, eps):
         m = build(n_x=64, n_mu=16, eps=eps)
         st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
-        cfg = StepConfig(dt=0.1)
         prev = float(np.linalg.norm(st.s))
         for _ in range(5):
-            st = gap_step(m, st, cfg)
+            st = gap_step(m, st, 0.1)
             cur = float(np.linalg.norm(st.s))
-            assert cur <= prev * (1.0 + 10 * cfg.expmv_tol)
+            assert cur <= prev * (1.0 + 10 * EXPMV_TOL)
             prev = cur
 
     def test_first_order_convergence_downscaled(self):
@@ -408,7 +428,7 @@ class TestGapProperties:
         f0 = np.ones((100, 32))
         for k in range(1, 11):
             f0 += 10.0 ** (-k) * np.outer(np.sin(k * np.pi * x), mu**k)
-        ref, _ = integrate(m, f0, "reference", StepConfig(dt=1.0), 1)
+        ref, _ = integrate(m, f0, "reference", 1.0, 1)
         sig = np.linalg.svd(np.sqrt(m.wx)[:, None] * ref
                             * np.sqrt(m.wmu)[None, :], compute_uv=False)
         floor = 10.0 * sig[10] / frob_norm_weighted(ref, m.wx, m.wmu)
@@ -416,7 +436,7 @@ class TestGapProperties:
         for j in (3, 5, 7, 9):
             dt = 0.1 / 2**j
             st, _ = from_full(f0, 10, m.grid, m.quad)
-            out, _ = integrate(m, st, "gap", StepConfig(dt=dt), round(1.0 / dt))
+            out, _ = integrate(m, st, "gap", dt, round(1.0 / dt))
             err = rel_err(reconstruct(out), ref, m)
             if err > floor:
                 dts.append(dt)
@@ -432,7 +452,7 @@ class TestGapProperties:
         for eps in (1e-1, 1e-2, 1e-3):
             m = build(n_x=64, n_mu=16, eps=eps)
             st, _ = from_full(f0, 4, m.grid, m.quad)
-            out = gap_step(m, st, StepConfig(dt=0.1))
+            out = gap_step(m, st, 0.1)
             vals = []
             for g in (np.ones(16), m.quad.nodes.astype(float)):
                 proj = out.v @ (out.v.T @ (m.wmu * g))
@@ -446,7 +466,7 @@ class TestGapProperties:
     def test_debug_trace_records_substeps(self):
         m = build()
         st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
-        out, trace = integrate(m, st, "gap", StepConfig(dt=0.05, debug=True), 2)
+        out, trace = integrate(m, st, "gap", 0.05, 2, debug=True)
         assert [t.substep for t in trace] == ["L", "K", "L", "K"]
         assert all(np.isfinite(t.pre_norm) and np.isfinite(t.post_norm)
                    for t in trace)
@@ -464,8 +484,7 @@ class TestGapProperties:
         for k, c in enumerate(coeffs[1:], start=1):
             f0 += c * np.outer(np.sin(k * np.pi * x), mu**k)
         st, _ = from_full(f0, 5, m.grid, m.quad)
-        out, trace = integrate(m, st, "gap", StepConfig(dt=0.1, debug=True),
-                               3)
+        out, trace = integrate(m, st, "gap", 0.1, 3, debug=True)
         assert any(t.replaced_columns for t in trace)
         assert np.all(np.diag(out.s) >= 0.0)
 
@@ -474,8 +493,7 @@ class TestReference:
     def test_mass_conserved(self):
         m = build(n_x=48, n_mu=12, eps=0.5)
         f0 = generic_matrix(m)
-        cfg = StepConfig(dt=0.2)
-        f1 = reference_step(m, f0, cfg)
+        f1 = reference_step(m, f0, 0.2)
         m0 = m.grid.dx * np.sum(f0 @ m.wmu)
         m1 = m.grid.dx * np.sum(f1 @ m.wmu)
         assert abs(m1 - m0) <= 1e-10 * abs(m0)
@@ -483,7 +501,7 @@ class TestReference:
     def test_weighted_norm_non_increasing(self):
         m = build(n_x=48, n_mu=12, eps=0.5)
         f0 = generic_matrix(m)
-        f1 = reference_step(m, f0, StepConfig(dt=0.2))
+        f1 = reference_step(m, f0, 0.2)
         n0 = frob_norm_weighted(f0, m.wx, m.wmu)
         n1 = frob_norm_weighted(f1, m.wx, m.wmu)
         assert n1 <= n0 * (1.0 + 1e-10)
@@ -494,7 +512,7 @@ class TestReference:
         m = build(n_x=n_x, n_mu=n_mu, eps=1e-4)
         rho0 = 1.0 + 0.5 * np.sin(np.pi * m.grid.points)
         f0 = np.outer(rho0, np.ones(n_mu))
-        out, _ = integrate(m, f0, "reference", StepConfig(dt=1.0), 1)
+        out, _ = integrate(m, f0, "reference", 1.0, 1)
         rho = density(m, out)
         rho_lim = diffusion_limit_density(m, density(m, f0), 1.0)
         assert weighted_norm(rho - rho_lim, m.wx) <= \
@@ -503,18 +521,17 @@ class TestReference:
     def test_coalesced_equals_stepped(self):
         m = build(n_x=32, n_mu=8, eps=0.8)
         f0 = generic_matrix(m)
-        cfg = StepConfig(dt=0.1)
-        whole, _ = integrate(m, f0, "reference", cfg, 10)
+        whole, _ = integrate(m, f0, "reference", 0.1, 10)
         stepped = f0
         for _ in range(10):
-            stepped = reference_step(m, stepped, cfg)
-        assert rel_err(whole, stepped, m) <= 10 * cfg.expmv_tol
+            stepped = reference_step(m, stepped, 0.1)
+        assert rel_err(whole, stepped, m) <= 10 * EXPMV_TOL
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(integrators, "REFERENCE_SIZE_CAP", 100)
         m = build(n_x=64, n_mu=8)
         with pytest.raises(SizeCapError):
-            reference_step(m, np.ones((64, 8)), StepConfig(dt=0.1),
-                           size_cap=100)
+            reference_step(m, np.ones((64, 8)), 0.1)
 
     def test_n_mu_above_dense_limit_rejected(self, monkeypatch):
         from rte_lowrank import model as model_module
@@ -526,7 +543,7 @@ class TestReference:
         n_mu = DENSE_EXPM_LIMIT + 1
         m = build(n_x=4, n_mu=n_mu)
         with pytest.raises(SizeCapError) as err:
-            reference_step(m, np.ones((4, n_mu)), StepConfig(dt=0.1))
+            reference_step(m, np.ones((4, n_mu)), 0.1)
         assert str(DENSE_EXPM_LIMIT) in str(err.value)
 
     @pytest.mark.parametrize("parity", [0, 1])
@@ -545,6 +562,6 @@ class TestReference:
         f0 = 1.0 + rng.standard_normal((n_x, n_mu))
         oracle = unvec(sla.expm(t * full_operator(m).matrix.toarray())
                        @ vec(f0), f0.shape)
-        out = reference_step(m, f0, StepConfig(dt=t))
+        out = reference_step(m, f0, t)
         err = np.linalg.norm(out - oracle) / np.linalg.norm(oracle)
         assert err <= (1e-10 if eps >= 1e-2 else 1e-7)

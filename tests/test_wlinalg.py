@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rte_lowrank import wlinalg
 from rte_lowrank.grids import gauss_legendre
 from rte_lowrank.wlinalg import (
     SparseOperator,
@@ -117,6 +118,27 @@ class TestWeightedMgs:
         res = weighted_mgs(a, w)
         gram = weighted_inner(res.q, res.q, w)
         assert np.abs(gram - np.eye(5)).max() <= 1e-12
+
+    def test_huge_column_is_kept(self):
+        # squaring 1e200 overflows; the column must neither warn nor read as
+        # deficient.  The other columns fall below the absolute floor, eps
+        # times the largest norm, so they are replaced.
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((30, 4))
+        w = rng.random(30) + 0.2
+        huge = a.copy()
+        huge[:, 2] *= 1e200
+        res = weighted_mgs(huge, w)
+        assert res.replaced_columns == {0, 1, 3}
+        assert np.abs(weighted_inner(res.q, res.q, w) - np.eye(4)).max() \
+            <= 1e-12
+        recon = res.q @ res.r_factor[:, 2]
+        assert (np.linalg.norm(recon / 1e200 - a[:, 2])
+                <= 1e-12 * np.linalg.norm(a[:, 2]))
+        # scaled as a whole, the factorization is the unscaled one
+        res_all = weighted_mgs(1e200 * a, w)
+        assert res_all.replaced_columns == set()
+        assert np.abs(res_all.q - weighted_mgs(a, w).q).max() <= 1e-12
 
 
 @st.composite
@@ -343,6 +365,7 @@ class TestDenseExpm:
         expected = np.array([[np.cos(1), np.sin(1)], [-np.sin(1), np.cos(1)]])
         assert out == pytest.approx(expected, abs=1e-12)
 
-    def test_dense_limit(self):
+    def test_dense_limit(self, monkeypatch):
+        monkeypatch.setattr(wlinalg, "DENSE_EXPM_LIMIT", 10)
         with pytest.raises(ValueError):
-            dense_expm(np.zeros((11, 11)), dense_limit=10)
+            dense_expm(np.zeros((11, 11)))

@@ -66,7 +66,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        _as_float("t_final", self.t_final)
+        if not math.isfinite(_as_float("t_final", self.t_final)):
+            raise ConfigError(f"t_final must be finite, got {self.t_final}")
         a, b = self.domain
         if not b > a:
             raise ConfigError(f"domain: need b > a, got {self.domain}")

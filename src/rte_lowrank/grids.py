@@ -39,6 +39,7 @@ class DiffMatrices:
     three-point second derivative.  Both are circulant: d_x_symbol =
     i sin(2 t_k) / dx and d_xx_symbol = -(4 / dx^2) sin^2(t_k), with
     t_k = pi k / n_x, are their eigenvalues on the rfft modes k = 0..n_x/2.
+    For even n_x, d_x_symbol takes the same value at k and n_x/2 - k.
     """
 
     d_x: sp.csr_matrix
@@ -127,7 +128,12 @@ def build_diff_matrices(grid):
     vals2[2::3] = 1.0 / dx**2
     d_xx = sp.coo_matrix((vals2, (rows2, cols2)), shape=(n, n)).tocsr()
     # closed forms: unlike an FFT of the column, small symbols keep a
-    # relative roundoff instead of one of order 1e-16 / dx^2
-    theta = np.pi * np.arange(n // 2 + 1) / n
-    return DiffMatrices(d_x, d_xx, 1j * np.sin(2.0 * theta) / dx,
+    # relative roundoff instead of one of order 1e-16 / dx^2.  The D_x angle
+    # 2 pi k / n is folded into [0, pi/2], so the small symbols near the
+    # Nyquist mode keep it too, the Nyquist symbol is exactly 0, and the
+    # mirrored modes k and n/2 - k get bit-identical symbols
+    k = np.arange(n // 2 + 1)
+    theta = np.pi * k / n
+    folded = np.pi * np.minimum(2 * k, n - 2 * k) / n
+    return DiffMatrices(d_x, d_xx, 1j * np.sin(folded) / dx,
                         -(4.0 / dx**2) * np.sin(theta) ** 2)

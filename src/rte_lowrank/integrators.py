@@ -22,9 +22,9 @@ tolerance and are cross-checked in the test suite.
 
 The dense reference is the exact flow of the full system,
 ``model.full_flow``: an rfft in x and one n_mu x n_mu exponential per
-Fourier mode, the blocks of the L flow with the D_x symbol in place of the
-eigenvalues of A_x, each made real by one fixed unitary similarity.  It runs
-no Taylor loop, so EXPMV_TOL does not affect it.
+distinct D_x symbol, the blocks of the L flow with the D_x symbol in place
+of the eigenvalues of A_x, each made real by one fixed unitary similarity.
+It runs no Taylor loop, so EXPMV_TOL does not affect it.
 """
 
 import logging
@@ -90,9 +90,14 @@ def _expm_batch(mats):
 
 
 def _propagate_modes(scale, b, c, y):
-    """Map each mode row y_q to y_q exp(scale_q b + c) by one batched expm."""
+    """Map each mode row y_q to y_q exp(scale_q b + c) by one batched expm.
+
+    Modes that share a scale share one exponential: the batch holds each
+    distinct scale once.
+    """
+    scale, inverse = np.unique(scale, return_inverse=True)
     prop = _expm_batch(scale[:, None, None] * b[None, :, :] + c[None, :, :])
-    return np.einsum("qi,qij->qj", y, prop)
+    return np.einsum("qi,qij->qj", y, prop[inverse])
 
 
 def _propagate_k_structured(model, sub, dt, k_mat):
@@ -100,6 +105,8 @@ def _propagate_k_structured(model, sub, dt, k_mat):
 
     Row q of rfft(K) obeys dK_q/dt = K_q G_q with
     G_q = -(d_q/eps) B_mu + (1/eps^2)(C_mu - I), d_q the D_x symbol.
+    For even n_x the modes q and n_x/2 - q have the same symbol, so they
+    go in mirrored pairs and the batch holds about half of the rows.
     """
     eps = model.eps
     r = sub.b_mu.shape[0]

@@ -261,21 +261,24 @@ def full_flow(model, f, t):
     Each mode therefore takes one real exponential, a third of the cost of
     the complex one, and F_q exp(t G_q) = ((F_q U) exp(t M_q)) U^H.
 
-    The modes go one at a time, not stacked: at 200 x 100 (2 CPUs, one
-    BLAS thread), one batched expm of all 101 blocks took 0.11-0.15 s
-    against 0.14-0.15 s, but raised the peak RSS from 64 MB to 79 MB.
-    They go through ``dense_expm`` and not
+    For even n_x the modes q and n_x/2 - q have the same symbol, so they go
+    in mirrored pairs: one exponential per distinct symbol, applied row by
+    row to each mode that shares it, so that every row rounds as it would
+    alone.  The exponentials go through ``dense_expm`` and not
     ``integrators._propagate_modes``, because bench/tracing.py books every
     3-D expm stack in ``integrators`` as the L or K substep route.
     """
     eps = model.eps
-    scale = (t / eps) * model.diff.d_x_symbol.imag
+    scale, inverse = np.unique((t / eps) * model.diff.d_x_symbol.imag,
+                               return_inverse=True)
     mu_flip = np.diag(model.quad.nodes)[:, ::-1]
     coll = (t / eps**2) * (model.w_mu_matrix - np.eye(model.quad.n_mu))
     rows = np.fft.rfft(f, axis=0)
     rows = (0.5 - 0.5j) * (rows + 1j * rows[:, ::-1])
     for q, s in enumerate(scale):
-        rows[q] = rows[q] @ dense_expm(s * mu_flip + coll)
+        e = dense_expm(s * mu_flip + coll)
+        for i in np.flatnonzero(inverse == q):
+            rows[i] = rows[i] @ e
     rows = (0.5 + 0.5j) * (rows - 1j * rows[:, ::-1])
     return np.fft.irfft(rows, n=model.grid.n_x, axis=0)
 

@@ -351,6 +351,8 @@ class TestCli:
         ("sweep-dt", "dt=[0.1,0]"),
         ("run", 'eps="abc"'),
         ("run", 't_final="1"'),
+        ("run", "t_final=NaN"),
+        ("run", "t_final=Infinity"),
         ("run", "rank=2.5"),
         ("run", 'n_x="a"'),
         ("run", "domain=[0,1,2]"),

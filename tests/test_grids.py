@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -131,3 +132,20 @@ class TestDiffMatrices:
         col_xx = np.fft.rfft(d.d_xx[:, [0]].toarray().ravel())
         assert np.abs(d.d_x_symbol - col_x).max() <= 1e-14 / g.dx
         assert np.abs(d.d_xx_symbol - col_xx).max() <= 1e-14 / g.dx**2
+
+    @pytest.mark.parametrize("n_x", [2, 3, 4, 5, 25, 48, 101, 999, 1000])
+    def test_dx_symbol_folded(self, n_x):
+        # sin(2 pi k / n) = sin(pi - 2 pi k / n): mirrored modes share one
+        # symbol, and small symbols near the Nyquist mode keep a relative
+        # roundoff of a few ulp
+        g = uniform_grid(0.0, 2.0, n_x)
+        sym = build_diff_matrices(g).d_x_symbol
+        assert np.all(sym.real == 0.0)
+        if n_x % 2 == 0:
+            assert np.array_equal(sym, sym[::-1])
+            assert sym[-1] == 0.0
+        with mpmath.workdps(40):
+            for k in range(1, (n_x + 1) // 2):
+                exact = float(mpmath.sin(2 * mpmath.pi * k / n_x)
+                              / mpmath.mpf(g.dx))
+                assert abs(sym[k].imag - exact) <= 4 * np.spacing(abs(exact))

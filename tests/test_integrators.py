@@ -565,3 +565,63 @@ class TestReference:
         out = reference_step(m, f0, t)
         err = np.linalg.norm(out - oracle) / np.linalg.norm(oracle)
         assert err <= (1e-10 if eps >= 1e-2 else 1e-7)
+
+
+class TestModePairing:
+    # D_x has the same symbol at the rfft modes q and n_x/2 - q, so the exact
+    # flows take one exponential per distinct symbol: 13 for the 25 modes
+    # at n_x = 48, and all 25 at n_x = 49.  Sharing changes no bit of the
+    # output against a mode-by-mode flow through the same routine.
+    PAIRS = [(48, 13), (49, 25)]
+
+    @pytest.mark.parametrize("n_x, distinct", PAIRS)
+    def test_k_flow(self, monkeypatch, n_x, distinct):
+        eps, dt, r = 0.01, 0.1, 3
+        m = build(n_x=n_x, n_mu=8, eps=eps)
+        rng = np.random.default_rng(n_x)
+        sub = assemble_substeps(m, basis_with_constant(n_x, r, m.wx, rng),
+                                basis_with_constant(8, r, m.wmu, rng))
+        k0 = rng.standard_normal((n_x, r))
+        expm_batch = integrators._expm_batch
+        slices = []
+
+        def counted(mats):
+            slices.append(len(mats))
+            return expm_batch(mats)
+
+        monkeypatch.setattr(integrators, "_expm_batch", counted)
+        out = _propagate_k_structured(m, sub, dt, k0)
+        assert slices == [distinct]
+
+        gens = (-(dt / eps) * m.diff.d_x_symbol[:, None, None] * sub.b_mu
+                + (dt / eps**2) * (sub.c_mu - np.eye(r)))
+        prop = np.stack([expm_batch(g[None])[0] for g in gens])
+        rows = np.einsum("qi,qij->qj", np.fft.rfft(k0, axis=0), prop)
+        assert np.array_equal(out, np.fft.irfft(rows, n=n_x, axis=0))
+
+    @pytest.mark.parametrize("n_x, distinct", PAIRS)
+    def test_reference(self, monkeypatch, n_x, distinct):
+        from rte_lowrank import model as model_module
+
+        eps, t, n_mu = 0.01, 0.1, 8
+        m = build(n_x=n_x, n_mu=n_mu, eps=eps)
+        f0 = 1.0 + np.random.default_rng(n_x).standard_normal((n_x, n_mu))
+        dense_expm = model_module.dense_expm
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return dense_expm(a)
+
+        monkeypatch.setattr(model_module, "dense_expm", counted)
+        out = model_module.full_flow(m, f0, t)
+        assert len(calls) == distinct
+
+        mu_flip = np.diag(m.quad.nodes)[:, ::-1]
+        coll = (t / eps**2) * (m.w_mu_matrix - np.eye(n_mu))
+        rows = np.fft.rfft(f0, axis=0)
+        rows = (0.5 - 0.5j) * (rows + 1j * rows[:, ::-1])
+        for q, d in enumerate(m.diff.d_x_symbol):
+            rows[q] = rows[q] @ dense_expm((t / eps) * d.imag * mu_flip + coll)
+        rows = (0.5 + 0.5j) * (rows - 1j * rows[:, ::-1])
+        assert np.array_equal(out, np.fft.irfft(rows, n=n_x, axis=0))

@@ -66,8 +66,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not math.isfinite(_as_float("t_final", self.t_final)):
-            raise ConfigError(f"t_final must be finite, got {self.t_final}")
+        _as_float("t_final", self.t_final)
         a, b = self.domain
         if not b > a:
             raise ConfigError(f"domain: need b > a, got {self.domain}")
@@ -127,9 +126,11 @@ class RunConfig:
 
 
 def _as_float(name, value):
-    """value as a float; a ConfigError unless it is an int or a float."""
+    """value as a float; a ConfigError unless it is a finite int or float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 

@@ -1,4 +1,4 @@
-"""Spatial grid, finite-difference matrices, and Gauss-Legendre angular quadrature.
+"""Spatial grid, finite-difference symbols, and Gauss-Legendre angular quadrature.
 
 The spatial grid is uniform, periodic, and left-closed/right-open: the point
 ``b`` is identified with ``a`` and never stored.  This makes the centered
@@ -8,7 +8,6 @@ first-derivative matrix exactly antisymmetric on the grid.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -33,17 +32,17 @@ class AngularQuadrature:
 
 @dataclass(frozen=True)
 class DiffMatrices:
-    """Sparse periodic finite-difference matrices (3 nonzeros per row).
+    """Symbols of the periodic finite-difference matrices D_x and D_xx.
 
-    d_x is the second-order centered first derivative, d_xx the standard
+    D_x is the second-order centered first derivative, D_xx the standard
     three-point second derivative.  Both are circulant: d_x_symbol =
     i sin(2 t_k) / dx and d_xx_symbol = -(4 / dx^2) sin^2(t_k), with
     t_k = pi k / n_x, are their eigenvalues on the rfft modes k = 0..n_x/2.
-    For even n_x, d_x_symbol takes the same value at k and n_x/2 - k.
+    For even n_x, d_x_symbol takes the same value at k and n_x/2 - k.  The
+    package applies D_x as its two-point stencil and never assembles either
+    matrix; tests/oracles.py holds their CSR forms.
     """
 
-    d_x: sp.csr_matrix
-    d_xx: sp.csr_matrix
     d_x_symbol: np.ndarray
     d_xx_symbol: np.ndarray
 
@@ -105,28 +104,9 @@ def uniform_grid(a, b, n_x):
 
 
 def build_diff_matrices(grid):
-    """Periodic centered d_x and three-point d_xx, with their symbols."""
+    """Closed-form rfft symbols of the periodic centered D_x and of D_xx."""
     n = grid.n_x
     dx = grid.dx
-    rows = np.repeat(np.arange(n), 2)
-    cols_x = np.empty(2 * n, dtype=np.int64)
-    vals_x = np.empty(2 * n)
-    cols_x[0::2] = (np.arange(n) + 1) % n
-    cols_x[1::2] = (np.arange(n) - 1) % n
-    vals_x[0::2] = 1.0 / (2.0 * dx)
-    vals_x[1::2] = -1.0 / (2.0 * dx)
-    d_x = sp.coo_matrix((vals_x, (rows, cols_x)), shape=(n, n)).tocsr()
-
-    rows2 = np.repeat(np.arange(n), 3)
-    cols2 = np.empty(3 * n, dtype=np.int64)
-    vals2 = np.empty(3 * n)
-    cols2[0::3] = np.arange(n)
-    cols2[1::3] = (np.arange(n) + 1) % n
-    cols2[2::3] = (np.arange(n) - 1) % n
-    vals2[0::3] = -2.0 / dx**2
-    vals2[1::3] = 1.0 / dx**2
-    vals2[2::3] = 1.0 / dx**2
-    d_xx = sp.coo_matrix((vals2, (rows2, cols2)), shape=(n, n)).tocsr()
     # closed forms: unlike an FFT of the column, small symbols keep a
     # relative roundoff instead of one of order 1e-16 / dx^2.  The D_x angle
     # 2 pi k / n is folded into [0, pi/2], so the small symbols near the
@@ -135,5 +115,5 @@ def build_diff_matrices(grid):
     k = np.arange(n // 2 + 1)
     theta = np.pi * k / n
     folded = np.pi * np.minimum(2 * k, n - 2 * k) / n
-    return DiffMatrices(d_x, d_xx, 1j * np.sin(folded) / dx,
+    return DiffMatrices(1j * np.sin(folded) / dx,
                         -(4.0 / dx**2) * np.sin(theta) ** 2)

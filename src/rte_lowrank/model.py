@@ -15,7 +15,6 @@ and :func:`full_flow` is its exact flow.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import OrthonormalityError
 from .grids import AngularQuadrature, DiffMatrices, SpatialGrid
@@ -103,27 +102,15 @@ def full_rhs(model, f):
 def full_operator(model):
     """Vectorized form of :func:`full_rhs` on column-major vec(F).
 
-    The map equals -(1/eps) diag(mu) kron D_x + (1/eps^2)(W_mu^T kron I - I).
-    The apply closure evaluates the matrix form directly; the explicit sparse
-    matrix is assembled only when ``.matrix`` is read.
+    The map equals -(1/eps) diag(mu) kron D_x + (1/eps^2)(W_mu^T kron I - I);
+    the apply evaluates it through :func:`full_rhs`, without the matrix.
     """
     n_x, n_mu = model.grid.n_x, model.quad.n_mu
-    dim = n_x * n_mu
 
     def apply(u):
         return vec(full_rhs(model, unvec(u, (n_x, n_mu))))
 
-    def build_matrix():
-        eps = model.eps
-        i_x = sp.identity(n_x, format="csr")
-        return (
-            -sp.kron(sp.diags(model.quad.nodes), model.diff.d_x, format="csr") / eps
-            + (sp.kron(sp.csr_matrix(model.w_mu_matrix.T), i_x, format="csr")
-               - sp.identity(dim, format="csr")) / eps**2
-        ).tocsr()
-
-    return SparseOperator(dim, apply, name="full_rte_operator",
-                          matrix_factory=build_matrix)
+    return SparseOperator(n_x * n_mu, apply, name="full_rte_operator")
 
 
 def _check_orthonormal(basis, w, label):
@@ -144,7 +131,11 @@ def assemble_substeps(model, x_basis, v_basis):
     _check_orthonormal(x_basis, model.wx, "x_basis")
     _check_orthonormal(v_basis, model.wmu, "v_basis")
 
-    a_x = model.grid.dx * (x_basis.T @ (model.diff.d_x @ x_basis))
+    # the product form c X[i+1] - c X[i-1] rounds as the CSR row sum of D_x X,
+    # and A_x must not move: its roundoff decides columns (ROADMAP item 1)
+    c = 1.0 / (2.0 * model.grid.dx)
+    dx_x = c * np.roll(x_basis, -1, axis=0) - c * np.roll(x_basis, 1, axis=0)
+    a_x = model.grid.dx * (x_basis.T @ dx_x)
     wmu = model.wmu
     b_mu = v_basis.T @ ((model.quad.nodes * wmu)[:, None] * v_basis)
     vw = v_basis.T @ wmu
@@ -165,8 +156,7 @@ def operator_L(model, sub):
     r = sub.a_x.shape[0]
     eps = model.eps
     mu = model.quad.nodes
-    a_x = sub.a_x
-    transport = -a_x.T / eps
+    transport = -sub.a_x.T / eps
     half_w = (0.5 / eps**2) * model.wmu
 
     def apply(u):
@@ -177,16 +167,7 @@ def operator_L(model, sub):
         out -= l / eps**2
         return vec(out)
 
-    def build_matrix():
-        wt = model.w_mu_matrix.T
-        return (
-            -sp.kron(sp.csr_matrix(a_x), sp.diags(mu), format="csr") / eps
-            + (sp.kron(sp.identity(r), sp.csr_matrix(wt), format="csr")
-               - sp.identity(r * n_mu, format="csr")) / eps**2
-        ).tocsr()
-
-    return SparseOperator(r * n_mu, apply, name="L_substep_operator",
-                          matrix_factory=build_matrix)
+    return SparseOperator(r * n_mu, apply, name="L_substep_operator")
 
 
 def operator_K(model, sub):
@@ -196,14 +177,13 @@ def operator_K(model, sub):
     i.e. -(1/eps) B_mu^T kron D_x + (1/eps^2)(C_mu^T kron I - I).  The apply
     takes D_x as its two-point stencil, K[i+1] - K[i-1], times the r x r
     block -B_mu/(2 dx eps), plus K times (C_mu - I)/eps^2; both blocks are
-    formed once here, and the sparse D_x is used only by ``build_matrix``.
+    formed once here.
     """
     n_x = model.grid.n_x
     r = sub.b_mu.shape[0]
     eps = model.eps
-    b_mu, c_mu = sub.b_mu, sub.c_mu
-    transport = b_mu * (-0.5 / (model.grid.dx * eps))
-    collision = (c_mu - np.eye(r)) / eps**2
+    transport = sub.b_mu * (-0.5 / (model.grid.dx * eps))
+    collision = (sub.c_mu - np.eye(r)) / eps**2
 
     def apply(u):
         k = unvec(u, (n_x, r))
@@ -211,15 +191,7 @@ def operator_K(model, sub):
         out += k @ collision
         return vec(out)
 
-    def build_matrix():
-        return (
-            -sp.kron(sp.csr_matrix(b_mu.T), model.diff.d_x, format="csr") / eps
-            + (sp.kron(sp.csr_matrix(c_mu.T), sp.identity(n_x), format="csr")
-               - sp.identity(r * n_x, format="csr")) / eps**2
-        ).tocsr()
-
-    return SparseOperator(r * n_x, apply, name="K_substep_operator",
-                          matrix_factory=build_matrix)
+    return SparseOperator(r * n_x, apply, name="K_substep_operator")
 
 
 def density(model, f):

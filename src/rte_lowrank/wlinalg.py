@@ -64,27 +64,12 @@ def frob_norm_weighted(f, wx, wmu):
 
 
 class SparseOperator:
-    """A linear map exposed through its action on vectors.
+    """A linear map exposed only through its action on vectors."""
 
-    ``matrix`` optionally carries an explicit sparse form (used by
-    cross-checking tests); it can be supplied directly or through
-    a factory that is invoked on first access, so hot paths that only need
-    the action never pay for assembly.
-    """
-
-    def __init__(self, dim, apply, matrix=None, name="operator",
-                 matrix_factory=None):
+    def __init__(self, dim, apply, name="operator"):
         self.dim = dim
         self.apply = apply
         self.name = name
-        self._matrix = matrix
-        self._matrix_factory = matrix_factory
-
-    @property
-    def matrix(self):
-        if self._matrix is None and self._matrix_factory is not None:
-            self._matrix = self._matrix_factory()
-        return self._matrix
 
 
 @dataclass

@@ -132,7 +132,7 @@ def test_criterion_4_expmv_oracle():
 
         for a, t in cases:
             dim = a.shape[0]
-            op = SparseOperator(dim, lambda v, a=a: a @ v, a)
+            op = SparseOperator(dim, lambda v, a=a: a @ v)
             v = rng.standard_normal(dim)
             got = expmv(op, t, v, tol=1e-10)
             oracle = dense_expm(t * a.toarray()) @ v

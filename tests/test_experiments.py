@@ -335,8 +335,9 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 2
 
     # each must be rejected before any work, not escape as a ValueError,
-    # ZeroDivisionError or TypeError (exit 1), nor run with a string read as
-    # a flag (exit 0); the seed selects nothing, but is still validated
+    # LinAlgError, ZeroDivisionError or TypeError (exit 1), nor run with a
+    # string read as a flag (exit 0); the seed selects nothing, but is still
+    # validated
     @pytest.mark.parametrize("command,override", [
         ("run", 'substep_solver="magic"'),
         ("run", 'substep_solver="exponential"'),
@@ -353,6 +354,10 @@ class TestCli:
         ("run", 't_final="1"'),
         ("run", "t_final=NaN"),
         ("run", "t_final=Infinity"),
+        ("run", "domain=[0,Infinity]"),
+        ("run", "domain=[-Infinity,0]"),
+        ("run", "ic_coeffs=[1,NaN]"),
+        ("run", "ic_coeffs=[Infinity]"),
         ("run", "rank=2.5"),
         ("run", 'n_x="a"'),
         ("run", "domain=[0,1,2]"),

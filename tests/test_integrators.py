@@ -4,6 +4,7 @@ import scipy.linalg as sla
 from hypothesis import assume, given
 from hypothesis import strategies
 
+import oracles
 from rte_lowrank import integrators, wlinalg
 from rte_lowrank.exceptions import (
     DegenerateStateError,
@@ -30,7 +31,6 @@ from rte_lowrank.model import (
     assemble_substeps,
     density,
     diffusion_limit_density,
-    full_operator,
     full_rhs,
     make_model,
     operator_K,
@@ -224,10 +224,13 @@ class TestReplacementLadders:
 
 
 class TestStructuredPropagators:
-    # operator, structured flow, and the row count of the propagated factor
+    # oracle matrix, structured flow, and the row count of the propagated
+    # factor
     FLOWS = {
-        "K": (operator_K, _propagate_k_structured, lambda m: m.grid.n_x),
-        "L": (operator_L, _propagate_l_structured, lambda m: m.quad.n_mu),
+        "K": (oracles.operator_K_matrix, _propagate_k_structured,
+              lambda m: m.grid.n_x),
+        "L": (oracles.operator_L_matrix, _propagate_l_structured,
+              lambda m: m.quad.n_mu),
     }
 
     @pytest.mark.parametrize("flow", ["K", "L"])
@@ -248,9 +251,9 @@ class TestStructuredPropagators:
         x = basis_with_constant(m.grid.n_x, r, m.wx, rng)
         v = basis_with_constant(n_mu, r, m.wmu, rng)
         sub = assemble_substeps(m, x, v)
-        operator, propagate, rows = self.FLOWS[flow]
+        oracle_matrix, propagate, rows = self.FLOWS[flow]
         y0 = rng.standard_normal((rows(m), r))
-        oracle = unvec(sla.expm(dt * operator(m, sub).matrix.toarray())
+        oracle = unvec(sla.expm(dt * oracle_matrix(m, sub).toarray())
                        @ vec(y0), y0.shape)
         out = propagate(m, sub, dt, y0)
         err = np.linalg.norm(out - oracle) / np.linalg.norm(oracle)
@@ -275,8 +278,9 @@ class TestSubstepNorm:
         x = basis_with_constant(m.grid.n_x, r, m.wx, rng)
         v = basis_with_constant(n_mu, r, m.wmu, rng)
         sub = assemble_substeps(m, x, v)
-        operator = operator_L if factor == "L" else operator_K
-        exact = np.linalg.norm(dt * operator(m, sub).matrix.toarray(), 2)
+        matrix = (oracles.operator_L_matrix if factor == "L"
+                  else oracles.operator_K_matrix)(m, sub)
+        exact = np.linalg.norm(dt * matrix.toarray(), 2)
         assert dt * _norm_bound(m, sub, factor) >= exact
 
     def test_substeps_run_no_power_iteration(self, monkeypatch):
@@ -322,7 +326,9 @@ class TestTaylorRoute:
         op = (operator_L if factor == "L" else operator_K)(m, sub)
         y0 = vec(rng.standard_normal((n_mu if factor == "L" else m.grid.n_x,
                                       r)))
-        oracle = sla.expm(dt * op.matrix.toarray()) @ y0
+        matrix = (oracles.operator_L_matrix if factor == "L"
+                  else oracles.operator_K_matrix)(m, sub)
+        oracle = sla.expm(dt * matrix.toarray()) @ y0
         out = expmv(op, dt, y0, 1e-10, norm=bound)
         # the requested tolerance; the worst of 3400 scanned cases was 5.7e-12
         assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
@@ -560,7 +566,7 @@ class TestReference:
         # the constant carries the isotropic mode, which survives the
         # 1/eps^2 collision decay and keeps the relative error meaningful
         f0 = 1.0 + rng.standard_normal((n_x, n_mu))
-        oracle = unvec(sla.expm(t * full_operator(m).matrix.toarray())
+        oracle = unvec(sla.expm(t * oracles.full_operator_matrix(m).toarray())
                        @ vec(f0), f0.shape)
         out = reference_step(m, f0, t)
         err = np.linalg.norm(out - oracle) / np.linalg.norm(oracle)

@@ -1,4 +1,6 @@
-import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import scipy.linalg as sla
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from rte_lowrank.exceptions import OrthonormalityError
 from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
 from rte_lowrank.model import (
@@ -30,6 +33,8 @@ from rte_lowrank.wlinalg import (
     weighted_mgs,
     weighted_norm,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def build(n_x=32, n_mu=8, eps=1.0, a=0.0, b=2.0):
@@ -74,7 +79,8 @@ class TestFullRhs:
         rho = np.sin(np.pi * m.grid.points) + 2.0
         f = np.outer(rho, np.ones(8))
         out = full_rhs(m, f)
-        transport = -(m.diff.d_x @ f) * m.quad.nodes[None, :] / m.eps
+        d_x = oracles.d_x_matrix(m.grid)
+        transport = -(d_x @ f) * m.quad.nodes[None, :] / m.eps
         assert np.abs(out - transport).max() <= 1e-13 * np.abs(f).max() / m.eps**2
 
     def test_odd_angular_profile_collision(self):
@@ -83,7 +89,8 @@ class TestFullRhs:
         g = np.cos(np.pi * m.grid.points)
         f = np.outer(g, m.quad.nodes)
         out = full_rhs(m, f)
-        transport = -(m.diff.d_x @ f) * m.quad.nodes[None, :] / m.eps
+        d_x = oracles.d_x_matrix(m.grid)
+        transport = -(d_x @ f) * m.quad.nodes[None, :] / m.eps
         collision = out - transport
         assert np.abs(collision + f / m.eps**2).max() <= \
             1e-13 * np.abs(f / m.eps**2).max()
@@ -110,7 +117,7 @@ class TestFullOperator:
         op = full_operator(m)
         rng = np.random.default_rng(1)
         u = rng.standard_normal(op.dim)
-        lhs = op.matrix @ u
+        lhs = oracles.full_operator_matrix(m) @ u
         rhs = op.apply(u)
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
@@ -179,6 +186,27 @@ class TestAssembleSubsteps:
         vw = v.T @ m.wmu
         assert np.trace(c) == pytest.approx(0.5 * np.dot(vw, vw), abs=1e-12)
 
+    @pytest.mark.parametrize("parity", [0, 1])
+    @given(half=st.integers(1, 20), n_mu=st.integers(2, 12),
+           rank=st.integers(1, 10), grading=st.floats(0.0, 12.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(half=1, n_mu=3, rank=2, grading=0.0, seed=0)
+    def test_a_x_rounds_as_the_csr_product(self, parity, half, n_mu, rank,
+                                           grading, seed):
+        # A_x feeds the roundoff-decided column choices of the weighted QR,
+        # so its stencil must round exactly as the CSR product D_x X
+        m = build(n_x=2 * half + parity, n_mu=n_mu)
+        r = min(rank, n_mu, m.grid.n_x)
+        rng = np.random.default_rng(seed)
+        rows = 10.0 ** (-grading * rng.random((m.grid.n_x, 1)))
+        cols = 10.0 ** rng.uniform(-12.0, 2.0, r)
+        x = weighted_mgs(rows * rng.standard_normal((m.grid.n_x, r)) * cols,
+                         m.wx).q
+        v = weighted_mgs(rng.standard_normal((n_mu, r)) * cols, m.wmu).q
+        sub = assemble_substeps(m, x, v)
+        d_x = oracles.d_x_matrix(m.grid)
+        assert np.array_equal(sub.a_x, m.grid.dx * (x.T @ (d_x @ x)))
+
 
 class TestSubstepOperators:
     def test_l_operator_matches_direct_evaluation(self):
@@ -192,7 +220,8 @@ class TestSubstepOperators:
                   + (m.w_mu_matrix.T @ l - l) / m.eps**2)
         assert np.abs(unvec(op.apply(vec(l)), l.shape) - direct).max() <= \
             1e-13 * np.abs(direct).max()
-        assert np.abs(unvec(op.matrix @ vec(l), l.shape) - direct).max() <= \
+        matrix = oracles.operator_L_matrix(m, sub)
+        assert np.abs(unvec(matrix @ vec(l), l.shape) - direct).max() <= \
             1e-12 * np.abs(direct).max()
 
     def test_l_collision_relaxation_closed_form(self):
@@ -227,11 +256,12 @@ class TestSubstepOperators:
         op = operator_K(m, sub)
         rng = np.random.default_rng(7)
         k = rng.standard_normal((32, 3))
-        direct = (-(m.diff.d_x @ k @ sub.b_mu) / m.eps
+        direct = (-(oracles.d_x_matrix(m.grid) @ k @ sub.b_mu) / m.eps
                   + (k @ sub.c_mu - k) / m.eps**2)
         assert np.abs(unvec(op.apply(vec(k)), k.shape) - direct).max() <= \
             1e-13 * np.abs(direct).max()
-        assert np.abs(unvec(op.matrix @ vec(k), k.shape) - direct).max() <= \
+        matrix = oracles.operator_K_matrix(m, sub)
+        assert np.abs(unvec(matrix @ vec(k), k.shape) - direct).max() <= \
             1e-12 * np.abs(direct).max()
 
     def test_k_mode_damping_pattern(self):
@@ -260,11 +290,12 @@ class TestSubstepOperators:
 
 class TestApplyMatchesMatrix:
     # the applies run the two-point D_x stencil and the rank-one collision;
-    # the matrices are Kronecker products of the sparse D_x and of W_mu
+    # the oracles are Kronecker products of the CSR D_x and of W_mu
     OPERATORS = {
-        "L": operator_L,
-        "K": operator_K,
-        "full": lambda m, sub: full_operator(m),
+        "L": (operator_L, oracles.operator_L_matrix),
+        "K": (operator_K, oracles.operator_K_matrix),
+        "full": (lambda m, sub: full_operator(m),
+                 lambda m, sub: oracles.full_operator_matrix(m)),
     }
 
     @pytest.mark.parametrize("which", ["L", "K", "full"])
@@ -279,24 +310,21 @@ class TestApplyMatchesMatrix:
         m = build(n_x=2 * half + parity, n_mu=n_mu, eps=10.0**log_eps)
         r = min(rank, n_mu, m.grid.n_x)
         x, v = random_orthobases(m, r, seed)
-        op = self.OPERATORS[which](m, assemble_substeps(m, x, v))
+        sub = assemble_substeps(m, x, v)
+        operator, oracle_matrix = self.OPERATORS[which]
+        op = operator(m, sub)
         u = np.random.default_rng(seed + 1).standard_normal(op.dim)
-        oracle = op.matrix @ u
+        oracle = oracle_matrix(m, sub) @ u
         assert np.linalg.norm(op.apply(u) - oracle) <= \
             1e-13 * np.linalg.norm(oracle)
 
-    def test_applies_do_not_read_sparse_d_x(self):
-        m = build(n_x=33, eps=0.3)
-        x, v = random_orthobases(m, 3, seed=10)
-        sub = assemble_substeps(m, x, v)
-        bare = make_model(m.grid, m.quad, dataclasses.replace(m.diff, d_x=None),
-                          m.eps)
-        rng = np.random.default_rng(11)
-        k = vec(rng.standard_normal((33, 3)))
-        assert np.array_equal(operator_K(bare, sub).apply(k),
-                              operator_K(m, sub).apply(k))
-        f = rng.standard_normal((33, 8))
-        assert np.array_equal(full_rhs(bare, f), full_rhs(m, f))
+    def test_package_does_not_import_scipy_sparse(self):
+        # D_x lives as its stencil and its symbol; the CSR forms are oracles
+        probe = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+                 "import rte_lowrank; print('scipy.sparse' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestDensity:
@@ -346,7 +374,8 @@ class TestDiffusionLimit:
         m = build(n_x=n_x)
         rho = 1.0 + np.random.default_rng(seed).standard_normal(n_x)
         out = diffusion_limit_density(m, rho, t)
-        oracle = sla.expm((t / 3.0) * m.diff.d_xx.toarray()) @ rho
+        d_xx = oracles.d_xx_matrix(m.grid).toarray()
+        oracle = sla.expm((t / 3.0) * d_xx) @ rho
         err = np.linalg.norm(out - oracle) / np.linalg.norm(oracle)
         assert err <= 1e-9
 

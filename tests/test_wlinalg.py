@@ -21,7 +21,7 @@ from rte_lowrank.wlinalg import (
 def random_sparse_operator(dim, rng, scale=1.0, density=0.1):
     m = sp.random(dim, dim, density=density, random_state=rng, format="csr")
     m = scale * (m - 0.5 * sp.identity(dim) * m.diagonal().mean())
-    return SparseOperator(dim, lambda u: m @ u, m, name="test_op")
+    return SparseOperator(dim, lambda u: m @ u, name="test_op")
 
 
 class TestWeightedInner:
@@ -270,7 +270,7 @@ class TestExpmv:
     def test_diagonal_operator(self):
         d = np.linspace(-2.0, 1.0, 12)
         m = sp.diags(d).tocsr()
-        op = SparseOperator(12, lambda u: m @ u, m)
+        op = SparseOperator(12, lambda u: m @ u)
         v = np.ones(12)
         out = expmv(op, 0.7, v, 1e-12)
         assert out == pytest.approx(np.exp(0.7 * d), rel=1e-11)
@@ -279,7 +279,7 @@ class TestExpmv:
         rng = np.random.default_rng(5)
         a = rng.uniform(-1.0, 1.0, (20, 20))
         m = sp.csr_matrix(a)
-        op = SparseOperator(20, lambda u: m @ u, m)
+        op = SparseOperator(20, lambda u: m @ u)
         v = rng.standard_normal(20)
         out = expmv(op, 1.0, v, 1e-10)
         oracle = dense_expm(a) @ v
@@ -302,7 +302,7 @@ class TestExpmv:
         s = rng.standard_normal((dim, dim)) * (rng.random((dim, dim)) < 0.2)
         s = sp.csr_matrix(s - s.T)
         m = sp.diags(1.0 / w) @ s  # skew in the w-inner product
-        op = SparseOperator(dim, lambda u: m @ u, sp.csr_matrix(m))
+        op = SparseOperator(dim, lambda u: m @ u)
         v = rng.standard_normal(dim)
         out = expmv(op, 1.3, v, tol)
         assert weighted_norm(out, w) == pytest.approx(
@@ -320,7 +320,7 @@ class TestExpmv:
     def test_overflow_names_operator_and_time(self):
         from rte_lowrank.exceptions import NumericalFailureError
         d = sp.diags(np.full(6, 2000.0)).tocsr()
-        op = SparseOperator(6, lambda u: d @ u, d, name="hot_diagonal")
+        op = SparseOperator(6, lambda u: d @ u, name="hot_diagonal")
         with pytest.raises(NumericalFailureError) as err:
             expmv(op, 1.0, np.ones(6), 1e-10)
         assert "hot_diagonal" in str(err.value)
@@ -331,7 +331,7 @@ class TestExpmv:
         # ||A|| = 50, so with the true norm the sum converges; told 0.5, one
         # segment of h ||A|| = 50 would need ~150 terms
         d = sp.diags(np.linspace(-50.0, 50.0, 11)).tocsr()
-        op = SparseOperator(11, lambda u: d @ u, d, name="underestimated")
+        op = SparseOperator(11, lambda u: d @ u, name="underestimated")
         v = np.ones(11)
         assert expmv(op, 1.0, v, 1e-10) == pytest.approx(
             np.exp(d.diagonal()), rel=1e-9)

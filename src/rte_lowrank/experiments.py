@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import ConfigError, DegenerateStateError, NumericalFailureError
 from .grids import build_diff_matrices, gauss_legendre, uniform_grid
 from .integrators import integrate
-from .model import density, diffusion_limit_density, make_model
+from .model import EPS_MIN, density, diffusion_limit_density, make_model
 from .state import error_report, from_full, reconstruct, report_to_dict
 from .wlinalg import (frob_norm_weighted, weighted_singular_values,
                       weighted_truncated_svd)
@@ -87,8 +87,9 @@ class RunConfig:
                     "poly_fourier needs a nonempty ic_coeffs list")
             _as_floats("ic_coeffs", self.ic_coeffs)
         for e in np.atleast_1d(np.asarray(self.eps, dtype=float)):
-            if not 0.0 < e <= 10.0:
-                raise ConfigError(f"eps entries must lie in (0, 10], got {e}")
+            if not EPS_MIN <= e <= 10.0:
+                raise ConfigError(
+                    f"eps entries must lie in [2**-511, 10], got {e}")
         for d in (self.dt if isinstance(self.dt, list) else [self.dt]):
             if not d > 0:
                 raise ConfigError(f"dt must be positive, got {d}")

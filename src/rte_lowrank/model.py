@@ -31,6 +31,8 @@ from .wlinalg import (
 from .wlinalg import expmv  # noqa: F401
 
 _ORTHO_TOL = 1e-8
+# smallest eps whose square is a normal double, so 1/eps^2 stays finite
+EPS_MIN = 2.0**-511
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,9 @@ class SubstepMatrices:
 
 
 def make_model(grid, quad, diff, eps):
-    """Assemble an RteModel; eps must lie in (0, 10]."""
-    if not 0.0 < eps <= 10.0:
-        raise ValueError(f"eps must lie in (0, 10], got {eps}")
+    """Assemble an RteModel; eps must lie in [EPS_MIN, 10]."""
+    if not EPS_MIN <= eps <= 10.0:
+        raise ValueError(f"eps must lie in [2**-511, 10], got {eps}")
     w_mu_matrix = 0.5 * np.outer(quad.weights, np.ones(quad.n_mu))
     return RteModel(grid, quad, diff, float(eps), w_mu_matrix)
 

@@ -17,6 +17,8 @@ DENSE_EXPM_LIMIT = 2000
 
 _MGS_TAU = 1e-10
 _NORM_EST_SEED = 0x5EED
+# largest scaled norm of one Taylor segment of expmv
+_SEGMENT_THETA = 3.0
 
 
 def vec(m):
@@ -238,15 +240,15 @@ def expmv(op, t, v, tol=1e-10, norm=None):
         estimated by power iteration (:func:`estimate_operator_norm`).
 
     The workhorse is a truncated Taylor series with time-step scaling: t is
-    split into m substeps so the scaled norm is at most 1/1.1, and within
-    each substep terms are summed until the term norm drops below the
-    (per-substep) tolerance.  With a true bound the k-th term is at most
-    1/(1.1^k k!) of the segment's input, so every segment converges well
-    within 60 terms; sizing segments from a norm bound follows Al-Mohy &
-    Higham, SISC 33(2), 2011.  The power-iteration estimate can fall short
-    of the norm, and a substep that has not met its tolerance after 60
-    terms raises NumericalFailureError rather than return an unconverged
-    sum.
+    split into m substeps so the scaled norm is at most _SEGMENT_THETA = 3,
+    and within each substep terms are summed until the term norm drops below
+    the (per-substep) tolerance.  With a true bound the k-th term is at most
+    3^k/k! of the segment's input, so a segment reaches the 4u floor within
+    about 35 terms, inside the cap of 60, and its roundoff hump stays near
+    e^3 u.  Sizing segments from a norm bound follows Al-Mohy & Higham,
+    SISC 33(2), 2011.  The power-iteration estimate can fall short of the
+    norm, and a substep that has not met its tolerance after 60 terms
+    raises NumericalFailureError rather than return an unconverged sum.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -264,7 +266,7 @@ def expmv(op, t, v, tol=1e-10, norm=None):
             f"norm of {op.name} is not finite (t={t})"
         )
 
-    n_seg = max(1, int(math.ceil(scaled * 1.1)))
+    n_seg = max(1, int(math.ceil(scaled / _SEGMENT_THETA)))
     h = t / n_seg
     tol_seg = max(tol / n_seg, 4 * np.finfo(float).eps)
     w = v.copy()
@@ -276,8 +278,10 @@ def expmv(op, t, v, tol=1e-10, norm=None):
             for k in range(1, 61):
                 term = (h / k) * op.apply(term)
                 acc += term
-                converged = (np.linalg.norm(term)
-                             <= tol_seg * np.linalg.norm(acc))
+                # np.linalg.norm of a real vector is sqrt(x.dot(x)); calling
+                # it without the wrapper gives the same bits
+                converged = (math.sqrt(term.dot(term))
+                             <= tol_seg * math.sqrt(acc.dot(acc)))
                 if converged:
                     break
             w = acc

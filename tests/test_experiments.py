@@ -351,6 +351,8 @@ class TestCli:
         ("run", "dt=0"),
         ("sweep-dt", "dt=[0.1,0]"),
         ("run", 'eps="abc"'),
+        ("run", "eps=1e-300"),
+        ("run", "eps=1e-160"),
         ("run", 't_final="1"'),
         ("run", "t_final=NaN"),
         ("run", "t_final=Infinity"),
@@ -383,6 +385,16 @@ class TestCli:
     def test_numerical_failure_exit_three(self, tmp_path):
         path = write_cfg(tmp_path, {**TINY, "integrator": "psi",
                                     "eps": 1e-3, "t_final": 0.1})
+        assert cli_main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 3
+
+    def test_eps_just_above_floor_overflows_exit_three(self, tmp_path):
+        # eps = 1.5e-154 passes the floor, so the run starts and its
+        # 1/eps^2-stiff flow overflows as a numerical failure
+        path = write_cfg(tmp_path, {
+            **TINY, "n_x": 64, "n_mu": 16, "eps": 1.5e-154, "t_final": 0.3,
+            "rank": 5, "initial_condition": "poly_fourier",
+            "ic_coeffs": [1.0, -0.1, -0.01, 1e-3, 1e-4]})
         assert cli_main(["run", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == 3
 

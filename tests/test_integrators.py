@@ -43,6 +43,7 @@ from rte_lowrank.state import (
 )
 from rte_lowrank.wlinalg import (
     DENSE_EXPM_LIMIT,
+    SparseOperator,
     expmv,
     frob_norm_weighted,
     unvec,
@@ -330,8 +331,62 @@ class TestTaylorRoute:
                   else oracles.operator_K_matrix)(m, sub)
         oracle = sla.expm(dt * matrix.toarray()) @ y0
         out = expmv(op, dt, y0, 1e-10, norm=bound)
-        # the requested tolerance; the worst of 3400 scanned cases was 5.7e-12
+        # the requested tolerance; the worst of 3400 scanned cases was 1.1e-11
         assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+class TestTaylorSegments:
+    @pytest.mark.parametrize("spectrum", ["dissipative", "rotation"])
+    def test_accurate_at_the_route_edge(self, spectrum):
+        # t times the norm at the threshold: the longest Taylor sweep that
+        # _solve_substep runs, on a spectrum in [-100, 0] and on 2 x 2
+        # rotation blocks with frequencies up to 100
+        n, top = 200, _STRUCTURED_THRESHOLD
+        v = np.random.default_rng(0).standard_normal(n)
+        if spectrum == "dissipative":
+            d = np.linspace(-top, 0.0, n)
+            op = SparseOperator(n, lambda u: d * u)
+            exact = np.exp(d) * v
+        else:
+            om = np.linspace(0.0, top, n // 2)
+
+            def rotate(u):
+                p = u.reshape(-1, 2)
+                return np.column_stack((om * p[:, 1], -om * p[:, 0])).ravel()
+
+            op = SparseOperator(n, rotate)
+            p, c, s = v.reshape(-1, 2), np.cos(om), np.sin(om)
+            exact = np.column_stack((c * p[:, 0] + s * p[:, 1],
+                                     c * p[:, 1] - s * p[:, 0])).ravel()
+        out = expmv(op, 1.0, v, EXPMV_TOL, norm=top)
+        assert np.linalg.norm(out - exact) <= 1e-10 * np.linalg.norm(exact)
+
+    def test_schemes_ref_substeps_take_under_half_the_applies(self):
+        # the first L and K substeps of the 200 x 100, rank 10, eps = 0.1,
+        # dt = 0.01 comparison from its seed-0 initial data; segments of
+        # scaled norm 1/1.1 took 27 (L) and 84 (K) applies here
+        m = build(n_x=200, n_mu=100, eps=0.1)
+        coeffs = [-0.1, -0.01, 1e-3, 1e-4, -1e-5, 1e-6, -1e-7, 1e-8, 1e-9,
+                  -1e-10]
+        f0 = 1.0 + sum(c * np.outer(np.sin(k * np.pi * m.grid.points),
+                                    m.quad.nodes**k)
+                       for k, c in enumerate(coeffs, start=1))
+        st, _ = from_full(f0, 10, m.grid, m.quad)
+        sub = assemble_substeps(m, st.x, st.v)
+        applies = {}
+        for factor, mat in (("L", st.v @ st.s.T), ("K", st.x @ st.s)):
+            op = (operator_L if factor == "L" else operator_K)(m, sub)
+            apply = op.apply
+
+            def counted(u, apply=apply, factor=factor):
+                applies[factor] = applies.get(factor, 0) + 1
+                return apply(u)
+
+            op.apply = counted
+            expmv(op, 0.01, vec(mat), EXPMV_TOL,
+                  norm=_norm_bound(m, sub, factor))
+        assert applies["L"] <= 27 // 2
+        assert applies["K"] <= 84 // 2
 
 
 class TestSSubstep:

@@ -12,6 +12,7 @@ import oracles
 from rte_lowrank.exceptions import OrthonormalityError
 from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
 from rte_lowrank.model import (
+    EPS_MIN,
     SubstepMatrices,
     assemble_substeps,
     density,
@@ -65,6 +66,20 @@ class TestModelBasics:
             make_model(grid, quad, diff, 0.0)
         with pytest.raises(ValueError):
             make_model(grid, quad, diff, 11.0)
+
+    def test_eps_floor_keeps_the_collision_scale_finite(self):
+        # EPS_MIN is the smallest eps whose square is a normal double
+        tiny = np.finfo(float).tiny
+        assert EPS_MIN**2 >= tiny
+        assert np.nextafter(EPS_MIN, 0.0)**2 < tiny
+        assert np.isfinite(1.0 / EPS_MIN**2)
+        grid = uniform_grid(0, 2, 8)
+        quad = gauss_legendre(4)
+        diff = build_diff_matrices(grid)
+        assert make_model(grid, quad, diff, EPS_MIN).eps == EPS_MIN
+        for eps in (np.nextafter(EPS_MIN, 0.0), 1e-160, 1e-300):
+            with pytest.raises(ValueError):
+                make_model(grid, quad, diff, eps)
 
 
 class TestFullRhs:

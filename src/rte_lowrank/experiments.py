@@ -236,39 +236,53 @@ def _model_and_initial(cfg, eps):
             initial_matrix(cfg, grid, quad))
 
 
-def run_single(cfg, model, f0, dt=None, reference=None):
+def _rank_start(cfg, model, f0):
+    """The rank-r start shared by a command's jobs, taken once per command.
+
+    Returns (state, delta0, sigma_tail): the weighted best rank-r state of
+    f0, the weighted norm of what it leaves out, and the first weighted
+    singular value it discards.
+    """
+    _, _, _, sigma_tail = weighted_truncated_svd(f0, cfg.rank, model.wx,
+                                                 model.wmu)
+    state, delta0 = from_full(f0, cfg.rank, model.grid, model.quad)
+    return state, delta0, sigma_tail
+
+
+def run_single(cfg, model, f0, dt=None, reference=None, start=None):
     """Integrate f0 under model and assemble its RunResult.
 
     ``dt`` overrides the config scalar (used by sweep-dt).  ``reference`` is
-    a (matrix, kind) pair to measure the error against; without one, the
-    run builds the dense reference when cfg.compare_reference is set and
-    the angularly lifted diffusion-limit density otherwise.
+    a (matrix, kind, weighted spectrum) triple to measure the error
+    against; without one, the run builds the dense reference when
+    cfg.compare_reference is set and the angularly lifted diffusion-limit
+    density otherwise.  ``start`` is ``_rank_start(cfg, model, f0)`` when
+    the caller runs several jobs from the same f0.
     """
     dt = _as_float("dt", dt if dt is not None else cfg.dt)
     n = n_steps(cfg.t_final, dt)
 
     t0 = time.perf_counter()
-    _, _, _, sigma_tail = weighted_truncated_svd(f0, cfg.rank, model.wx,
-                                                 model.wmu)
+    state, delta0, sigma_tail = start or _rank_start(cfg, model, f0)
 
     if cfg.integrator == "reference":
         f_final, trace = integrate(model, f0, "reference", dt, n,
                                    debug=cfg.debug_trace)
         delta0 = 0.0
     else:
-        state, delta0 = from_full(f0, cfg.rank, model.grid, model.quad)
         final, trace = integrate(model, state, cfg.integrator, dt, n,
                                  debug=cfg.debug_trace)
         f_final = reconstruct(final)
 
     if reference is not None:
-        ref, kind = reference
+        ref, kind, spectrum = reference
     elif cfg.compare_reference:
-        ref, kind = _dense_reference(model, f0, cfg), "dense"
+        ref, kind, spectrum = _dense_reference(model, f0, cfg), "dense", None
     else:
-        ref, kind = _diffusion_lift(model, f0, cfg.t_final), "diffusion_limit"
+        ref, kind, spectrum = (_diffusion_lift(model, f0, cfg.t_final),
+                               "diffusion_limit", None)
 
-    report = error_report(f_final, ref, model)
+    report = error_report(f_final, ref, model, spectrum)
     wall = time.perf_counter() - t0
     return RunResult(
         config=cfg.to_dict(),
@@ -339,11 +353,15 @@ def cmd_sweep_eps(cfg, outdir):
 
     # the diffusion-limit density does not depend on eps: lift it once
     lift_model, f0 = _model_and_initial(cfg, eps_list[0])
-    lift = (_diffusion_lift(lift_model, f0, cfg.t_final), "diffusion_limit")
+    lift = _diffusion_lift(lift_model, f0, cfg.t_final)
+    reference = (lift, "diffusion_limit",
+                 weighted_singular_values(lift, lift_model.wx, lift_model.wmu))
+    start = _rank_start(cfg, lift_model, f0)
     grid, quad, diff = lift_model.grid, lift_model.quad, lift_model.diff
 
     results = [run_single(cfg, make_model(grid, quad, diff, eps), f0,
-                          reference=lift)[0] for eps in eps_list]
+                          reference=reference, start=start)[0]
+               for eps in eps_list]
     rows = [
         (eps, res.error_report["rel_l2_density"], res.wall_time_seconds)
         for eps, res in zip(eps_list, results)
@@ -378,13 +396,16 @@ def cmd_sweep_dt(cfg, outdir):
     ref = _dense_reference(model, f0, cfg)
     ref_norm = frob_norm_weighted(ref, model.wx, model.wmu)
     sigma = weighted_singular_values(ref, model.wx, model.wmu)
+    reference = (ref, "dense", sigma)
+    start = _rank_start(cfg, model, f0)
     r = cfg.rank
     sigma_tail = float(sigma[r]) if r < len(sigma) else 0.0
     sigma_tail_rel = sigma_tail / ref_norm
 
     rows = []
     for dt in dt_list:
-        res, _ = run_single(cfg, model, f0, dt=dt, reference=(ref, "dense"))
+        res, _ = run_single(cfg, model, f0, dt=dt, reference=reference,
+                            start=start)
         rows.append((dt, res.error_report["rel_l2_full"], sigma_tail))
     write_csv(Path(outdir) / "sweep_dt.csv",
               ["dt", "rel_l2_full", "sigma_tail"], rows)
@@ -423,19 +444,23 @@ def cmd_compare(cfg, outdir):
     cfg.validate()
     model, f0 = _model_and_initial(cfg, cfg.eps)
     ref = _dense_reference(model, f0, cfg)
+    sigma = weighted_singular_values(ref, model.wx, model.wmu)
+    reference = (ref, "dense", sigma)
+    start = _rank_start(cfg, model, f0)
 
     rows = []
     for scheme in ("gap", "psi", "bug"):
         sub = RunConfig.from_dict({**cfg.to_dict(), "integrator": scheme})
         try:
-            res, _ = run_single(sub, model, f0, reference=(ref, "dense"))
+            res, _ = run_single(sub, model, f0, reference=reference,
+                                start=start)
             rows.append((scheme, res.error_report["rel_l2_full"],
                          res.error_report["rel_l2_density"], "ok"))
         except (NumericalFailureError, DegenerateStateError) as err:
             log.warning("%s diverged: %s", scheme, err)
             rows.append((scheme, math.nan, math.nan, "diverged"))
     # the reference row measures the reference computed above against itself
-    report = error_report(ref, ref, model)
+    report = error_report(ref, ref, model, sigma)
     rows.append(("reference", report.rel_l2_full, report.rel_l2_density, "ok"))
     write_csv(Path(outdir) / "compare.csv",
               ["scheme", "rel_l2_full", "rel_l2_density", "status"], rows)

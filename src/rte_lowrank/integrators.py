@@ -17,7 +17,10 @@ accuracy target EXPMV_TOL, as in Al-Mohy & Higham, SISC 33(2), 2011.  The
 exact flows decouple into modes, and one kernel, ``_propagate_modes``, maps
 each mode row y_q to y_q exp(scale_q b + c): K on the Fourier modes of the
 circulant D_x (r x r blocks), L on the eigenvectors of the antisymmetric
-r x r A_x (complex n_mu x n_mu blocks).  Both routes agree to that
+r x r A_x (complex n_mu x n_mu blocks).  It exponentiates each distinct
+scale, up to conjugation, once, in one batch: ``_expm_batch`` scales each
+block by a power of two, calls scipy's Pade step once on the stack and
+squares the blocks as batched matmuls.  Both routes agree to that
 tolerance and are cross-checked in the test suite.
 
 The dense reference is the exact flow of the full system,
@@ -64,6 +67,10 @@ _ORTH_WARN = 1e-10
 # the Taylor expmv
 _STRUCTURED_THRESHOLD = 100.0
 
+# the largest 1-norm at which the degree-13 Pade approximant of exp needs
+# no scaling (Higham, SIMAX 26(4), 2005, Table 2.3)
+_THETA_13 = 5.371920351148152
+
 
 @dataclass
 class SubstepTrace:
@@ -82,8 +89,33 @@ class SubstepTrace:
 # ---------------------------------------------------------------------------
 
 def _expm_batch(mats):
+    """exp of each slice of a 3-D stack, squared as one batch.
+
+    Slice j is scaled exactly by 2^-s_j, with s_j the smallest s >= 0 that
+    takes its 1-norm to at most theta_13 (Al-Mohy & Higham, SIMAX 31(3),
+    2009), so scipy's Pade step squares only where its own backward-error
+    check asks for it.  The stack then takes s_j matrix squarings per slice
+    as batched matmuls: round k squares every slice with s_j > k.  ``mats``
+    is the workspace and is overwritten, so that no more stacks are live
+    than in scipy's own slice loop.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = sla.expm(mats)
+        norm = np.abs(mats).sum(axis=-2).max(axis=-1)
+        if not np.all(np.isfinite(norm)):
+            raise NumericalFailureError("matrix exponential overflowed")
+        # ceil(log2(norm / theta)) from the binary exponent, exactly
+        frac, s = np.frexp(norm / _THETA_13)
+        s = np.maximum(s - (frac == 0.5), 0)
+        mats *= np.ldexp(1.0, -s)[:, None, None]
+        out, spare = sla.expm(mats), mats
+        for k in range(s.max()):
+            live = np.flatnonzero(s > k)
+            # the whole stack squares into the spare buffer, with no gather
+            if len(live) == len(out):
+                out, spare = np.matmul(out, out, out=spare), out
+            else:
+                part = out[live]
+                out[live] = np.matmul(part, part, out=spare[:len(live)])
     if not np.all(np.isfinite(out)):
         raise NumericalFailureError("matrix exponential overflowed")
     return out
@@ -92,12 +124,19 @@ def _expm_batch(mats):
 def _propagate_modes(scale, b, c, y):
     """Map each mode row y_q to y_q exp(scale_q b + c) by one batched expm.
 
-    Modes that share a scale share one exponential: the batch holds each
-    distinct scale once.
+    b and c are real, so exp(conj(s) b + c) = conj(exp(s b + c)): each scale
+    with a positive imaginary part is folded onto its conjugate, and the
+    batch holds each distinct folded scale once.  Only exact conjugates
+    share a slice, and scipy's expm and matmul are bitwise
+    conjugation-equivariant, so no row rounds differently for sharing.
     """
-    scale, inverse = np.unique(scale, return_inverse=True)
+    flip = scale.imag > 0
+    scale, inverse = np.unique(np.where(flip, scale.conj(), scale),
+                               return_inverse=True)
     prop = _expm_batch(scale[:, None, None] * b[None, :, :] + c[None, :, :])
-    return np.einsum("qi,qij->qj", y, prop[inverse])
+    prop = prop[inverse]
+    np.negative(prop.imag, out=prop.imag, where=flip[:, None, None])
+    return np.einsum("qi,qij->qj", y, prop)
 
 
 def _propagate_k_structured(model, sub, dt, k_mat):
@@ -122,12 +161,15 @@ def _propagate_l_structured(model, sub, dt, l_mat):
     With A_x = U diag(-i g) U^H, row j of (L U)^T obeys the row form
     dy_j/dt = y_j H_j with H_j = -(i g_j/eps) diag(mu) + (1/eps^2)(W_mu - I),
     the per-mode generator of the full operator with g_j in place of the D_x
-    symbol.  The blocks stay complex, although the flip similarity of
-    ``model.full_flow`` would make them real.  In the diffusive regime this
-    flow collapses the angular columns onto the constant, so the columns
-    the weighted QR keeps are set by its roundoff; the real blocks round
-    differently, and with them GAP's error against the dense reference was
-    2e-8 instead of 7e-11 (n_x = 1000, n_mu = 100, rank 5, eps = 1e-3).
+    symbol.  H(-g) = conj(H(g)), so an eigenvalue pair that eigh returns as
+    exact +-g takes one exponential; pairs that match only to roundoff
+    (often about 1e-12) take two.  The blocks stay complex, although the
+    flip similarity of ``model.full_flow`` would make them real.  In the
+    diffusive regime this flow collapses the angular columns onto the
+    constant, so the columns the weighted QR keeps are set by its roundoff;
+    the real blocks round differently, and with them GAP's error against the
+    dense reference was 2e-8 instead of 7e-11 (n_x = 1000, n_mu = 100,
+    rank 5, eps = 1e-3).
     """
     eps = model.eps
     gam, u = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))

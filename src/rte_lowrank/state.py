@@ -62,11 +62,13 @@ def orthonormality_defects(state, grid, quad):
             orthonormality_defect(state.v, quad.weights))
 
 
-def error_report(approx, reference, model):
+def error_report(approx, reference, model, spectrum=None):
     """Relative L2 errors, mass, and the reference's weighted spectrum.
 
     ``approx`` may be a LowRankState or a dense matrix; ``reference`` is a
-    dense matrix of matching shape.
+    dense matrix of matching shape.  ``spectrum`` is the reference's
+    weighted spectrum when the caller already has it, as a sweep that
+    measures every job against one reference does.
     """
     f_a = reconstruct(approx) if isinstance(approx, LowRankState) else \
         np.asarray(approx, dtype=float)
@@ -86,8 +88,9 @@ def error_report(approx, reference, model):
     rel_full = frob_norm_weighted(f_a - f_r, wx, wmu) / full_norm
     mass = float(model.grid.dx * np.sum(f_a @ wmu))
 
-    sigma = weighted_singular_values(f_r, wx, wmu)
-    return ErrorReport(float(rel_rho), float(rel_full), mass, sigma)
+    if spectrum is None:
+        spectrum = weighted_singular_values(f_r, wx, wmu)
+    return ErrorReport(float(rel_rho), float(rel_full), mass, spectrum)
 
 
 def save_state(state, path):

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -549,6 +552,24 @@ class TestGapProperties:
         assert any(t.replaced_columns for t in trace)
         assert np.all(np.diag(out.s) >= 0.0)
 
+    @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-4])
+    @pytest.mark.parametrize("dt", [0.1, 0.01])
+    def test_mass_drift_bounded(self, eps, dt):
+        # GAP conserves mass only up to its rank decisions; the worst drift
+        # over this grid is 2.1e-8 (eps = 1e-4, dt = 0.1, both L and K on
+        # the structured route), and the bound leaves 14x of room
+        m = build(n_x=64, n_mu=16, eps=eps)
+        x, mu = m.grid.points, m.quad.nodes
+        coeffs = [1.0, -0.1, -0.01, 1e-3, 1e-4]
+        f0 = coeffs[0] * np.ones((64, 16))
+        for k, c in enumerate(coeffs[1:], start=1):
+            f0 += c * np.outer(np.sin(k * np.pi * x), mu**k)
+        st, _ = from_full(f0, 5, m.grid, m.quad)
+        out, _ = integrate(m, st, "gap", dt, round(1.0 / dt))
+        mass0 = m.grid.dx * np.sum(reconstruct(st) @ m.wmu)
+        mass1 = m.grid.dx * np.sum(reconstruct(out) @ m.wmu)
+        assert abs(mass1 - mass0) <= 3e-7 * abs(mass0)
+
 
 class TestReference:
     def test_mass_conserved(self):
@@ -686,3 +707,125 @@ class TestModePairing:
             rows[q] = rows[q] @ dense_expm((t / eps) * d.imag * mu_flip + coll)
         rows = (0.5 + 0.5j) * (rows - 1j * rows[:, ::-1])
         assert np.array_equal(out, np.fft.irfft(rows, n=n_x, axis=0))
+
+
+def dissipative_stack(rng, n, log_norms, complex_):
+    """Slices A with A + A^H <= 0, so ||exp(A)||_2 <= 1, at given 1-norms."""
+    def draw():
+        g = rng.standard_normal((n, n))
+        return g + 1j * rng.standard_normal((n, n)) if complex_ else g
+
+    mats = []
+    for log_norm in log_norms:
+        g, h = draw(), draw()
+        a = 0.5 * (g - g.conj().T) - rng.uniform(0.0, 1.0) * h @ h.conj().T
+        mats.append(a * (10.0**log_norm / np.abs(a).sum(axis=0).max()))
+    return np.array(mats)
+
+
+def mp_expm(a, dps=40):
+    """exp(a) by mpmath at dps digits, rounded to complex128."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        e = mpmath.expm(mpmath.matrix(a.tolist()))
+        return np.array([[complex(e[i, j]) for j in range(a.shape[1])]
+                         for i in range(a.shape[0])])
+
+
+class TestExpmBatch:
+    # _expm_batch scales slice j by 2^-s_j before scipy's Pade step and
+    # squares the stack in batched rounds; every slice must still be
+    # exp(A_j).  On dissipative slices ||exp(A)|| <= 1, and the kernel and
+    # scipy differ by at most 7.4 u max(1, ||A||_1) over 300 random stacks;
+    # the bound leaves 60x of room.
+    @given(n=strategies.integers(1, 6),
+           log_norms=strategies.lists(strategies.floats(-8.0, 8.0),
+                                      max_size=6),
+           complex_=strategies.booleans(),
+           seed=strategies.integers(0, 2**32 - 1))
+    def test_matches_scipy_slice_by_slice(self, n, log_norms, complex_, seed):
+        # the first two slices pin the stack's 1-norms to span 1e-8..1e8,
+        # so the squaring counts s_j differ within one stack
+        mats = dissipative_stack(np.random.default_rng(seed), n,
+                                 [-8.0, 8.0] + log_norms, complex_)
+        out = integrators._expm_batch(mats.copy())
+        assert out.dtype == mats.dtype
+        for a, e in zip(mats, out):
+            err = np.abs(e - sla.expm(a)).max()
+            assert err <= 1e-13 * max(1.0, np.abs(a).sum(axis=0).max())
+
+    @pytest.mark.parametrize("flow", ["K", "L"])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    def test_stiff_blocks_match_mpmath(self, flow, eps):
+        # the generators of the structured flows at dt / eps^2 up to 1e7;
+        # scipy and the kernel both reach about 70 u ||A||_1 against the
+        # oracle at eps = 1e-4, and the bound is 1e-15 ||A||_1
+        dt, r, n_mu = 0.1, 3, 6
+        m = build(n_x=16, n_mu=n_mu, eps=eps)
+        rng = np.random.default_rng(7)
+        sub = assemble_substeps(m, basis_with_constant(16, r, m.wx, rng),
+                                basis_with_constant(n_mu, r, m.wmu, rng))
+        if flow == "K":
+            scale = -(dt / eps) * m.diff.d_x_symbol[[0, 1, 3, 5]]
+            b, c = sub.b_mu, (dt / eps**2) * (sub.c_mu - np.eye(r))
+        else:
+            gam = np.linalg.eigvalsh(0.5j * (sub.a_x - sub.a_x.T))
+            scale = (-1j * dt / eps) * gam
+            b = np.diag(m.quad.nodes)
+            c = (dt / eps**2) * (m.w_mu_matrix - np.eye(n_mu))
+        mats = scale[:, None, None] * b + c
+        out = integrators._expm_batch(mats.copy())
+        for a, e in zip(mats, out):
+            err = np.abs(e - mp_expm(a)).max()
+            assert err <= 1e-15 * max(1.0, np.abs(a).sum(axis=0).max())
+
+    @pytest.mark.parametrize("value", [1e308, np.nan, 1e200])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nonfinite_stack_raises_without_warning(self, value, dtype):
+        mats = np.full((3, 4, 4), value, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError):
+                integrators._expm_batch(mats)
+
+
+class TestConjugateFolding:
+    # exp(conj(s) b + c) = conj(exp(s b + c)) for real b and c, so an L
+    # flow whose A_x eigenvalues pair exactly as +-g takes one exponential
+    # per pair (and one for the zero of an odd rank): ceil(r/2) slices.
+    # Folding changes no bit against a mode-by-mode flow.
+    @pytest.mark.parametrize("rank", [4, 5])
+    def test_exact_pairs_share_a_slice(self, monkeypatch, rank):
+        eps, dt, n_mu = 1e-3, 0.1, 8
+        m = build(n_x=16, n_mu=n_mu, eps=eps)
+        rng = np.random.default_rng(rank)
+        sub = assemble_substeps(m, basis_with_constant(16, rank, m.wx, rng),
+                                basis_with_constant(n_mu, rank, m.wmu, rng))
+        # 2 x 2 rotation blocks, permuted: eigh returns exact +-g pairs
+        a_x = np.zeros((rank, rank))
+        for k, g in enumerate([0.7, 2.5]):
+            a_x[2 * k, 2 * k + 1], a_x[2 * k + 1, 2 * k] = g, -g
+        perm = rng.permutation(rank)
+        sub = dataclasses.replace(sub, a_x=a_x[perm][:, perm])
+        gam, u = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))
+        assert np.array_equal(gam[::-1], -gam)
+
+        l0 = rng.standard_normal((n_mu, rank))
+        expm_batch = integrators._expm_batch
+        slices = []
+
+        def counted(mats):
+            slices.append(len(mats))
+            return expm_batch(mats)
+
+        monkeypatch.setattr(integrators, "_expm_batch", counted)
+        out = _propagate_l_structured(m, sub, dt, l0)
+        assert slices == [(rank + 1) // 2]
+
+        scale = (-1j * dt / eps) * gam
+        b = np.diag(m.quad.nodes)
+        c = (dt / eps**2) * (m.w_mu_matrix - np.eye(n_mu))
+        prop = np.stack([expm_batch((s * b + c)[None])[0] for s in scale])
+        rows = np.einsum("qi,qij->qj", (l0 @ u).T, prop)
+        assert np.array_equal(out, np.real(rows.T @ u.conj().T))

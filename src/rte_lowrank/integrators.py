@@ -16,12 +16,16 @@ the flow is propagated exactly.  The Taylor tolerance is the fixed
 accuracy target EXPMV_TOL, as in Al-Mohy & Higham, SISC 33(2), 2011.  The
 exact flows decouple into modes, and one kernel, ``_propagate_modes``, maps
 each mode row y_q to y_q exp(scale_q b + c): K on the Fourier modes of the
-circulant D_x (r x r blocks), L on the eigenvectors of the antisymmetric
-r x r A_x (complex n_mu x n_mu blocks).  It exponentiates each distinct
-scale, up to conjugation, once, in one batch: ``_expm_batch`` scales each
-block by a power of two, calls scipy's Pade step once on the stack and
-squares the blocks as batched matmuls.  Both routes agree to that
-tolerance and are cross-checked in the test suite.
+circulant D_x (complex r x r blocks), L on the eigenvectors of the
+antisymmetric r x r A_x (real n_mu x n_mu blocks, by the flip similarity of
+the reference, one per +-g pair of A_x).  It exponentiates each distinct
+scale once, in one batch: ``_expm_batch`` scales each block by a power of
+two, calls scipy's Pade step once on the stack and squares the blocks as
+batched matmuls.  Both routes agree to that tolerance and are cross-checked
+in the test suite.  In the diffusive regime the exact L flow collapses the
+angular columns onto a few directions, and it decides which of its columns
+are roundoff against the whole factor (``_drop_roundoff_columns``), so that
+roundoff does not pick the directions the weighted QR keeps.
 
 The dense reference is the exact flow of the full system,
 ``model.full_flow``: an rfft in x and one n_mu x n_mu exponential per
@@ -38,7 +42,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .exceptions import DegenerateStateError, NumericalFailureError, SizeCapError
-from .model import assemble_substeps, full_flow, operator_K, operator_L
+from .model import (assemble_substeps, from_flip_basis, full_flow,
+                    operator_K, operator_L, to_flip_basis)
 # unused here, but bench/tracing.py rebinds this name in this module
 from .model import full_operator  # noqa: F401
 from .state import LowRankState
@@ -70,6 +75,10 @@ _STRUCTURED_THRESHOLD = 100.0
 # the largest 1-norm at which the degree-13 Pade approximant of exp needs
 # no scaling (Higham, SIMAX 26(4), 2005, Table 2.3)
 _THETA_13 = 5.371920351148152
+
+# residual, relative to the largest column's w-norm, at or below which a
+# column of the structured L flow's output is roundoff
+_RANK_TOL = 1e-10
 
 
 @dataclass
@@ -124,19 +133,17 @@ def _expm_batch(mats):
 def _propagate_modes(scale, b, c, y):
     """Map each mode row y_q to y_q exp(scale_q b + c) by one batched expm.
 
-    b and c are real, so exp(conj(s) b + c) = conj(exp(s b + c)): each scale
-    with a positive imaginary part is folded onto its conjugate, and the
-    batch holds each distinct folded scale once.  Only exact conjugates
-    share a slice, and scipy's expm and matmul are bitwise
-    conjugation-equivariant, so no row rounds differently for sharing.
+    The batch holds each distinct scale once.  Real propagators act on the
+    real and imaginary parts of complex rows separately, so the stack is
+    never copied to complex.
     """
-    flip = scale.imag > 0
-    scale, inverse = np.unique(np.where(flip, scale.conj(), scale),
-                               return_inverse=True)
+    scale, inverse = np.unique(scale, return_inverse=True)
     prop = _expm_batch(scale[:, None, None] * b[None, :, :] + c[None, :, :])
     prop = prop[inverse]
-    np.negative(prop.imag, out=prop.imag, where=flip[:, None, None])
-    return np.einsum("qi,qij->qj", y, prop)
+    if np.iscomplexobj(prop) or np.isrealobj(y):
+        return np.einsum("qi,qij->qj", y, prop)
+    parts = np.matmul(np.stack((y.real, y.imag), axis=1), prop)
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def _propagate_k_structured(model, sub, dt, k_mat):
@@ -160,23 +167,76 @@ def _propagate_l_structured(model, sub, dt, l_mat):
 
     With A_x = U diag(-i g) U^H, row j of (L U)^T obeys the row form
     dy_j/dt = y_j H_j with H_j = -(i g_j/eps) diag(mu) + (1/eps^2)(W_mu - I),
-    the per-mode generator of the full operator with g_j in place of the D_x
-    symbol.  H(-g) = conj(H(g)), so an eigenvalue pair that eigh returns as
-    exact +-g takes one exponential; pairs that match only to roundoff
-    (often about 1e-12) take two.  The blocks stay complex, although the
-    flip similarity of ``model.full_flow`` would make them real.  In the
-    diffusive regime this flow collapses the angular columns onto the
-    constant, so the columns the weighted QR keeps are set by its roundoff;
-    the real blocks round differently, and with them GAP's error against the
-    dense reference was 2e-8 instead of 7e-11 (n_x = 1000, n_mu = 100,
-    rank 5, eps = 1e-3).
+    the per-mode generator of ``model.full_flow`` with g_j in place of the
+    D_x symbol.  Its flip similarity makes each block real:
+    y exp(dt H_j) = from_flip_basis(to_flip_basis(y) exp(M(a_j))) with
+    M(a) = a diag(mu) J + (dt/eps^2)(W_mu - I) and a_j = (dt/eps) g_j.
+    J M(a) J = M(-a), so exp(M(-a)) = J exp(M(a)) J: the rows of negative
+    a_j are flipped by J before and after, and only |a_j| is exponentiated.
+    eigh returns the pairs +-g matching only to roundoff, so the spectrum
+    is first made exactly odd; each pair then shares one slice, and the
+    zero of an odd rank takes its own: ceil(r/2) real slices.
+
+    The flow returns L1 with its roundoff columns made exactly dependent
+    (``_drop_roundoff_columns``), so that the weighted QR replaces them from
+    the Legendre ladder whatever their roundoff.  The decision is made here
+    and not in the step: this is the route of the diffusive regime (dt
+    times the bound above _STRUCTURED_THRESHOLD), where the collision damps
+    the angular directions beyond the first few below roundoff.  On the
+    Taylor route the same rule replaced hundreds of columns that the
+    weighted QR keeps, and cost the rte compare benchmark 10-20 % of its
+    wall time.
     """
     eps = model.eps
     gam, u = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))
-    coll = (dt / eps**2) * (model.w_mu_matrix - np.eye(model.quad.n_mu))
-    rows = _propagate_modes((-1j * dt / eps) * gam, np.diag(model.quad.nodes),
-                            coll, (l_mat @ u).T)
-    return np.real(rows.T @ u.conj().T)
+    a = (dt / eps) * (0.5 * (gam - gam[::-1]))
+    flip = a < 0
+    rows = to_flip_basis((l_mat @ u).T)
+    rows[flip] = rows[flip, ::-1]
+    rows = _propagate_modes(
+        np.abs(a), np.diag(model.quad.nodes)[:, ::-1],
+        (dt / eps**2) * (model.w_mu_matrix - np.eye(model.quad.n_mu)), rows)
+    rows[flip] = rows[flip, ::-1]
+    l1 = np.real(from_flip_basis(rows).T @ u.conj().T)
+    return _drop_roundoff_columns(l1, model.wmu)
+
+
+def _drop_roundoff_columns(l1, w):
+    """Replace each roundoff column j >= 1 of l1 by its projection.
+
+    Column by column, a Householder QR of diag(sqrt w) times the kept
+    columns before j and column j gives its residual |R_jj|.  Where that
+    is at most _RANK_TOL times the largest column's w-norm, column j becomes
+    Q[:, :-1] R[:-1, j], its projection onto the kept columns, and is not
+    kept.  The threshold is set by the whole factor, as rank-adaptive BUG
+    truncates against the whole coefficient matrix (Ceruti, Kusch & Lubich,
+    BIT 62, 2022), so a column of roundoff is dropped whatever its
+    direction, and ``weighted_mgs``, whose test is relative to each
+    column's own norm, sees it as exactly dependent.
+    """
+    top = np.abs(l1).max(initial=0.0)
+    if not np.isfinite(top):
+        return l1
+    # scaled exactly by a power of two near the largest entry, so that the
+    # column norms of a huge factor cannot overflow
+    _, exp2 = np.frexp(top)
+    sq = np.sqrt(w)
+    b = sq[:, None] * np.ldexp(l1, -exp2)
+    tol = _RANK_TOL * np.linalg.norm(b, axis=0).max()
+    kept = [0]
+    for j in range(1, b.shape[1]):
+        q, r_factor = np.linalg.qr(b[:, kept + [j]])
+        if abs(r_factor[-1, -1]) <= tol:
+            l1[:, j] = np.ldexp((q[:, :-1] @ r_factor[:-1, -1]) / sq, exp2)
+        else:
+            kept.append(j)
+    return l1
+
+
+def _kron(p, q):
+    """np.kron(p, q) of two square matrices, as one broadcast product."""
+    n, m = p.shape[0], q.shape[0]
+    return (p[:, None, :, None] * q[None, :, None, :]).reshape(n * m, n * m)
 
 
 def _s_generator(model, sub, sign):
@@ -187,8 +247,8 @@ def _s_generator(model, sub, sign):
     r = sub.a_x.shape[0]
     eps = model.eps
     gen = (
-        -np.kron(sub.b_mu.T, sub.a_x) / eps
-        + (np.kron(sub.c_mu.T, np.eye(r)) - np.eye(r * r)) / eps**2
+        -_kron(sub.b_mu.T, sub.a_x) / eps
+        + (_kron(sub.c_mu.T, np.eye(r)) - np.eye(r * r)) / eps**2
     )
     return sign * gen
 
@@ -213,10 +273,11 @@ def _norm_bound(model, sub, factor):
     the Taylor segment count of ``expmv`` a guarantee.
     """
     if factor == "L":
-        transport = (np.linalg.norm(sub.a_x, 2)
+        transport = (np.linalg.svd(sub.a_x, compute_uv=False)[0]
                      * np.abs(model.quad.nodes).max())
     else:
-        transport = np.linalg.norm(sub.b_mu, 2) / model.grid.dx
+        transport = (np.linalg.svd(sub.b_mu, compute_uv=False)[0]
+                     / model.grid.dx)
     return transport / model.eps + 2.0 / model.eps**2
 
 

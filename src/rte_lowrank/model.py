@@ -222,6 +222,21 @@ def diffusion_limit_density(model, rho0, t):
     return np.fft.irfft(decay * np.fft.rfft(rho0), n=model.grid.n_x)
 
 
+def to_flip_basis(rows):
+    """rows @ U with the unitary U = (1 - i)(I + iJ)/2, J the flip mu -> -mu.
+
+    For a row-form generator G on the angular nodes with J G J = conj(G),
+    U^H G U is real, and y exp(G) = from_flip_basis(to_flip_basis(y)
+    exp(U^H G U)).
+    """
+    return (0.5 - 0.5j) * (rows + 1j * rows[..., ::-1])
+
+
+def from_flip_basis(rows):
+    """rows @ U^H, the inverse of :func:`to_flip_basis`."""
+    return (0.5 + 0.5j) * (rows - 1j * rows[..., ::-1])
+
+
 def full_flow(model, f, t):
     """Exact flow exp(t A) of the full system on the value matrix F.
 
@@ -229,11 +244,12 @@ def full_flow(model, f, t):
     G_q = -(d_q/eps) diag(mu) + (1/eps^2)(W_mu - I), d_q the D_x symbol:
     one n_mu x n_mu exponential per Fourier mode, the row-form blocks of the
     structured L flow.  d_q is imaginary and the nodes are symmetric, so
-    with J the flip mu -> -mu, J G_q J = conj(G_q), and the unitary
-    U = (1 - i)(I + iJ)/2 turns G_q into the real
+    with J the flip mu -> -mu, J G_q J = conj(G_q), and the unitary U of
+    :func:`to_flip_basis` turns G_q into the real
     M_q = U^H G_q U = (Im d_q/eps) diag(mu) J + (1/eps^2)(W_mu - I).
     Each mode therefore takes one real exponential, a third of the cost of
-    the complex one, and F_q exp(t G_q) = ((F_q U) exp(t M_q)) U^H.
+    the complex one, and F_q exp(t G_q) = ((F_q U) exp(t M_q)) U^H.  The
+    structured L flow takes the same real blocks.
 
     For even n_x the modes q and n_x/2 - q have the same symbol, so they go
     in mirrored pairs: one exponential per distinct symbol, applied row by
@@ -247,13 +263,13 @@ def full_flow(model, f, t):
                                return_inverse=True)
     mu_flip = np.diag(model.quad.nodes)[:, ::-1]
     coll = (t / eps**2) * (model.w_mu_matrix - np.eye(model.quad.n_mu))
-    rows = np.fft.rfft(f, axis=0)
-    rows = (0.5 - 0.5j) * (rows + 1j * rows[:, ::-1])
+    rows = to_flip_basis(np.fft.rfft(f, axis=0))
     for q, s in enumerate(scale):
         e = dense_expm(s * mu_flip + coll)
         for i in np.flatnonzero(inverse == q):
             rows[i] = rows[i] @ e
-    rows = (0.5 + 0.5j) * (rows - 1j * rows[:, ::-1])
+    # rebound, so that the flip-basis rows are freed before the irfft
+    rows = from_flip_basis(rows)
     return np.fft.irfft(rows, n=model.grid.n_x, axis=0)
 
 

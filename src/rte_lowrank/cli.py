@@ -48,7 +48,8 @@ def build_parser():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--override", nargs="*", default=[], metavar="KEY=VAL",
+        p.add_argument("--override", nargs="*", action="extend", default=[],
+                       metavar="KEY=VAL",
                        help="config field overrides (values parsed as JSON)")
         p.add_argument("-v", "--verbose", action="store_true")
     return parser

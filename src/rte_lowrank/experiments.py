@@ -217,16 +217,19 @@ def initial_matrix(cfg, grid, quad):
     return f
 
 
-def _diffusion_lift(model, f0, t):
-    """Angularly constant matrix carrying the diffusion-limit density."""
-    rho = diffusion_limit_density(model, density(model, f0), t)
-    return np.outer(rho, np.ones(model.quad.n_mu))
+def _reference(cfg, model, f0, kind):
+    """The (matrix, kind, weighted spectrum) a command measures its jobs by.
 
-
-def _dense_reference(model, f0, cfg):
-    """The exact flow of the full system from f0 over cfg.t_final."""
-    ref, _ = integrate(model, f0, "reference", cfg.t_final, 1)
-    return ref
+    kind "dense" is the exact flow of the full system from f0 over
+    cfg.t_final; kind "diffusion_limit" is the diffusion-limit density of
+    f0 at cfg.t_final, lifted as constant in angle.
+    """
+    if kind == "dense":
+        ref, _ = integrate(model, f0, "reference", cfg.t_final, 1)
+    else:
+        rho = diffusion_limit_density(model, density(model, f0), cfg.t_final)
+        ref = np.outer(rho, np.ones(model.quad.n_mu))
+    return ref, kind, weighted_singular_values(ref, model.wx, model.wmu)
 
 
 def _model_and_initial(cfg, eps):
@@ -249,22 +252,18 @@ def _rank_start(cfg, model, f0):
     return state, delta0, sigma_tail
 
 
-def run_single(cfg, model, f0, dt=None, reference=None, start=None):
-    """Integrate f0 under model and assemble its RunResult.
+def run_single(cfg, model, f0, dt, reference, start):
+    """Integrate f0 under model over cfg.t_final in steps of dt.
 
-    ``dt`` overrides the config scalar (used by sweep-dt).  ``reference`` is
-    a (matrix, kind, weighted spectrum) triple to measure the error
-    against; without one, the run builds the dense reference when
-    cfg.compare_reference is set and the angularly lifted diffusion-limit
-    density otherwise.  ``start`` is ``_rank_start(cfg, model, f0)`` when
-    the caller runs several jobs from the same f0.
+    ``reference`` is a ``_reference`` triple to measure the error against
+    and ``start`` is ``_rank_start(cfg, model, f0)``; a command builds each
+    once and shares them among its jobs.  Returns (RunResult, final matrix).
     """
-    dt = _as_float("dt", dt if dt is not None else cfg.dt)
+    dt = _as_float("dt", dt)
     n = n_steps(cfg.t_final, dt)
 
     t0 = time.perf_counter()
-    state, delta0, sigma_tail = start or _rank_start(cfg, model, f0)
-
+    state, delta0, sigma_tail = start
     if cfg.integrator == "reference":
         f_final, trace = integrate(model, f0, "reference", dt, n,
                                    debug=cfg.debug_trace)
@@ -274,14 +273,7 @@ def run_single(cfg, model, f0, dt=None, reference=None, start=None):
                                  debug=cfg.debug_trace)
         f_final = reconstruct(final)
 
-    if reference is not None:
-        ref, kind, spectrum = reference
-    elif cfg.compare_reference:
-        ref, kind, spectrum = _dense_reference(model, f0, cfg), "dense", None
-    else:
-        ref, kind, spectrum = (_diffusion_lift(model, f0, cfg.t_final),
-                               "diffusion_limit", None)
-
+    ref, kind, spectrum = reference
     report = error_report(f_final, ref, model, spectrum)
     wall = time.perf_counter() - t0
     return RunResult(
@@ -296,13 +288,11 @@ def run_single(cfg, model, f0, dt=None, reference=None, start=None):
     ), f_final
 
 
-def write_result_json(result, outdir, name="result.json"):
-    path = Path(outdir) / name
+def _write_json(path, data):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(asdict(result), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _fmt(value):
@@ -329,9 +319,12 @@ def cmd_run(cfg, outdir):
     if isinstance(cfg.eps, list) or isinstance(cfg.dt, list):
         raise ConfigError("run needs scalar eps and dt; use a sweep command")
     model, f0 = _model_and_initial(cfg, cfg.eps)
-    result, _ = run_single(cfg, model, f0)
-    write_result_json(result, outdir)
-    if result.reference_kind == "dense":
+    kind = "dense" if cfg.compare_reference else "diffusion_limit"
+    result, _ = run_single(cfg, model, f0, cfg.dt,
+                           _reference(cfg, model, f0, kind),
+                           _rank_start(cfg, model, f0))
+    _write_json(Path(outdir) / "result.json", asdict(result))
+    if cfg.compare_reference:
         rep = result.error_report
         write_csv(
             Path(outdir) / "errors.csv",
@@ -353,14 +346,12 @@ def cmd_sweep_eps(cfg, outdir):
 
     # the diffusion-limit density does not depend on eps: lift it once
     lift_model, f0 = _model_and_initial(cfg, eps_list[0])
-    lift = _diffusion_lift(lift_model, f0, cfg.t_final)
-    reference = (lift, "diffusion_limit",
-                 weighted_singular_values(lift, lift_model.wx, lift_model.wmu))
+    reference = _reference(cfg, lift_model, f0, "diffusion_limit")
     start = _rank_start(cfg, lift_model, f0)
     grid, quad, diff = lift_model.grid, lift_model.quad, lift_model.diff
 
-    results = [run_single(cfg, make_model(grid, quad, diff, eps), f0,
-                          reference=reference, start=start)[0]
+    results = [run_single(cfg, make_model(grid, quad, diff, eps), f0, cfg.dt,
+                          reference, start)[0]
                for eps in eps_list]
     rows = [
         (eps, res.error_report["rel_l2_density"], res.wall_time_seconds)
@@ -371,7 +362,7 @@ def cmd_sweep_eps(cfg, outdir):
     summary = replace(
         results[-1], config=cfg.to_dict(), diagnostics=None,
         wall_time_seconds=sum(r.wall_time_seconds for r in results))
-    write_result_json(summary, outdir)
+    _write_json(Path(outdir) / "result.json", asdict(summary))
     return rows
 
 
@@ -393,38 +384,31 @@ def cmd_sweep_dt(cfg, outdir):
         raise ConfigError("dt list is empty")
 
     model, f0 = _model_and_initial(cfg, cfg.eps)
-    ref = _dense_reference(model, f0, cfg)
-    ref_norm = frob_norm_weighted(ref, model.wx, model.wmu)
-    sigma = weighted_singular_values(ref, model.wx, model.wmu)
-    reference = (ref, "dense", sigma)
+    reference = _reference(cfg, model, f0, "dense")
+    ref, _, sigma = reference
     start = _rank_start(cfg, model, f0)
+    ref_norm = frob_norm_weighted(ref, model.wx, model.wmu)
     r = cfg.rank
     sigma_tail = float(sigma[r]) if r < len(sigma) else 0.0
     sigma_tail_rel = sigma_tail / ref_norm
 
     rows = []
     for dt in dt_list:
-        res, _ = run_single(cfg, model, f0, dt=dt, reference=reference,
-                            start=start)
+        res, _ = run_single(cfg, model, f0, dt, reference, start)
         rows.append((dt, res.error_report["rel_l2_full"], sigma_tail))
     write_csv(Path(outdir) / "sweep_dt.csv",
               ["dt", "rel_l2_full", "sigma_tail"], rows)
 
     slope = fit_slope([row[0] for row in rows], [row[1] for row in rows],
                       10.0 * sigma_tail_rel)
-    summary = {
+    _write_json(Path(outdir) / "sweep_dt_summary.json", {
         "config": cfg.to_dict(),
         "slope": slope,
         "sigma_tail": sigma_tail,
         "sigma_tail_rel": sigma_tail_rel,
         "reference_norm": ref_norm,
         "errors": [row[1] for row in rows],
-    }
-    summary_path = Path(outdir) / "sweep_dt_summary.json"
-    summary_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return rows, slope, sigma_tail_rel
 
 
@@ -432,8 +416,10 @@ def cmd_singvals(cfg, outdir):
     """Weighted singular values of the reference solution at t_final."""
     cfg.validate(allow_zero_t=True)
     model, f0 = _model_and_initial(cfg, cfg.eps)
-    ref = f0 if cfg.t_final == 0 else _dense_reference(model, f0, cfg)
-    sigma = weighted_singular_values(ref, model.wx, model.wmu)
+    if cfg.t_final == 0:
+        sigma = weighted_singular_values(f0, model.wx, model.wmu)
+    else:
+        _, _, sigma = _reference(cfg, model, f0, "dense")
     rows = [(k + 1, s) for k, s in enumerate(sigma)]
     write_csv(Path(outdir) / "singvals.csv", ["index", "sigma"], rows)
     return sigma
@@ -443,17 +429,15 @@ def cmd_compare(cfg, outdir):
     """gap/psi/bug/reference errors against the dense reference at fixed eps."""
     cfg.validate()
     model, f0 = _model_and_initial(cfg, cfg.eps)
-    ref = _dense_reference(model, f0, cfg)
-    sigma = weighted_singular_values(ref, model.wx, model.wmu)
-    reference = (ref, "dense", sigma)
+    reference = _reference(cfg, model, f0, "dense")
+    ref, _, sigma = reference
     start = _rank_start(cfg, model, f0)
 
     rows = []
     for scheme in ("gap", "psi", "bug"):
-        sub = RunConfig.from_dict({**cfg.to_dict(), "integrator": scheme})
         try:
-            res, _ = run_single(sub, model, f0, reference=reference,
-                                start=start)
+            res, _ = run_single(replace(cfg, integrator=scheme), model, f0,
+                                cfg.dt, reference, start)
             rows.append((scheme, res.error_report["rel_l2_full"],
                          res.error_report["rel_l2_density"], "ok"))
         except (NumericalFailureError, DegenerateStateError) as err:

@@ -134,9 +134,8 @@ def assemble_substeps(model, x_basis, v_basis):
     _check_orthonormal(v_basis, model.wmu, "v_basis")
 
     # the product form c X[i+1] - c X[i-1] rounds as the CSR row sum of D_x X,
-    # and A_x must not move: its roundoff decides columns (ROADMAP item 1)
-    c = 1.0 / (2.0 * model.grid.dx)
-    dx_x = c * np.roll(x_basis, -1, axis=0) - c * np.roll(x_basis, 1, axis=0)
+    # and A_x must not move: its roundoff decides columns (ROADMAP item 3)
+    dx_x = _centered_difference((1.0 / (2.0 * model.grid.dx)) * x_basis)
     a_x = model.grid.dx * (x_basis.T @ dx_x)
     wmu = model.wmu
     b_mu = v_basis.T @ ((model.quad.nodes * wmu)[:, None] * v_basis)

@@ -419,3 +419,45 @@ class TestCli:
                          "--override", "rank=2"]) == 0
         result = json.loads((out / "result.json").read_text())
         assert result["config"]["rank"] == 2
+
+    def test_repeated_override_flags_all_apply(self, tmp_path):
+        path = write_cfg(tmp_path, {**TINY, "eps": 1.0})
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out),
+                         "--override", "eps=0.01", "--override",
+                         "dt=0.05"]) == 0
+        config = json.loads((out / "result.json").read_text())["config"]
+        assert (config["eps"], config["dt"]) == (0.01, 0.05)
+
+
+class TestSharedSetup:
+    # each command builds its reference and its rank-r start once and
+    # shares them among its jobs
+    @pytest.mark.parametrize("command,patch,n_reference,n_start", [
+        (cmd_run, {"compare_reference": True}, 1, 1),
+        (cmd_run, {}, 0, 1),
+        (cmd_compare, {}, 1, 1),
+        (cmd_sweep_dt, {"dt": [0.1, 0.05]}, 1, 1),
+        (cmd_sweep_eps, {"eps": [1.0, 0.5]}, 0, 1),
+        (cmd_singvals, {}, 1, 0),
+    ])
+    def test_reference_and_start_built_once(self, tmp_path, monkeypatch,
+                                            command, patch, n_reference,
+                                            n_start):
+        calls = []
+        real_integrate, real_from_full = (experiments.integrate,
+                                          experiments.from_full)
+
+        def integrate(model, f, scheme, *args, **kwargs):
+            calls.append(scheme)
+            return real_integrate(model, f, scheme, *args, **kwargs)
+
+        def from_full(*args):
+            calls.append("from_full")
+            return real_from_full(*args)
+
+        monkeypatch.setattr(experiments, "integrate", integrate)
+        monkeypatch.setattr(experiments, "from_full", from_full)
+        command(RunConfig.from_dict({**TINY, **patch}), tmp_path)
+        assert calls.count("reference") == n_reference
+        assert calls.count("from_full") == n_start

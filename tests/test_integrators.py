@@ -13,6 +13,7 @@ from rte_lowrank import model as model_module
 from rte_lowrank.exceptions import (
     DegenerateStateError,
     NumericalFailureError,
+    OrthonormalityError,
     SizeCapError,
 )
 from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
@@ -119,6 +120,21 @@ class TestStepBasics:
         st.s = np.zeros_like(st.s)
         with pytest.raises(DegenerateStateError):
             gap_step(m, st, 0.1)
+
+    # a start off the weighted Stiefel manifolds must raise, wherever the
+    # check sits: X scaled by 1.1 (defect 0.21) or V shifted by 1e-6 (defect
+    # of order 1e-6), both far above the 1e-8 tolerance
+    @pytest.mark.parametrize("name", ["gap", "psi", "bug"])
+    @pytest.mark.parametrize("factor", ["x", "v"])
+    def test_non_orthonormal_start_rejected(self, name, factor):
+        m = build()
+        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
+        if factor == "x":
+            st.x = 1.1 * st.x
+        else:
+            st.v = st.v + 1e-6
+        with pytest.raises(OrthonormalityError):
+            integrate(m, st, name, 0.1, 1)
 
     def test_degenerate_state_names_one_step(self):
         # integrate prefixes the 1-based step; the inner message adds none
@@ -433,6 +449,34 @@ class TestSSubstep:
         s0 = rng.standard_normal((r, r))
         gen = sign * self.galerkin_generator(m, sub, x)
         oracle = sla.expm(dt * gen) @ vec(s0)
+        out = _solve_s_substep(m, sub, dt, s0, sign, "test")
+        assert (np.linalg.norm(vec(out) - oracle)
+                <= 1e-10 * np.linalg.norm(oracle))
+
+
+class TestSSubstepMpmath:
+    # the oracle above is scipy's expm of the same generator, the substep's
+    # own algorithm; here the exponential is taken at 60 digits.  Forward
+    # runs reach dt/eps^2 = 1e6 (measured 2.1e-11 there); backward runs stay
+    # where exp(dt/eps^2) is finite.  At dt/eps^2 = 1e8 both the substep and
+    # scipy sit about 5e-10 from this oracle.
+    @pytest.mark.parametrize("sign,rank,eps,dt,seed", [
+        (1.0, 4, 1e-3, 1.0, 0),
+        (1.0, 3, 1e-3, 1.0, 1),
+        (1.0, 2, 1e-2, 1.0, 2),
+        (-1.0, 4, 0.2, 1.0, 5),
+        (-1.0, 3, 0.5, 1.0, 6),
+        (-1.0, 4, 1.0, 0.1, 7),
+    ])
+    def test_matches_mpmath(self, sign, rank, eps, dt, seed):
+        m = build(n_x=24, n_mu=8, eps=eps)
+        rng = np.random.default_rng(seed)
+        x = basis_with_constant(24, rank, m.wx, rng)
+        v = basis_with_constant(8, rank, m.wmu, rng)
+        sub = assemble_substeps(m, x, v)
+        s0 = rng.standard_normal((rank, rank))
+        gen = sign * TestSSubstep.galerkin_generator(m, sub, x)
+        oracle = mp_expm(dt * gen, dps=60).real @ vec(s0)
         out = _solve_s_substep(m, sub, dt, s0, sign, "test")
         assert (np.linalg.norm(vec(out) - oracle)
                 <= 1e-10 * np.linalg.norm(oracle))

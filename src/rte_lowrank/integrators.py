@@ -7,14 +7,15 @@ QR, whose deficient columns are replaced from a fixed ladder: Legendre
 polynomials P_k(mu) in angle, which start 1, mu, the span the diffusion
 limit needs, and the grid's Fourier modes in space.
 
-The L and K exponentials are one decision, ``_solve_substep``, made from one
-number: the closed-form bound ``_norm_bound`` on the substep operator's
-spectral norm.  While dt times the bound is at most _STRUCTURED_THRESHOLD,
-the Taylor ``expmv`` runs with its segments sized by that bound; beyond it,
-where the collision stiffness 1/eps^2 makes a polynomial method infeasible,
-the flow is propagated exactly.  The Taylor tolerance is the fixed
-accuracy target EXPMV_TOL, as in Al-Mohy & Higham, SISC 33(2), 2011.  The
-exact flows decouple into modes, and one kernel, ``_propagate_modes``, maps
+The L and K substeps are one helper, ``_factor_substep``, and its
+exponential is one decision made from one number: the closed-form bound
+``_norm_bound`` on the substep operator's spectral norm.  While dt times
+the bound is at most _STRUCTURED_THRESHOLD, the Taylor ``expmv`` runs with
+its segments sized by that bound; beyond it, where the collision stiffness
+1/eps^2 makes a polynomial method infeasible, the flow is propagated
+exactly.  The Taylor tolerance is the fixed accuracy target EXPMV_TOL, as
+in Al-Mohy & Higham, SISC 33(2), 2011.  The exact flows decouple into
+modes, and one kernel, ``_propagate_modes``, maps
 each mode row y_q to y_q exp(scale_q b + c): K on the Fourier modes of the
 circulant D_x (complex r x r blocks), L on the eigenvectors of the
 antisymmetric r x r A_x (real n_mu x n_mu blocks, by the flip similarity of
@@ -42,8 +43,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .exceptions import DegenerateStateError, NumericalFailureError, SizeCapError
-from .model import (assemble_substeps, from_flip_basis, full_flow,
-                    operator_K, operator_L, to_flip_basis)
+from .model import (SubstepMatrices, angular_blocks, assemble_substeps,
+                    from_flip_basis, full_flow, operator_K, operator_L,
+                    spatial_block, to_flip_basis)
 # unused here, but bench/tracing.py rebinds this name in this module
 from .model import full_operator  # noqa: F401
 from .state import LowRankState
@@ -233,12 +235,6 @@ def _drop_roundoff_columns(l1, w):
     return l1
 
 
-def _kron(p, q):
-    """np.kron(p, q) of two square matrices, as one broadcast product."""
-    n, m = p.shape[0], q.shape[0]
-    return (p[:, None, :, None] * q[None, :, None, :]).reshape(n * m, n * m)
-
-
 def _s_generator(model, sub, sign):
     """Dense r^2 x r^2 generator of dS/dt = sign * G(S).
 
@@ -247,8 +243,8 @@ def _s_generator(model, sub, sign):
     r = sub.a_x.shape[0]
     eps = model.eps
     gen = (
-        -_kron(sub.b_mu.T, sub.a_x) / eps
-        + (_kron(sub.c_mu.T, np.eye(r)) - np.eye(r * r)) / eps**2
+        -np.kron(sub.b_mu.T, sub.a_x) / eps
+        + (np.kron(sub.c_mu.T, np.eye(r)) - np.eye(r * r)) / eps**2
     )
     return sign * gen
 
@@ -279,23 +275,6 @@ def _norm_bound(model, sub, factor):
         transport = (np.linalg.svd(sub.b_mu, compute_uv=False)[0]
                      / model.grid.dx)
     return transport / model.eps + 2.0 / model.eps**2
-
-
-def _solve_substep(model, sub, dt, factor, mat):
-    """Advance the factor mat of substep ``factor`` ("L" or "K") by dt.
-
-    The exponential takes the Taylor ``expmv``, its segments sized by
-    ``_norm_bound``, while dt times the bound is at most
-    _STRUCTURED_THRESHOLD, and the exact mode flow beyond.
-    """
-    operator = operator_L if factor == "L" else operator_K
-    bound = _norm_bound(model, sub, factor)
-    if dt * bound <= _STRUCTURED_THRESHOLD:
-        sol = expmv(operator(model, sub), dt, vec(mat), EXPMV_TOL, norm=bound)
-        return unvec(sol, mat.shape)
-    if factor == "L":
-        return _propagate_l_structured(model, sub, dt, mat)
-    return _propagate_k_structured(model, sub, dt, mat)
 
 
 def _solve_s_substep(model, sub, dt, s_mat, sign, context):
@@ -341,14 +320,6 @@ def _record(trace, step_index, substep, before, after, w=None,
                               defect, tuple(sorted(replaced))))
 
 
-def _finish_factor(qr, label):
-    if len(qr.replaced_columns) == qr.q.shape[1]:
-        raise DegenerateStateError(
-            f"all {qr.q.shape[1]} columns of the {label} factor collapsed; "
-            f"the state has lost its rank entirely"
-        )
-
-
 def _check_positive(name, value):
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
@@ -383,33 +354,38 @@ def _fourier_ladder(model):
     return candidate
 
 
-def _predict_angular(model, state, sub, dt, trace, step_index):
-    """L substep shared by the three schemes.
+def _factor_substep(model, sub, dt, factor, mat, trace, step_index):
+    """Advance the factor mat of substep ``factor`` by dt and orthonormalize.
 
-    Propagates L = V S^T with the spatial basis frozen and orthonormalizes
-    it in the w_mu inner product.  Returns (L_new, V_new).
+    The L substep (``factor`` "L", mat = V S^T) runs with the spatial basis
+    frozen, the K substep ("K", mat = X S) with the angular basis frozen.
+    The exponential takes the Taylor ``expmv``, its segments sized by
+    ``_norm_bound``, while dt times the bound is at most
+    _STRUCTURED_THRESHOLD, and the exact mode flow beyond.  The result is
+    orthonormalized by the weighted QR with the factor's ladder.  Returns
+    (propagated factor, QrResult).
     """
-    l0 = state.v @ state.s.T
-    l1 = _solve_substep(model, sub, dt, "L", l0)
-    qr_v = weighted_mgs(l1, model.wmu, ladder=_legendre_ladder(model))
-    _finish_factor(qr_v, "angular")
-    _record(trace, step_index, "L", l0, l1, model.wmu,
-            qr_v.replaced_columns, qr_v.q)
-    return l1, qr_v.q
-
-
-def _update_spatial(model, sub, dt, k0, trace, step_index):
-    """K substep shared by the three schemes.
-
-    Propagates K from k0 with the angular basis frozen and orthonormalizes
-    it in the dx inner product.  Returns the QrResult (X_new, its R).
-    """
-    k1 = _solve_substep(model, sub, dt, "K", k0)
-    qr_x = weighted_mgs(k1, model.wx, ladder=_fourier_ladder(model))
-    _finish_factor(qr_x, "spatial")
-    _record(trace, step_index, "K", k0, k1, model.wx,
-            qr_x.replaced_columns, qr_x.q)
-    return qr_x
+    if factor == "L":
+        operator, flow = operator_L, _propagate_l_structured
+        w, ladder = model.wmu, _legendre_ladder(model)
+    else:
+        operator, flow = operator_K, _propagate_k_structured
+        w, ladder = model.wx, _fourier_ladder(model)
+    bound = _norm_bound(model, sub, factor)
+    if dt * bound <= _STRUCTURED_THRESHOLD:
+        sol = expmv(operator(model, sub), dt, vec(mat), EXPMV_TOL, norm=bound)
+        out = unvec(sol, mat.shape)
+    else:
+        out = flow(model, sub, dt, mat)
+    qr = weighted_mgs(out, w, ladder=ladder)
+    if len(qr.replaced_columns) == qr.q.shape[1]:
+        raise DegenerateStateError(
+            f"all {qr.q.shape[1]} columns of the {_BASIS_LABEL[factor]} "
+            f"factor collapsed; the state has lost its rank entirely"
+        )
+    _record(trace, step_index, factor, mat, out, w, qr.replaced_columns,
+            qr.q)
+    return out, qr
 
 
 def gap_step(model, state, dt, trace=None, step_index=0):
@@ -418,15 +394,18 @@ def gap_step(model, state, dt, trace=None, step_index=0):
     First the angular factor is predicted: L = V S^T is propagated with the
     spatial basis frozen and re-orthonormalized to give the new V.  Then the
     spatial factor K = X S (V_old^T diag(w) V_new) is propagated in the new
-    angular basis and re-orthonormalized to give the new X and S.
+    angular basis and re-orthonormalized to give the new X and S.  X is
+    unchanged until then, so the K substep reuses the step's A_x.
     """
     _check_positive("dt", dt)
-    sub0 = assemble_substeps(model, state.x, state.v)
-    _, v1 = _predict_angular(model, state, sub0, dt, trace, step_index)
+    sub = assemble_substeps(model, state.x, state.v)
+    _, qr_v = _factor_substep(model, sub, dt, "L", state.v @ state.s.T,
+                              trace, step_index)
+    v1 = qr_v.q
 
     k0 = state.x @ state.s @ weighted_inner(state.v, v1, model.wmu)
-    sub1 = assemble_substeps(model, state.x, v1)
-    qr_x = _update_spatial(model, sub1, dt, k0, trace, step_index)
+    sub = SubstepMatrices(sub.a_x, *angular_blocks(model, v1))
+    _, qr_x = _factor_substep(model, sub, dt, "K", k0, trace, step_index)
     return LowRankState(qr_x.q, qr_x.r_factor, v1)
 
 
@@ -438,20 +417,22 @@ def psi_step(model, state, dt, trace=None, step_index=0):
     and the spatial factor is propagated in the predicted angular basis.
     """
     _check_positive("dt", dt)
-    sub0 = assemble_substeps(model, state.x, state.v)
-    l1, v1 = _predict_angular(model, state, sub0, dt, trace, step_index)
+    sub = assemble_substeps(model, state.x, state.v)
+    l1, qr_v = _factor_substep(model, sub, dt, "L", state.v @ state.s.T,
+                               trace, step_index)
+    v1 = qr_v.q
 
     s_tilde = weighted_inner(v1, l1, model.wmu).T
-    sub1 = assemble_substeps(model, state.x, v1)
+    sub = SubstepMatrices(sub.a_x, *angular_blocks(model, v1))
     s_hat = _solve_s_substep(
-        model, sub1, dt, s_tilde, sign=-1.0,
+        model, sub, dt, s_tilde, sign=-1.0,
         context="backward coefficient substep: the flow grows like "
                 "exp(dt/eps^2) when integrated backward; expected for small "
                 "eps -- prefer the gap or bug scheme there")
     _record(trace, step_index, "S", s_tilde, s_hat)
 
-    qr_x = _update_spatial(model, sub1, dt, state.x @ s_hat, trace,
-                           step_index)
+    _, qr_x = _factor_substep(model, sub, dt, "K", state.x @ s_hat, trace,
+                              step_index)
     return LowRankState(qr_x.q, qr_x.r_factor, v1)
 
 
@@ -464,15 +445,18 @@ def bug_step(model, state, dt, trace=None, step_index=0):
     bases and integrated forward with the Galerkin-reduced dynamics.
     """
     _check_positive("dt", dt)
-    sub0 = assemble_substeps(model, state.x, state.v)
-    _, v1 = _predict_angular(model, state, sub0, dt, trace, step_index)
-    x1 = _update_spatial(model, sub0, dt, state.x @ state.s, trace,
-                         step_index).q
+    sub = assemble_substeps(model, state.x, state.v)
+    _, qr_v = _factor_substep(model, sub, dt, "L", state.v @ state.s.T,
+                              trace, step_index)
+    _, qr_x = _factor_substep(model, sub, dt, "K", state.x @ state.s,
+                              trace, step_index)
+    x1, v1 = qr_x.q, qr_v.q
 
-    sub1 = assemble_substeps(model, x1, v1)
+    sub = SubstepMatrices(spatial_block(model, x1),
+                          *angular_blocks(model, v1))
     s0 = (weighted_inner(x1, state.x, model.wx) @ state.s
           @ weighted_inner(state.v, v1, model.wmu))
-    s1 = _solve_s_substep(model, sub1, dt, s0, sign=1.0,
+    s1 = _solve_s_substep(model, sub, dt, s0, sign=1.0,
                           context="Galerkin coefficient substep")
     _record(trace, step_index, "S", s0, s1)
     return LowRankState(x1, s1, v1)

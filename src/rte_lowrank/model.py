@@ -121,27 +121,38 @@ def _check_orthonormal(basis, w, label):
         raise OrthonormalityError(label, defect)
 
 
+def spatial_block(model, x_basis):
+    """A_x = X^T diag(dx) D_x X, the spatial Galerkin block; X unchecked."""
+    # the product form c X[i+1] - c X[i-1] rounds as the CSR row sum of D_x X,
+    # and A_x must not move: its roundoff decides columns (ROADMAP item 3)
+    dx_x = _centered_difference((1.0 / (2.0 * model.grid.dx)) * x_basis)
+    return model.grid.dx * (x_basis.T @ dx_x)
+
+
+def angular_blocks(model, v_basis):
+    """The angular Galerkin blocks (B_mu, C_mu); V unchecked.
+
+    B_mu = V^T diag(mu) diag(w_mu) V
+    C_mu = V^T W_mu diag(w_mu) V = (1/2) (V^T w)(V^T w)^T
+    """
+    wmu = model.wmu
+    b_mu = v_basis.T @ ((model.quad.nodes * wmu)[:, None] * v_basis)
+    vw = v_basis.T @ wmu
+    return b_mu, 0.5 * np.outer(vw, vw)
+
+
 def assemble_substeps(model, x_basis, v_basis):
     """Galerkin matrices for a dx-orthonormal X and w_mu-orthonormal V.
 
-    A_x  = X^T diag(dx) D_x X
-    B_mu = V^T diag(mu) diag(w_mu) V
-    C_mu = V^T W_mu diag(w_mu) V = (1/2) (V^T w)(V^T w)^T
+    Checks both bases, then builds A_x by :func:`spatial_block` and B_mu,
+    C_mu by :func:`angular_blocks`.
     """
     x_basis = np.asarray(x_basis, dtype=float)
     v_basis = np.asarray(v_basis, dtype=float)
     _check_orthonormal(x_basis, model.wx, "x_basis")
     _check_orthonormal(v_basis, model.wmu, "v_basis")
-
-    # the product form c X[i+1] - c X[i-1] rounds as the CSR row sum of D_x X,
-    # and A_x must not move: its roundoff decides columns (ROADMAP item 3)
-    dx_x = _centered_difference((1.0 / (2.0 * model.grid.dx)) * x_basis)
-    a_x = model.grid.dx * (x_basis.T @ dx_x)
-    wmu = model.wmu
-    b_mu = v_basis.T @ ((model.quad.nodes * wmu)[:, None] * v_basis)
-    vw = v_basis.T @ wmu
-    c_mu = 0.5 * np.outer(vw, vw)
-    return SubstepMatrices(a_x, b_mu, c_mu)
+    return SubstepMatrices(spatial_block(model, x_basis),
+                           *angular_blocks(model, v_basis))
 
 
 def operator_L(model, sub):

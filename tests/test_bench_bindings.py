@@ -26,8 +26,13 @@ def test_tracer_finds_and_restores_every_binding(monkeypatch):
     assert integrators.expmv is wlinalg.expmv
 
 
-@pytest.mark.parametrize("eps, route", [(1e-3, "structured"), (1.0, "expmv")])
-def test_tracer_books_each_substep_route(monkeypatch, eps, route):
+# PSI's backward S substep overflows at eps = 1e-3, so it runs at eps = 1 only
+@pytest.mark.parametrize("scheme, eps, route", [
+    pytest.param("gap", 1e-3, "structured", id="0.001-structured"),
+    pytest.param("gap", 1.0, "expmv", id="1.0-expmv"),
+    ("bug", 1e-3, "structured"), ("bug", 1.0, "expmv"),
+    ("psi", 1.0, "expmv")])
+def test_tracer_books_each_substep_route(monkeypatch, scheme, eps, route):
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     import tracing
 
@@ -42,12 +47,17 @@ def test_tracer_books_each_substep_route(monkeypatch, eps, route):
     st, _ = from_full(f0, 4, grid, quad)
     tracer = tracing.Tracer()
     with tracing.instrument([], tracer, n_mu=quad.n_mu):
-        integrators.gap_step(m, st, 0.02)
+        getattr(integrators, f"{scheme}_step")(m, st, 0.02)
     routes = {key: n for key, n in tracer.counts.items()
               if key.startswith("integrators.route.")}
     # rank 4 < n_mu, so the block size tells the K stack from the L stack
     assert routes == {f"integrators.route.L.{route}": 1,
                       f"integrators.route.K.{route}": 1}
+    # the S exponential is 2-D, booked as S and never as a K stack
+    assert tracer.names.count("integrators.expm_S") == (scheme != "gap")
+    assert (tracer.names.count("integrators.expm_stack_K")
+            == (route == "structured"))
+    assert tracer.names.count("model.assemble_substeps") == 1
     assert "wlinalg.estimate_operator_norm" not in tracer.names
 
 

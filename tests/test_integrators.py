@@ -146,6 +146,56 @@ class TestStepBasics:
         assert str(err.value).startswith("step 1/2: all 3 columns")
         assert str(err.value).count("step") == 1
 
+    @pytest.mark.parametrize("name", ["gap", "psi", "bug"])
+    def test_one_checked_assembly_per_step(self, monkeypatch, name):
+        # each step checks the bases it was given, once, in its one
+        # assemble_substeps call; its later blocks come from the unchecked
+        # builders, and no step runs an orthonormality check of its own
+        calls, checks = [], []
+
+        def counted(*args):
+            calls.append(args)
+            return assemble_substeps(*args)
+
+        def counted_defect(*args):
+            checks.append(args)
+            return wlinalg.orthonormality_defect(*args)
+
+        monkeypatch.setattr(integrators, "assemble_substeps", counted)
+        monkeypatch.setattr(model_module, "orthonormality_defect",
+                            counted_defect)
+        monkeypatch.setattr(integrators, "orthonormality_defect",
+                            counted_defect)
+        m = build()
+        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
+        integrate(m, st, name, 0.05, 3)
+        assert len(calls) == 3
+        assert len(checks) == 2 * 3
+
+    @pytest.mark.parametrize("name", ["gap", "psi", "bug"])
+    def test_defective_basis_caught_at_the_next_step(self, monkeypatch,
+                                                     name):
+        # the step that makes a basis does not check it; the next step's
+        # assembly does.  The first weighted QR of a run is the L substep's
+        def scale_first_q():
+            calls = []
+
+            def scaled(*args, **kwargs):
+                qr = weighted_mgs(*args, **kwargs)
+                calls.append(qr)
+                if len(calls) == 1:
+                    qr = dataclasses.replace(qr, q=1.1 * qr.q)
+                return qr
+            monkeypatch.setattr(integrators, "weighted_mgs", scaled)
+
+        m = build()
+        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
+        scale_first_q()
+        integrate(m, st, name, 0.05, 1)
+        scale_first_q()
+        with pytest.raises(OrthonormalityError):
+            integrate(m, st, name, 0.05, 2)
+
     def test_step_config_validation(self, monkeypatch):
         # every public entry rejects dt <= 0 before any work
         def no_work(*args):
@@ -333,7 +383,7 @@ class TestTaylorRoute:
            seed=strategies.integers(0, 2**32 - 1))
     def test_matches_dense_expm_oracle(self, factor, parity, half, n_mu, rank,
                                        log_eps, log_dt, seed):
-        # the route _solve_substep takes while dt times the bound is at most
+        # the route _factor_substep takes while dt times the bound is at most
         # the threshold: expmv with its segments sized by that bound
         eps, dt = 10.0**log_eps, 10.0**log_dt
         m = build(n_x=2 * half + parity, n_mu=n_mu, eps=eps)
@@ -359,7 +409,7 @@ class TestTaylorSegments:
     @pytest.mark.parametrize("spectrum", ["dissipative", "rotation"])
     def test_accurate_at_the_route_edge(self, spectrum):
         # t times the norm at the threshold: the longest Taylor sweep that
-        # _solve_substep runs, on a spectrum in [-100, 0] and on 2 x 2
+        # _factor_substep runs, on a spectrum in [-100, 0] and on 2 x 2
         # rotation blocks with frequencies up to 100
         n, top = 200, _STRUCTURED_THRESHOLD
         v = np.random.default_rng(0).standard_normal(n)
@@ -480,19 +530,6 @@ class TestSSubstepMpmath:
         out = _solve_s_substep(m, sub, dt, s0, sign, "test")
         assert (np.linalg.norm(vec(out) - oracle)
                 <= 1e-10 * np.linalg.norm(oracle))
-
-
-class TestKron:
-    # _s_generator's Kronecker products are broadcast outer products; each
-    # entry is the one product p_ij q_kl, as in np.kron, so no bit moves
-    @pytest.mark.parametrize("n, m", [(1, 1), (3, 3), (7, 7), (10, 10),
-                                      (2, 5)])
-    def test_matches_np_kron_bitwise(self, n, m):
-        rng = np.random.default_rng(10 * n + m)
-        p, q = rng.standard_normal((n, n)), rng.standard_normal((m, m))
-        assert np.array_equal(integrators._kron(p, q), np.kron(p, q))
-        assert np.array_equal(integrators._kron(p, np.eye(m)),
-                              np.kron(p, np.eye(m)))
 
 
 class TestRegimeGrid:

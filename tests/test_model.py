@@ -14,6 +14,7 @@ from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
 from rte_lowrank.model import (
     EPS_MIN,
     SubstepMatrices,
+    angular_blocks,
     assemble_substeps,
     density,
     diffusion_limit_density,
@@ -22,6 +23,7 @@ from rte_lowrank.model import (
     make_model,
     operator_K,
     operator_L,
+    spatial_block,
     tangent_residual,
 )
 from rte_lowrank.state import from_full
@@ -185,6 +187,19 @@ class TestAssembleSubsteps:
         with pytest.raises(OrthonormalityError) as err:
             assemble_substeps(m, 2.0 * x, v)
         assert "x_basis" in str(err.value)
+
+    @pytest.mark.parametrize("n_x, n_mu, r", [(7, 3, 1), (32, 8, 3),
+                                              (41, 12, 6), (200, 100, 10)])
+    def test_block_builders_are_the_assembly(self, n_x, n_mu, r):
+        # the steps build their second Galerkin blocks from these builders
+        # on bases the weighted QR just returned; they must round as the
+        # checked assembly does
+        m = build(n_x=n_x, n_mu=n_mu)
+        x, v = random_orthobases(m, r, seed=n_x)
+        built = SubstepMatrices(spatial_block(m, x), *angular_blocks(m, v))
+        sub = assemble_substeps(m, x, v)
+        for field in ("a_x", "b_mu", "c_mu"):
+            assert np.array_equal(getattr(built, field), getattr(sub, field))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_structure_on_random_bases(self, seed):

@@ -531,6 +531,12 @@ class TestSSubstepMpmath:
         assert (np.linalg.norm(vec(out) - oracle)
                 <= 1e-10 * np.linalg.norm(oracle))
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known fault: at dt/eps^2 = 1e8 the substep and scipy.linalg.expm "
+        "agree with each other but sit 5.4e-10 from the 60-digit flow"))
+    def test_matches_mpmath_at_stiffness_1e8(self):
+        self.test_matches_mpmath(1.0, 4, 1e-4, 1.0, 8)
+
 
 class TestRegimeGrid:
     # every cell ends finite or raises the documented error; the one
@@ -802,6 +808,132 @@ class TestModePairing:
             rows[q] = rows[q] @ dense_expm((t / eps) * d.imag * mu_flip + coll)
         rows = (0.5 + 0.5j) * (rows - 1j * rows[:, ::-1])
         assert np.array_equal(out, np.fft.irfft(rows, n=n_x, axis=0))
+
+
+class TestLiveModes:
+    # the exact K flow propagates only the rows of rfft(K) whose largest
+    # entry is at least u times top, the largest entry of all rows, and
+    # leaves the others zero.  Every row's flow is a 2-norm contraction, so
+    # the dropped rows change the result by at most sqrt(n_rows r) u top.
+    @staticmethod
+    def substep(n_x, n_mu, r, eps, rng):
+        m = build(n_x=n_x, n_mu=n_mu, eps=eps)
+        sub = assemble_substeps(m, basis_with_constant(n_x, r, m.wx, rng),
+                                basis_with_constant(n_mu, r, m.wmu, rng))
+        return m, sub
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @given(half=strategies.integers(1, 19), n_mu=strategies.integers(2, 12),
+           rank=strategies.integers(1, 6), band=strategies.integers(1, 4),
+           log_eps=strategies.floats(-4.0, 1.0),
+           log_dt=strategies.floats(-4.0, 0.0),
+           seed=strategies.integers(0, 2**32 - 1))
+    def test_matches_every_row_oracle(self, parity, half, n_mu, rank, band,
+                                      log_eps, log_dt, seed):
+        eps, dt = 10.0**log_eps, 10.0**log_dt
+        n_x = 2 * half + parity
+        r = min(rank, n_mu, n_x)
+        rng = np.random.default_rng(seed)
+        m, sub = self.substep(n_x, n_mu, r, eps, rng)
+        # a band of data rows, then tail rows at 1e-20..1e-13 of the band
+        n_rows = n_x // 2 + 1
+        rows = (rng.standard_normal((n_rows, r))
+                + 1j * rng.standard_normal((n_rows, r)))
+        tail = rows[band:]
+        tail *= (np.abs(rows[:band]).max()
+                 * 10.0 ** rng.uniform(-20.0, -13.0, (len(tail), 1))
+                 / np.abs(tail).max(axis=1, keepdims=True))
+        # the irfft rounds the tail rows; the rule sees the rfft of k0
+        k0 = np.fft.irfft(rows, n=n_x, axis=0)
+
+        expm_batch = integrators._expm_batch
+        slices = []
+
+        def counted(mats):
+            slices.append(len(mats))
+            return expm_batch(mats)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(integrators, "_expm_batch", counted)
+            out = _propagate_k_structured(m, sub, dt, k0)
+        mag = np.abs(np.fft.rfft(k0, axis=0)).max(axis=1)
+        live = mag >= np.finfo(float).eps * mag.max()
+        assert slices == [len(np.unique(-(dt / eps)
+                                        * m.diff.d_x_symbol[live]))]
+
+        # scipy's expm of every row's generator, no row skipped
+        gens = (-(dt / eps) * m.diff.d_x_symbol[:, None, None] * sub.b_mu
+                + (dt / eps**2) * (sub.c_mu - np.eye(r)))
+        oracle = np.fft.irfft(
+            np.einsum("qi,qij->qj", np.fft.rfft(k0, axis=0), sla.expm(gens)),
+            n=n_x, axis=0)
+        tol = 1e-10 if eps >= 1e-2 else 1e-7
+        dropped = np.sqrt(n_rows * r) * np.finfo(float).eps * mag.max()
+        assert (np.linalg.norm(out - oracle)
+                <= tol * np.linalg.norm(oracle) + dropped)
+
+    def test_full_spectrum_is_bit_identical(self):
+        # random rows all carry data, so every row is propagated, through
+        # the same batch as a flow that skips none
+        eps, dt, r, n_x = 1e-3, 0.1, 3, 48
+        rng = np.random.default_rng(1)
+        m, sub = self.substep(n_x, 8, r, eps, rng)
+        k0 = rng.standard_normal((n_x, r))
+        out = _propagate_k_structured(m, sub, dt, k0)
+        rows = integrators._propagate_modes(
+            -(dt / eps) * m.diff.d_x_symbol, sub.b_mu,
+            (dt / eps**2) * (sub.c_mu - np.eye(r)), np.fft.rfft(k0, axis=0))
+        assert np.array_equal(out, np.fft.irfft(rows, n=n_x, axis=0))
+
+    def test_zero_factor_gives_exact_zeros(self):
+        rng = np.random.default_rng(2)
+        m, sub = self.substep(48, 8, 3, 1e-3, rng)
+        out = _propagate_k_structured(m, sub, 0.1, np.zeros((48, 3)))
+        assert out.shape == (48, 3)
+        assert not np.any(out)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_nonfinite_factor_raises_without_warning(self, monkeypatch,
+                                                      value):
+        # the structured K substep of a GAP step is handed a K with one
+        # nonfinite entry, through the inner product that forms it
+        m = build(n_x=64, n_mu=16, eps=1e-3)
+        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
+        inner = integrators.weighted_inner
+
+        def poisoned(a, b, w):
+            out = inner(a, b, w)
+            out[0, 0] = value
+            return out
+
+        monkeypatch.setattr(integrators, "weighted_inner", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="spatial"):
+                gap_step(m, st, 0.1)
+
+    # GAP against the exact flow at a diffusive shape, t = 1, dt = 0.1.
+    # Measured at 400 x 40, rank 5, [parabolic, poly_fourier]: every row
+    # propagated 3.8e-11, 1.5e-10 at eps = 1e-3 and 1.1e-8, 1.6e-8 at
+    # 1e-4; live rows only 1.3e-10, 1.9e-10 and 2.1e-8, 1.7e-8.  The
+    # bounds are 10x the worst of both.  A threshold of 1e-6 in place of
+    # u read 5.1e-7 and 5.1e-7 on the parabolic start.
+    @pytest.mark.parametrize("start", ["parabolic", "poly_fourier"])
+    @pytest.mark.parametrize("eps, bound", [(1e-3, 2e-9), (1e-4, 2.2e-7)])
+    def test_gap_against_reference(self, start, eps, bound):
+        m = build(n_x=400, n_mu=40, eps=eps)
+        x, mu = m.grid.points, m.quad.nodes
+        if start == "parabolic":
+            f0 = np.outer((x - 1.0) ** 2 + 1.0, 1.0 + mu**2)
+        else:
+            # the seed-0 coefficients of the diffusive-eps benchmark
+            f0 = np.ones((400, 40))
+            for k, c in enumerate([-0.1, -0.01, 1e-3, 1e-4], start=1):
+                f0 += c * np.outer(np.sin(k * np.pi * x), mu**k)
+        st, _ = from_full(f0, 5, m.grid, m.quad)
+        out, _ = integrate(m, st, "gap", 0.1, 10)
+        ref = reference_step(m, f0, 1.0)
+        assert rel_err(reconstruct(out), ref, m) <= bound
 
 
 def dissipative_stack(rng, n, log_norms, complex_):

@@ -21,8 +21,7 @@ from .grids import build_diff_matrices, gauss_legendre, uniform_grid
 from .integrators import integrate
 from .model import EPS_MIN, density, diffusion_limit_density, make_model
 from .state import error_report, from_full, reconstruct, report_to_dict
-from .wlinalg import (frob_norm_weighted, weighted_singular_values,
-                      weighted_truncated_svd)
+from .wlinalg import frob_norm_weighted, weighted_singular_values
 
 log = logging.getLogger(__name__)
 
@@ -239,25 +238,13 @@ def _model_and_initial(cfg, eps):
             initial_matrix(cfg, grid, quad))
 
 
-def _rank_start(cfg, model, f0):
-    """The rank-r start shared by a command's jobs, taken once per command.
-
-    Returns (state, delta0, sigma_tail): the weighted best rank-r state of
-    f0, the weighted norm of what it leaves out, and the first weighted
-    singular value it discards.
-    """
-    _, _, _, sigma_tail = weighted_truncated_svd(f0, cfg.rank, model.wx,
-                                                 model.wmu)
-    state, delta0 = from_full(f0, cfg.rank, model.grid, model.quad)
-    return state, delta0, sigma_tail
-
-
 def run_single(cfg, model, f0, dt, reference, start):
     """Integrate f0 under model over cfg.t_final in steps of dt.
 
     ``reference`` is a ``_reference`` triple to measure the error against
-    and ``start`` is ``_rank_start(cfg, model, f0)``; a command builds each
-    once and shares them among its jobs.  Returns (RunResult, final matrix).
+    and ``start`` is ``from_full(f0, cfg.rank, model)``, the rank-r state
+    with its delta0 and sigma_tail; a command builds each once and shares
+    them among its jobs.  Returns (RunResult, final matrix).
     """
     dt = _as_float("dt", dt)
     n = n_steps(cfg.t_final, dt)
@@ -322,7 +309,7 @@ def cmd_run(cfg, outdir):
     kind = "dense" if cfg.compare_reference else "diffusion_limit"
     result, _ = run_single(cfg, model, f0, cfg.dt,
                            _reference(cfg, model, f0, kind),
-                           _rank_start(cfg, model, f0))
+                           from_full(f0, cfg.rank, model))
     _write_json(Path(outdir) / "result.json", asdict(result))
     if cfg.compare_reference:
         rep = result.error_report
@@ -347,7 +334,7 @@ def cmd_sweep_eps(cfg, outdir):
     # the diffusion-limit density does not depend on eps: lift it once
     lift_model, f0 = _model_and_initial(cfg, eps_list[0])
     reference = _reference(cfg, lift_model, f0, "diffusion_limit")
-    start = _rank_start(cfg, lift_model, f0)
+    start = from_full(f0, cfg.rank, lift_model)
     grid, quad, diff = lift_model.grid, lift_model.quad, lift_model.diff
 
     results = [run_single(cfg, make_model(grid, quad, diff, eps), f0, cfg.dt,
@@ -386,7 +373,7 @@ def cmd_sweep_dt(cfg, outdir):
     model, f0 = _model_and_initial(cfg, cfg.eps)
     reference = _reference(cfg, model, f0, "dense")
     ref, _, sigma = reference
-    start = _rank_start(cfg, model, f0)
+    start = from_full(f0, cfg.rank, model)
     ref_norm = frob_norm_weighted(ref, model.wx, model.wmu)
     r = cfg.rank
     sigma_tail = float(sigma[r]) if r < len(sigma) else 0.0
@@ -431,7 +418,7 @@ def cmd_compare(cfg, outdir):
     model, f0 = _model_and_initial(cfg, cfg.eps)
     reference = _reference(cfg, model, f0, "dense")
     ref, _, sigma = reference
-    start = _rank_start(cfg, model, f0)
+    start = from_full(f0, cfg.rank, model)
 
     rows = []
     for scheme in ("gap", "psi", "bug"):

@@ -219,9 +219,12 @@ def _propagate_l_structured(model, sub, dt, l_mat):
     the angular directions beyond the first few below roundoff.  On the
     Taylor route the same rule replaced hundreds of columns that the
     weighted QR keeps, and cost the rte compare benchmark 10-20 % of its
-    wall time.
+    wall time.  A nonfinite L raises NumericalFailureError.
     """
     eps = model.eps
+    if not np.all(np.isfinite(l_mat)):
+        raise NumericalFailureError(
+            f"angular substep got a nonfinite factor (eps={eps:g}, dt={dt:g})")
     gam, u = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))
     a = (dt / eps) * (0.5 * (gam - gam[::-1]))
     flip = a < 0
@@ -246,11 +249,12 @@ def _drop_roundoff_columns(l1, w):
     truncates against the whole coefficient matrix (Ceruti, Kusch & Lubich,
     BIT 62, 2022), so a column of roundoff is dropped whatever its
     direction, and ``weighted_mgs``, whose test is relative to each
-    column's own norm, sees it as exactly dependent.
+    column's own norm, sees it as exactly dependent.  A nonfinite l1
+    raises NumericalFailureError.
     """
     top = np.abs(l1).max(initial=0.0)
     if not np.isfinite(top):
-        return l1
+        raise NumericalFailureError("angular substep overflowed")
     # scaled exactly by a power of two near the largest entry, so that the
     # column norms of a huge factor cannot overflow
     _, exp2 = np.frexp(top)
@@ -502,8 +506,8 @@ def reference_step(model, f, t):
     dim = model.grid.n_x * n_mu
     if dim > REFERENCE_SIZE_CAP:
         raise SizeCapError(
-            f"reference solve needs a {dim}-dimensional operator, above the "
-            f"cap of {REFERENCE_SIZE_CAP}; reduce n_x * n_mu or use a "
+            f"reference value matrix has n_x * n_mu = {dim} entries, above "
+            f"the cap of {REFERENCE_SIZE_CAP}; reduce n_x * n_mu or use a "
             f"low-rank scheme"
         )
     if n_mu > DENSE_EXPM_LIMIT:

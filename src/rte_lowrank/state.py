@@ -36,18 +36,19 @@ class ErrorReport:
     sigma_spectrum: np.ndarray
 
 
-def from_full(f, r, grid, quad):
+def from_full(f, r, model):
     """Weighted best rank-r approximation of a full matrix.
 
-    Returns (state, delta0) with delta0 the weighted norm of the discarded
-    part (the initial-value error of the rank-r ansatz).
+    Returns (state, delta0, sigma_tail) from one weighted SVD of f in the
+    model's (wx, wmu) norm: delta0 is the weighted norm of the discarded
+    part (the initial-value error of the rank-r ansatz) and sigma_tail the
+    first discarded weighted singular value.
     """
     f = np.asarray(f, dtype=float)
-    wx = np.full(grid.n_x, grid.dx)
-    x, s, v, _ = weighted_truncated_svd(f, r, wx, quad.weights)
-    resid = f - x @ s @ v.T
-    delta0 = frob_norm_weighted(resid, wx, quad.weights)
-    return LowRankState(x, s, v), delta0
+    wx, wmu = model.wx, model.wmu
+    x, s, v, sigma_tail = weighted_truncated_svd(f, r, wx, wmu)
+    delta0 = frob_norm_weighted(f - x @ s @ v.T, wx, wmu)
+    return LowRankState(x, s, v), delta0, sigma_tail
 
 
 def reconstruct(state):
@@ -55,11 +56,10 @@ def reconstruct(state):
     return state.x @ state.s @ state.v.T
 
 
-def orthonormality_defects(state, grid, quad):
-    """Max-entry deviations of x^T diag(dx) x and v^T diag(w) v from identity."""
-    wx = np.full(grid.n_x, grid.dx)
-    return (orthonormality_defect(state.x, wx),
-            orthonormality_defect(state.v, quad.weights))
+def orthonormality_defects(state, model):
+    """Max-entry deviations of x^T diag(wx) x and v^T diag(wmu) v from I."""
+    return (orthonormality_defect(state.x, model.wx),
+            orthonormality_defect(state.v, model.wmu))
 
 
 def error_report(approx, reference, model, spectrum=None):
@@ -99,9 +99,23 @@ def save_state(state, path):
 
 
 def load_state(path):
-    """Read a state written by :func:`save_state`."""
+    """Read a state written by :func:`save_state`.
+
+    Raises ValueError, naming the array, unless x, s and v are present,
+    2-D and finite, with shapes (n, r), (r, r) and (m, r), r <= min(n, m).
+    """
     with np.load(path) as data:
-        return LowRankState(data["x"], data["s"], data["v"])
+        arrays = {name: data.get(name) for name in ("x", "s", "v")}
+    for name, a in arrays.items():
+        if a is None or a.ndim != 2 or not np.all(np.isfinite(a)):
+            raise ValueError(f"{path}: {name!r} must be a finite 2-D array")
+    (n, r), m = arrays["x"].shape, arrays["v"].shape[0]
+    for name, want in zip(arrays, ((n, r), (r, r), (m, r))):
+        if arrays[name].shape != want or want[0] < r:
+            raise ValueError(
+                f"{path}: array {name!r} has shape {arrays[name].shape}; "
+                f"need x (n, r), s (r, r), v (m, r) with r <= min(n, m)")
+    return LowRankState(**arrays)
 
 
 def report_to_dict(report):

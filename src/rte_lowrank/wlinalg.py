@@ -180,7 +180,8 @@ def weighted_truncated_svd(f, r, wx, wmu):
     products, s diagonal with nonincreasing entries, and sigma_tail the first
     discarded weighted singular value (0 when r equals the full rank).
     Computed by an SVD of diag(sqrt(wx)) f diag(sqrt(wmu)) followed by
-    unscaling.
+    unscaling.  Each returned pair's sign makes the first non-negligible
+    entry of its weighted left singular vector positive.
     """
     f = np.asarray(f, dtype=float)
     wx = np.asarray(wx, dtype=float)
@@ -189,21 +190,14 @@ def weighted_truncated_svd(f, r, wx, wmu):
     if not 1 <= r <= min(n_x, n_mu):
         raise ValueError(f"rank {r} out of range for a {n_x} x {n_mu} matrix")
 
-    sqx = np.sqrt(wx)
-    sqm = np.sqrt(wmu)
+    sqx, sqm = np.sqrt(wx), np.sqrt(wmu)
     u, sig, vt = np.linalg.svd(sqx[:, None] * f * sqm[None, :], full_matrices=False)
-
-    # deterministic sign convention: first non-negligible entry of each
-    # weighted left singular vector is positive
-    for k in range(len(sig)):
-        col = u[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, k] = -col
-            vt[k, :] = -vt[k, :]
-
-    x = u[:, :r] / sqx[:, None]
-    v = vt[:r, :].T / sqm[:, None]
+    u, vt = u[:, :r], vt[:r, :]
+    mag = np.abs(u)
+    first = np.argmax(mag > 1e-12 * np.maximum(1.0, mag.max(axis=0)), axis=0)
+    sign = np.where(u[first, np.arange(r)] < 0, -1.0, 1.0)
+    x = sign * u / sqx[:, None]
+    v = (sign[:, None] * vt).T / sqm[:, None]
     s = np.diag(sig[:r])
     sigma_tail = float(sig[r]) if r < len(sig) else 0.0
     return x, s, v, sigma_tail

@@ -98,7 +98,7 @@ def test_criterion_3_full_rank_oracle_equivalence():
         m = build(16, 8, 1.0)
         f0 = 1.0 + 0.3 * np.outer(np.sin(np.pi * m.grid.points),
                                   m.quad.nodes)
-        st, _ = from_full(f0, 8, m.grid, m.quad)
+        st, _, _ = from_full(f0, 8, m)
         ref = reference_step(m, f0, 1e-3)
         ref_norm = frob_norm_weighted(ref, m.wx, m.wmu)
         for step in (gap_step, psi_step, bug_step):
@@ -149,10 +149,10 @@ def test_criterion_5_structural_invariants():
             m = build(64, 16, eps)
             f0 = generic_matrix(m)
             for step in steps:
-                st, _ = from_full(f0, 4, m.grid, m.quad)
+                st, _, _ = from_full(f0, 4, m)
                 for _ in range(5):
                     st = step(m, st, 0.1)
-                    assert max(orthonormality_defects(st, m.grid, m.quad)) \
+                    assert max(orthonormality_defects(st, m)) \
                         <= 1e-10
 
         # substep-matrix structure on 20 random orthonormal bases
@@ -183,7 +183,7 @@ def test_criterion_5_structural_invariants():
         # GAP weighted norm non-increasing within 10 * EXPMV_TOL
         for eps in (1.0, 1e-3):
             m = build(64, 16, eps)
-            st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
+            st, _, _ = from_full(generic_matrix(m), 4, m)
             prev = float(np.linalg.norm(st.s))
             for _ in range(10):
                 st = gap_step(m, st, 0.1)
@@ -226,7 +226,7 @@ def test_criterion_7_basis_alignment():
         resid = {}
         for eps in (1e-1, 1e-2, 1e-3):
             m = build(128, 32, eps)
-            st, _ = from_full(f0, 4, m.grid, m.quad)
+            st, _, _ = from_full(f0, 4, m)
             out = gap_step(m, st, 0.1)
             vals = []
             for g in (np.ones(32), m.quad.nodes.astype(float)):

@@ -44,7 +44,7 @@ def test_tracer_books_each_substep_route(monkeypatch, scheme, eps, route):
     x, mu = grid.points, quad.nodes
     f0 = (1.0 + 0.3 * np.outer(np.sin(np.pi * x), mu)
           + 0.1 * np.outer(np.cos(np.pi * x), mu**2))
-    st, _ = from_full(f0, 4, grid, quad)
+    st, _, _ = from_full(f0, 4, m)
     tracer = tracing.Tracer()
     with tracing.instrument([], tracer, n_mu=quad.n_mu):
         getattr(integrators, f"{scheme}_step")(m, st, 0.02)
@@ -74,9 +74,25 @@ def test_tracer_counts_substep_applies(monkeypatch):
     m = make_model(grid, quad, build_diff_matrices(grid), 1.0)
     x, mu = grid.points, quad.nodes
     f0 = 1.0 + 0.3 * np.outer(np.sin(np.pi * x), mu)
-    st, _ = from_full(f0, 2, grid, quad)
+    st, _, _ = from_full(f0, 2, m)
     tracer = tracing.Tracer()
     with tracing.instrument([], tracer, n_mu=quad.n_mu):
         integrators.gap_step(m, st, 0.02)
     assert tracer.counts["model.operator_L.applies"] > 0
     assert tracer.counts["model.operator_K.applies"] > 0
+
+
+def test_tracer_books_one_rank_start_per_sweep(monkeypatch, tmp_path):
+    # state.from_full.s reads the span around the command's rank-r start;
+    # a start built without the experiments binding would read 0
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import tracing
+
+    from rte_lowrank.experiments import RunConfig, cmd_sweep_eps
+
+    cfg = RunConfig(n_x=32, n_mu=8, rank=3, eps=[1.0, 0.5], t_final=0.2)
+    tracer, failures = tracing.Tracer(), []
+    with tracing.instrument(failures, tracer, n_mu=cfg.n_mu):
+        cmd_sweep_eps(cfg, tmp_path)
+    assert failures == []
+    assert tracer.names.count("state.from_full") == 1

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rte_lowrank import experiments
+from rte_lowrank import experiments, state, wlinalg
 from rte_lowrank.cli import main as cli_main
 from rte_lowrank.exceptions import ConfigError, SizeCapError
 from rte_lowrank.experiments import (
@@ -432,7 +432,7 @@ class TestCli:
 
 class TestSharedSetup:
     # each command builds its reference and its rank-r start once and
-    # shares them among its jobs
+    # shares them among its jobs; the start takes one weighted SVD of f0
     @pytest.mark.parametrize("command,patch,n_reference,n_start", [
         (cmd_run, {"compare_reference": True}, 1, 1),
         (cmd_run, {}, 0, 1),
@@ -456,8 +456,19 @@ class TestSharedSetup:
             calls.append("from_full")
             return real_from_full(*args)
 
+        real_svd = wlinalg.weighted_truncated_svd
+
+        def svd(*args):
+            calls.append("svd")
+            return real_svd(*args)
+
         monkeypatch.setattr(experiments, "integrate", integrate)
         monkeypatch.setattr(experiments, "from_full", from_full)
+        # the weighted SVD, through every module that binds it
+        for module in (experiments, state):
+            if getattr(module, "weighted_truncated_svd", None) is real_svd:
+                monkeypatch.setattr(module, "weighted_truncated_svd", svd)
         command(RunConfig.from_dict({**TINY, **patch}), tmp_path)
         assert calls.count("reference") == n_reference
         assert calls.count("from_full") == n_start
+        assert calls.count("svd") == n_start

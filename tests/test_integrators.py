@@ -87,7 +87,7 @@ class TestStepBasics:
     @pytest.mark.parametrize("name,step", ALL_STEPS)
     def test_vanishing_dt_is_identity(self, name, step):
         m = build()
-        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 3, m)
         out = step(m, st, 1e-12)
         assert rel_err(reconstruct(out), reconstruct(st), m) <= 1e-9
 
@@ -97,26 +97,26 @@ class TestStepBasics:
         if name == "psi" and eps < 1:
             pytest.skip("backward substep diverges for small eps")
         m = build(eps=eps)
-        st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 4, m)
         out = step(m, st, 0.05)
-        assert max(orthonormality_defects(out, m.grid, m.quad)) <= 1e-10
+        assert max(orthonormality_defects(out, m)) <= 1e-10
 
     def test_integrate_one_step_equals_direct_call(self):
         m = build()
-        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 3, m)
         direct = gap_step(m, st, 0.02)
         via, _ = integrate(m, st, "gap", 0.02, 1)
         assert np.array_equal(reconstruct(direct), reconstruct(via))
 
     def test_unknown_scheme(self):
         m = build()
-        st, _ = from_full(generic_matrix(m), 2, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 2, m)
         with pytest.raises(ValueError):
             integrate(m, st, "rk4", 0.1, 1)
 
     def test_degenerate_state_detected(self):
         m = build()
-        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 3, m)
         st.s = np.zeros_like(st.s)
         with pytest.raises(DegenerateStateError):
             gap_step(m, st, 0.1)
@@ -128,7 +128,7 @@ class TestStepBasics:
     @pytest.mark.parametrize("factor", ["x", "v"])
     def test_non_orthonormal_start_rejected(self, name, factor):
         m = build()
-        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 3, m)
         if factor == "x":
             st.x = 1.1 * st.x
         else:
@@ -139,7 +139,7 @@ class TestStepBasics:
     def test_degenerate_state_names_one_step(self):
         # integrate prefixes the 1-based step; the inner message adds none
         m = build()
-        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 3, m)
         st.s = np.zeros_like(st.s)
         with pytest.raises(DegenerateStateError) as err:
             integrate(m, st, "gap", 0.1, 2)
@@ -167,7 +167,7 @@ class TestStepBasics:
         monkeypatch.setattr(integrators, "orthonormality_defect",
                             counted_defect)
         m = build()
-        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 3, m)
         integrate(m, st, name, 0.05, 3)
         assert len(calls) == 3
         assert len(checks) == 2 * 3
@@ -189,7 +189,7 @@ class TestStepBasics:
             monkeypatch.setattr(integrators, "weighted_mgs", scaled)
 
         m = build()
-        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 3, m)
         scale_first_q()
         integrate(m, st, name, 0.05, 1)
         scale_first_q()
@@ -203,7 +203,7 @@ class TestStepBasics:
 
         monkeypatch.setattr(integrators, "assemble_substeps", no_work)
         m = build()
-        st, _ = from_full(generic_matrix(m), 2, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 2, m)
         f0 = reconstruct(st)
         for dt in (0.0, -0.1):
             for _, step in ALL_STEPS:
@@ -221,7 +221,7 @@ class TestOracleEquivalence:
         # full angular rank makes the co-range projection exact
         m = build(n_x=16, n_mu=8)
         f0 = 1.0 + 0.3 * np.outer(np.sin(np.pi * m.grid.points), m.quad.nodes)
-        st, _ = from_full(f0, 8, m.grid, m.quad)
+        st, _, _ = from_full(f0, 8, m)
         ref = reference_step(m, f0, 1e-3)
         for name, step in ALL_STEPS:
             out = step(m, st, 1e-3)
@@ -232,7 +232,7 @@ class TestOracleEquivalence:
         m = build(n_x=200, n_mu=16, eps=1e-6)
         rho0 = (4.0 / 3.0) * ((m.grid.points - 1.0) ** 2 + 1.0)
         f0 = np.outer(rho0, np.ones(16))
-        st, _ = from_full(f0, 2, m.grid, m.quad)
+        st, _, _ = from_full(f0, 2, m)
         out = gap_step(m, st, 0.1)
         rho_gap = density(m, reconstruct(out))
         rho_lim = diffusion_limit_density(m, density(m, f0), 0.1)
@@ -245,7 +245,7 @@ class TestOracleEquivalence:
             m = build(n_x=64, n_mu=8, eps=eps)
             rho = 1.0 + 0.5 * np.sin(np.pi * m.grid.points)
             f0 = np.outer(rho, np.ones(8))
-            st, _ = from_full(f0, 1, m.grid, m.quad)
+            st, _, _ = from_full(f0, 1, m)
             a = reconstruct(gap_step(m, st, 0.05))
             b = reconstruct(bug_step(m, st, 0.05))
             assert frob_norm_weighted(a - b, m.wx, m.wmu) <= \
@@ -253,7 +253,7 @@ class TestOracleEquivalence:
 
     def test_structured_and_expmv_routes_agree(self, monkeypatch):
         m = build(n_x=48, n_mu=12, eps=0.05)
-        st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 4, m)
         monkeypatch.setattr(integrators, "_STRUCTURED_THRESHOLD", 0.0)
         out_s = gap_step(m, st, 0.02)
         monkeypatch.setattr(integrators, "_STRUCTURED_THRESHOLD", np.inf)
@@ -367,7 +367,7 @@ class TestSubstepNorm:
         monkeypatch.setattr(wlinalg, "estimate_operator_norm", no_estimate)
         monkeypatch.setattr(integrators, "expmv", counted_expmv)
         m = build(n_x=48, n_mu=12, eps=0.5)
-        st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 4, m)
         for _, step in ALL_STEPS:
             step(m, st, 0.02)
         assert len(calls) == 6
@@ -441,7 +441,7 @@ class TestTaylorSegments:
         f0 = 1.0 + sum(c * np.outer(np.sin(k * np.pi * m.grid.points),
                                     m.quad.nodes**k)
                        for k, c in enumerate(coeffs, start=1))
-        st, _ = from_full(f0, 10, m.grid, m.quad)
+        st, _, _ = from_full(f0, 10, m)
         sub = assemble_substeps(m, st.x, st.v)
         applies = {}
         for factor, mat in (("L", st.v @ st.s.T), ("K", st.x @ st.s)):
@@ -546,7 +546,7 @@ class TestRegimeGrid:
     @pytest.mark.parametrize("scheme", ["gap", "psi", "bug"])
     def test_finite_or_documented_failure(self, scheme, eps, dt):
         m = build(n_x=32, n_mu=8, eps=eps)
-        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 3, m)
         stiffness = dt / eps**2
         assert stiffness <= 100 or stiffness >= 1e3
         if scheme == "psi" and stiffness >= 1e3:
@@ -560,14 +560,14 @@ class TestRegimeGrid:
 class TestPsiInstability:
     def test_backward_substep_overflow_reports_hint(self):
         m = build(n_x=64, n_mu=16, eps=1e-3)
-        st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 4, m)
         with pytest.raises(NumericalFailureError) as err:
             psi_step(m, st, 0.1)
         assert "backward" in str(err.value)
 
     def test_backward_substep_amplifies_at_moderate_eps(self):
         m = build(n_x=64, n_mu=16, eps=0.05)
-        st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 4, m)
         trace = []
         psi_step(m, st, 0.1, trace=trace)
         s_rec = [t for t in trace if t.substep == "S"][0]
@@ -578,7 +578,7 @@ class TestGapProperties:
     @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-4])
     def test_weighted_norm_non_increasing(self, eps):
         m = build(n_x=64, n_mu=16, eps=eps)
-        st, _ = from_full(generic_matrix(m), 4, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 4, m)
         prev = float(np.linalg.norm(st.s))
         for _ in range(5):
             st = gap_step(m, st, 0.1)
@@ -600,7 +600,7 @@ class TestGapProperties:
         dts, errs = [], []
         for j in (3, 5, 7, 9):
             dt = 0.1 / 2**j
-            st, _ = from_full(f0, 10, m.grid, m.quad)
+            st, _, _ = from_full(f0, 10, m)
             out, _ = integrate(m, st, "gap", dt, round(1.0 / dt))
             err = rel_err(reconstruct(out), ref, m)
             if err > floor:
@@ -616,7 +616,7 @@ class TestGapProperties:
         resid = {}
         for eps in (1e-1, 1e-2, 1e-3):
             m = build(n_x=64, n_mu=16, eps=eps)
-            st, _ = from_full(f0, 4, m.grid, m.quad)
+            st, _, _ = from_full(f0, 4, m)
             out = gap_step(m, st, 0.1)
             vals = []
             for g in (np.ones(16), m.quad.nodes.astype(float)):
@@ -630,7 +630,7 @@ class TestGapProperties:
 
     def test_debug_trace_records_substeps(self):
         m = build()
-        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 3, m)
         out, trace = integrate(m, st, "gap", 0.05, 2, debug=True)
         assert [t.substep for t in trace] == ["L", "K", "L", "K"]
         assert all(np.isfinite(t.pre_norm) and np.isfinite(t.post_norm)
@@ -648,7 +648,7 @@ class TestGapProperties:
         f0 = coeffs[0] * np.ones((64, 16))
         for k, c in enumerate(coeffs[1:], start=1):
             f0 += c * np.outer(np.sin(k * np.pi * x), mu**k)
-        st, _ = from_full(f0, 5, m.grid, m.quad)
+        st, _, _ = from_full(f0, 5, m)
         out, trace = integrate(m, st, "gap", 0.1, 3, debug=True)
         assert any(t.replaced_columns for t in trace)
         assert np.all(np.diag(out.s) >= 0.0)
@@ -665,7 +665,7 @@ class TestGapProperties:
         f0 = coeffs[0] * np.ones((64, 16))
         for k, c in enumerate(coeffs[1:], start=1):
             f0 += c * np.outer(np.sin(k * np.pi * x), mu**k)
-        st, _ = from_full(f0, 5, m.grid, m.quad)
+        st, _, _ = from_full(f0, 5, m)
         out, _ = integrate(m, st, "gap", dt, round(1.0 / dt))
         mass0 = m.grid.dx * np.sum(reconstruct(st) @ m.wmu)
         mass1 = m.grid.dx * np.sum(reconstruct(out) @ m.wmu)
@@ -898,7 +898,7 @@ class TestLiveModes:
         # the structured K substep of a GAP step is handed a K with one
         # nonfinite entry, through the inner product that forms it
         m = build(n_x=64, n_mu=16, eps=1e-3)
-        st, _ = from_full(generic_matrix(m), 3, m.grid, m.quad)
+        st, _, _ = from_full(generic_matrix(m), 3, m)
         inner = integrators.weighted_inner
 
         def poisoned(a, b, w):
@@ -930,7 +930,7 @@ class TestLiveModes:
             f0 = np.ones((400, 40))
             for k, c in enumerate([-0.1, -0.01, 1e-3, 1e-4], start=1):
                 f0 += c * np.outer(np.sin(k * np.pi * x), mu**k)
-        st, _ = from_full(f0, 5, m.grid, m.quad)
+        st, _, _ = from_full(f0, 5, m)
         out, _ = integrate(m, st, "gap", 0.1, 10)
         ref = reference_step(m, f0, 1.0)
         assert rel_err(reconstruct(out), ref, m) <= bound
@@ -1131,6 +1131,25 @@ class TestRealLBlocks:
             err = np.abs(ep[::-1, ::-1] - en).max()
             assert err <= 1e-15 * max(1.0, np.abs(a).sum(axis=0).max())
 
+    @pytest.mark.parametrize("name", ["gap", "psi", "bug"])
+    def test_nonfinite_factor_raises_without_warning(self, name):
+        # S[0, 0] = inf makes L = V S^T nonfinite on the exact L route;
+        # the eigenbasis change L U would turn it into NaNs with a warning
+        m = build(n_x=64, n_mu=16, eps=1e-3)
+        st, _, _ = from_full(generic_matrix(m), 3, m)
+        st.s[0, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="angular"):
+                integrate(m, st, name, 0.1, 1)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_nonfinite_flow_output_raises(self, value):
+        l1 = np.ones((6, 3))
+        l1[2, 1] = value
+        with pytest.raises(NumericalFailureError, match="angular"):
+            integrators._drop_roundoff_columns(l1, np.ones(6))
+
 
 class TestRankDecision:
     # the diffusive L flow collapses the angular columns, and which of them
@@ -1149,7 +1168,7 @@ class TestRankDecision:
         f0 = coeffs[0] * np.ones((64, n_mu))
         for k, c in enumerate(coeffs[1:], start=1):
             f0 += c * np.outer(np.sin(k * np.pi * x), mu**k)
-        st, _ = from_full(f0, 5, m.grid, m.quad)
+        st, _, _ = from_full(f0, 5, m)
         ref = reference_step(m, f0, n_steps * dt)
         expm_batch = integrators._expm_batch
 

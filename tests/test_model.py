@@ -423,7 +423,7 @@ class TestTangentResidual:
         m = build(n_x=40, n_mu=10)
         rng = np.random.default_rng(10)
         f = rng.standard_normal((40, 10))
-        state, _ = from_full(f, 3, m.grid, m.quad)
+        state, _, _ = from_full(f, 3, m)
         g = full_rhs(m, state.x @ state.s @ state.v.T)
         resid = g - self._local_projector(m, state, g)
         expected = frob_norm_weighted(resid, m.wx, m.wmu)
@@ -433,7 +433,7 @@ class TestTangentResidual:
         m = build(n_x=40, n_mu=10)
         rng = np.random.default_rng(11)
         f = rng.standard_normal((40, 10))
-        state, _ = from_full(f, 3, m.grid, m.quad)
+        state, _, _ = from_full(f, 3, m)
         g = rng.standard_normal((40, 10))
         pg = self._local_projector(m, state, g)
         ppg = self._local_projector(m, state, pg)
@@ -444,7 +444,7 @@ class TestTangentResidual:
         m = build(n_x=16, n_mu=8)
         rng = np.random.default_rng(12)
         f = rng.standard_normal((16, 8))
-        state, _ = from_full(f, 8, m.grid, m.quad)
+        state, _, _ = from_full(f, 8, m)
         g = full_rhs(m, state.x @ state.s @ state.v.T)
         scale = frob_norm_weighted(g, m.wx, m.wmu)
         assert tangent_residual(m, state) <= 1e-10 * scale
@@ -457,7 +457,7 @@ class TestTangentResidual:
             m = build(n_x=64, n_mu=8, eps=eps)
             rho = 1.0 + 0.5 * np.sin(np.pi * m.grid.points)
             f = np.outer(rho, np.ones(8))
-            state, _ = from_full(f, 1, m.grid, m.quad)
+            state, _, _ = from_full(f, 1, m)
             g = full_rhs(m, state.x @ state.s @ state.v.T)
             scale = frob_norm_weighted(g, m.wx, m.wmu)
             ratios.append(tangent_residual(m, state) / scale)
@@ -467,7 +467,7 @@ class TestTangentResidual:
         m = build()
         rng = np.random.default_rng(13)
         f = rng.standard_normal((32, 8))
-        state, _ = from_full(f, 2, m.grid, m.quad)
+        state, _, _ = from_full(f, 2, m)
         state.x = 2.0 * state.x
         with pytest.raises(OrthonormalityError):
             tangent_residual(m, state)

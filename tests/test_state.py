@@ -12,7 +12,8 @@ from rte_lowrank.state import (
     reconstruct,
     save_state,
 )
-from rte_lowrank.wlinalg import frob_norm_weighted, weighted_inner
+from rte_lowrank.wlinalg import (frob_norm_weighted, weighted_inner,
+                                 weighted_singular_values)
 
 
 def build(n_x=40, n_mu=10, eps=1.0):
@@ -34,14 +35,14 @@ class TestFromFull:
         m = build()
         rng = np.random.default_rng(0)
         f = np.outer(rng.standard_normal(40), rng.standard_normal(10))
-        state, delta0 = from_full(f, 1, m.grid, m.quad)
+        state, delta0, _ = from_full(f, 1, m)
         assert delta0 <= 1e-12 * frob_norm_weighted(f, m.wx, m.wmu)
 
     def test_separable_product_is_rank_one(self):
         # ((x-1)^2 + 1)(1 + mu^2) factorizes, so rank 2 is already exact
         m = build()
         f = np.outer((m.grid.points - 1.0) ** 2 + 1.0, 1.0 + m.quad.nodes**2)
-        state, delta0 = from_full(f, 2, m.grid, m.quad)
+        state, delta0, _ = from_full(f, 2, m)
         assert delta0 <= 1e-12 * frob_norm_weighted(f, m.wx, m.wmu)
         # brute-force spectrum confirms the rank-1 claim
         scaled = np.sqrt(m.wx)[:, None] * f * np.sqrt(m.wmu)[None, :]
@@ -52,20 +53,28 @@ class TestFromFull:
         m = build(n_x=12, n_mu=6)
         rng = np.random.default_rng(1)
         f = rng.standard_normal((12, 6))
-        state, delta0 = from_full(f, 6, m.grid, m.quad)
+        state, delta0, _ = from_full(f, 6, m)
         assert delta0 <= 1e-11 * frob_norm_weighted(f, m.wx, m.wmu)
+
+    def test_sigma_tail_is_first_discarded_value(self):
+        m = build()
+        rng = np.random.default_rng(3)
+        f = rng.standard_normal((40, 10))
+        _, _, sigma_tail = from_full(f, 4, m)
+        sig = weighted_singular_values(f, m.wx, m.wmu)
+        assert abs(sigma_tail - sig[4]) <= 1e-13 * sig[0]
 
     def test_rank_out_of_range(self):
         m = build()
         with pytest.raises(ValueError):
-            from_full(np.ones((40, 10)), 11, m.grid, m.quad)
+            from_full(np.ones((40, 10)), 11, m)
 
     def test_orthonormality_and_diag_s(self):
         m = build()
         rng = np.random.default_rng(2)
         f = rng.standard_normal((40, 10))
-        state, _ = from_full(f, 4, m.grid, m.quad)
-        dx_def, dv_def = orthonormality_defects(state, m.grid, m.quad)
+        state, _, _ = from_full(f, 4, m)
+        dx_def, dv_def = orthonormality_defects(state, m)
         assert max(dx_def, dv_def) <= 1e-12
         assert np.abs(state.s - np.diag(np.diag(state.s))).max() == 0.0
 
@@ -73,9 +82,9 @@ class TestFromFull:
         m = build()
         rng = np.random.default_rng(3)
         f = rng.standard_normal((40, 10))
-        s1, _ = from_full(f, 3, m.grid, m.quad)
+        s1, _, _ = from_full(f, 3, m)
         r1 = reconstruct(s1)
-        s2, _ = from_full(r1, 3, m.grid, m.quad)
+        s2, _, _ = from_full(r1, 3, m)
         r2 = reconstruct(s2)
         assert frob_norm_weighted(r2 - r1, m.wx, m.wmu) <= \
             1e-10 * frob_norm_weighted(r1, m.wx, m.wmu)
@@ -84,8 +93,8 @@ class TestFromFull:
         m = build()
         rng = np.random.default_rng(4)
         f = rng.standard_normal((40, 10))
-        a, _ = from_full(f, 3, m.grid, m.quad)
-        b, _ = from_full(f.copy(), 3, m.grid, m.quad)
+        a, _, _ = from_full(f, 3, m)
+        b, _, _ = from_full(f.copy(), 3, m)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.v, b.v)
 
@@ -95,8 +104,8 @@ class TestReconstruct:
         m = build()
         rng = np.random.default_rng(5)
         f = rng.standard_normal((40, 10))
-        s1, _ = from_full(f, 3, m.grid, m.quad)
-        s2, _ = from_full(reconstruct(s1), 3, m.grid, m.quad)
+        s1, _, _ = from_full(f, 3, m)
+        s2, _, _ = from_full(reconstruct(s1), 3, m)
         # sine-based principal angles (accurate for tiny angles)
         for u1, u2, w in ((s1.x, s2.x, m.wx), (s1.v, s2.v, m.wmu)):
             resid = u2 - u1 @ weighted_inner(u1, u2, w)
@@ -115,7 +124,7 @@ class TestReconstruct:
         m = build()
         rng = np.random.default_rng(6)
         f = rng.standard_normal((40, 10))
-        st, _ = from_full(f, 2, m.grid, m.quad)
+        st, _, _ = from_full(f, 2, m)
         st.s = np.zeros((2, 2))
         assert np.abs(reconstruct(st)).max() == 0.0
 
@@ -123,7 +132,7 @@ class TestReconstruct:
         m = build()
         rng = np.random.default_rng(7)
         f = rng.standard_normal((40, 10))
-        st, _ = from_full(f, 5, m.grid, m.quad)
+        st, _, _ = from_full(f, 5, m)
         recon_norm = frob_norm_weighted(reconstruct(st), m.wx, m.wmu)
         assert np.linalg.norm(st.s) == pytest.approx(recon_norm, rel=1e-11)
 
@@ -149,7 +158,7 @@ class TestErrorReport:
         m = build()
         rng = np.random.default_rng(10)
         f = rng.standard_normal((40, 10))
-        st, _ = from_full(f, 10, m.grid, m.quad)
+        st, _, _ = from_full(f, 10, m)
         rep = error_report(st, f, m)
         assert rep.rel_l2_full <= 1e-11
 
@@ -184,7 +193,7 @@ class TestSerialization:
         m = build()
         rng = np.random.default_rng(11)
         f = rng.standard_normal((40, 10))
-        st, _ = from_full(f, 3, m.grid, m.quad)
+        st, _, _ = from_full(f, 3, m)
         path = tmp_path / "state.npz"
         save_state(st, path)
         back = load_state(path)
@@ -192,3 +201,23 @@ class TestSerialization:
         assert np.array_equal(back.s, st.s)
         assert np.array_equal(back.v, st.v)
         assert back.rank == 3
+
+    @staticmethod
+    def saved_factors(tmp_path, **changes):
+        rng = np.random.default_rng(12)
+        st, _, _ = from_full(rng.standard_normal((40, 10)), 3, build())
+        path = tmp_path / "state.npz"
+        np.savez(path, **{"x": st.x, "s": st.s, "v": st.v, **changes})
+        return path
+
+    def test_mismatched_s_rejected(self, tmp_path):
+        path = self.saved_factors(tmp_path, s=np.eye(2))
+        with pytest.raises(ValueError, match="'s'"):
+            load_state(path)
+
+    def test_nan_in_v_rejected(self, tmp_path):
+        v = np.ones((10, 3))
+        v[4, 1] = np.nan
+        path = self.saved_factors(tmp_path, v=v)
+        with pytest.raises(ValueError, match="'v'"):
+            load_state(path)

@@ -10,11 +10,15 @@ limit needs, and the grid's Fourier modes in space.
 The L and K substeps are one helper, ``_factor_substep``, and its
 exponential is one decision made from one number: the closed-form bound
 ``_norm_bound`` on the substep operator's spectral norm.  While dt times
-the bound is at most _STRUCTURED_THRESHOLD, the Taylor ``expmv`` runs with
-its segments sized by that bound; beyond it, where the collision stiffness
-1/eps^2 makes a polynomial method infeasible, the flow is propagated
-exactly.  The Taylor tolerance is the fixed accuracy target EXPMV_TOL, as
-in Al-Mohy & Higham, SISC 33(2), 2011.  The exact flows decouple into
+the bound is at most the factor's edge in _STRUCTURED_THRESHOLD, the
+Taylor ``expmv`` runs with its segments sized by that bound; beyond it,
+where the collision stiffness 1/eps^2 makes a polynomial method
+infeasible, the flow is propagated exactly.  Each factor's edge sits at its
+measured crossover: 100 for L, and 20 for K, whose exact flow on the few
+live Fourier rows of band-limited data beat the Taylor sweep at 20 in
+every timed shape (BENCH_collision_cache.json).  The Taylor tolerance is
+the fixed accuracy target EXPMV_TOL, as in Al-Mohy & Higham, SISC 33(2),
+2011.  The exact flows decouple into
 modes, and one kernel, ``_propagate_modes``, maps
 each mode row y_q to y_q exp(scale_q b + c): K on the Fourier modes of the
 circulant D_x (complex r x r blocks), L on the eigenvectors of the
@@ -31,7 +35,11 @@ flow is a contraction, so leaving them exactly zero costs less than the
 rfft's own rounding.  The L flow collapses the angular columns onto a few
 directions in the diffusive regime, and makes its roundoff columns exactly
 dependent (``_drop_roundoff_columns``), so that roundoff does not pick the
-directions the weighted QR keeps.
+directions the weighted QR keeps.  What does not change from step to step
+is computed once per model and kept in ``RteModel.cache``: the L flow's
+collision block and, at odd rank, its pure-collision propagator, the slice
+of the zero eigenvalue of A_x, which later substeps leave out of the batch
+(``_l_flow_blocks``); and the Legendre ladder.
 
 The dense reference is the exact flow of the full system,
 ``model.full_flow``: an rfft in x and one n_mu x n_mu exponential per
@@ -75,9 +83,12 @@ EXPMV_TOL = 1e-10
 _SIGMA_WARN_RATIO = 1e-13
 _ORTH_WARN = 1e-10
 
-# dt times the substep norm bound above which the exact mode flows replace
-# the Taylor expmv
-_STRUCTURED_THRESHOLD = 100.0
+# dt times the substep norm bound above which the exact mode flow of each
+# factor replaces the Taylor expmv, near the measured crossovers
+# (BENCH_collision_cache.json): at 20 the K flow was cheaper on
+# band-limited data in 8 of 8 timed shapes, and at 100 the L flow in 12
+# of 16
+_STRUCTURED_THRESHOLD = {"L": 100.0, "K": 20.0}
 
 # the largest 1-norm at which the degree-13 Pade approximant of exp needs
 # no scaling (Higham, SIMAX 26(4), 2005, Table 2.3)
@@ -98,6 +109,8 @@ class SubstepTrace:
     post_norm: float
     orth_defect: Optional[float]
     replaced_columns: tuple
+    # "taylor" or "structured" for the L and K substeps, None for S
+    route: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +150,34 @@ def _expm_batch(mats):
     return out
 
 
-def _propagate_modes(scale, b, c, y):
+def _propagate_modes(scale, b, c, y, cache=None):
     """Map each mode row y_q to y_q exp(scale_q b + c) by one batched expm.
 
-    The batch holds each distinct scale once.  Real propagators act on the
-    real and imaginary parts of complex rows separately, so the stack is
-    never copied to complex.
+    The batch holds each distinct scale once.  ``cache``, a dict kept with
+    c by the caller, holds exp(c), the slice of scale 0, under "zero" once
+    one call has computed it; later calls with a scale 0 batch only the
+    other scales.  The scales are then nonnegative, so 0 sorts first.
+    ``_expm_batch`` exponentiates each slice on its own, so the cached
+    slice is bit-identical to a recomputed one.  Real propagators act on
+    the real and imaginary parts of complex rows separately, so the stack
+    is never copied to complex.
     """
     scale, inverse = np.unique(scale, return_inverse=True)
-    prop = _expm_batch(scale[:, None, None] * b[None, :, :] + c[None, :, :])
+
+    def batch(scales):
+        return _expm_batch(scales[:, None, None] * b[None, :, :]
+                           + c[None, :, :])
+
+    zero = cache is not None and scale[0] == 0.0
+    if zero and "zero" in cache:
+        prop = cache["zero"]
+        if len(scale) > 1:
+            prop = np.concatenate((prop, batch(scale[1:])))
+    else:
+        prop = batch(scale)
+        if zero:
+            # a copy, so that the cache does not keep the whole stack alive
+            cache["zero"] = prop[:1].copy()
     prop = prop[inverse]
     if np.iscomplexobj(prop) or np.isrealobj(y):
         return np.einsum("qi,qij->qj", y, prop)
@@ -230,12 +262,34 @@ def _propagate_l_structured(model, sub, dt, l_mat):
     flip = a < 0
     rows = to_flip_basis((l_mat @ u).T)
     rows[flip] = rows[flip, ::-1]
-    rows = _propagate_modes(
-        np.abs(a), np.diag(model.quad.nodes)[:, ::-1],
-        (dt / eps**2) * (model.w_mu_matrix - np.eye(model.quad.n_mu)), rows)
+    blocks = _l_flow_blocks(model, dt)
+    rows = _propagate_modes(np.abs(a), blocks["mu_flip"], blocks["coll"],
+                            rows, cache=blocks)
     rows[flip] = rows[flip, ::-1]
     l1 = np.real(from_flip_basis(rows).T @ u.conj().T)
     return _drop_roundoff_columns(l1, model.wmu)
+
+
+def _l_flow_blocks(model, dt):
+    """The blocks of the structured L flow that stay the same every step.
+
+    Kept in ``model.cache`` under ("L", dt): "mu_flip", diag(mu) J, and
+    "coll", (dt/eps^2)(W_mu - I), and after the first substep with a zero
+    scale, "zero", the pure-collision propagator exp(coll) as
+    ``_expm_batch`` returns it.  At odd rank every substep has that zero
+    scale, and with it up to 22 squarings of an n_mu x n_mu block.  The
+    closed form W_mu + e^-c (I - W_mu) is not used in its place: its
+    roundoff differs from the batched slices', and the rank decisions of
+    the diffusive regime follow roundoff (ROADMAP item 3).
+    """
+    key = ("L", dt)
+    if key not in model.cache:
+        n_mu = model.quad.n_mu
+        model.cache[key] = {
+            "mu_flip": np.diag(model.quad.nodes)[:, ::-1],
+            "coll": (dt / model.eps**2) * (model.w_mu_matrix - np.eye(n_mu)),
+        }
+    return model.cache[key]
 
 
 def _drop_roundoff_columns(l1, w):
@@ -294,22 +348,23 @@ def _norm_bound(model, sub, factor):
 
     Transport plus collision (triangle inequality).  The L transport
     A_x kron diag(mu) has norm ||A_x|| max|mu|, the K transport
-    B_mu^T kron D_x at most ||B_mu|| / dx, as every D_x symbol is at most
-    1/dx in modulus.  Both collision parts, before the 1/eps^2, have norm
-    at most 2.  W_mu^T - I = -(I - P), with P = (1/2) 1 w^T a projection
-    because the weights sum to 2, has the norm of P, (1/2)||1|| ||w||, which
-    for Gauss-Legendre weights rises with n_mu to about 1.11 (measured up
+    B_mu^T kron D_x at most max|mu| / dx: every D_x symbol is at most 1/dx
+    in modulus, and ||B_mu|| <= max|mu| by the Rayleigh quotient, since
+    x^T B_mu x = sum_i w_i mu_i (V x)_i^2 and V is w-orthonormal.  Both
+    collision parts, before the 1/eps^2, have norm at most 2.
+    W_mu^T - I = -(I - P), with P = (1/2) 1 w^T a projection because the
+    weights sum to 2, has the norm of P, (1/2)||1|| ||w||, which for
+    Gauss-Legendre weights rises with n_mu to about 1.11 (measured up
     to n_mu = 2000).  C_mu - I has its eigenvalues in [-1, 0]:
     C_mu = (1/2) u u^T with u = V^T w and
     ||u||^2 = ||V V^T diag(w) 1||_w^2 <= ||1||_w^2 = 2.  A true bound makes
     the Taylor segment count of ``expmv`` a guarantee.
     """
+    mu_max = np.abs(model.quad.nodes).max()
     if factor == "L":
-        transport = (np.linalg.svd(sub.a_x, compute_uv=False)[0]
-                     * np.abs(model.quad.nodes).max())
+        transport = np.linalg.svd(sub.a_x, compute_uv=False)[0] * mu_max
     else:
-        transport = (np.linalg.svd(sub.b_mu, compute_uv=False)[0]
-                     / model.grid.dx)
+        transport = mu_max / model.grid.dx
     return transport / model.eps + 2.0 / model.eps**2
 
 
@@ -333,7 +388,7 @@ _BASIS_LABEL = {"L": "angular", "K": "spatial"}
 
 
 def _record(trace, step_index, substep, before, after, w=None,
-            replaced=(), basis=None):
+            replaced=(), basis=None, route=None):
     """Append a SubstepTrace when tracing.
 
     Norms are w-weighted when w is given and Frobenius otherwise; the
@@ -353,7 +408,7 @@ def _record(trace, step_index, substep, before, after, w=None,
                         step_index + 1, _BASIS_LABEL[substep], defect,
                         _ORTH_WARN)
     trace.append(SubstepTrace(step_index, substep, float(pre), float(post),
-                              defect, tuple(sorted(replaced))))
+                              defect, tuple(sorted(replaced)), route))
 
 
 def _check_positive(name, value):
@@ -365,10 +420,18 @@ def _legendre_ladder(model):
     """Angular replacement candidates P_k(mu), k = 0, 1, ...: 1, mu, ...
 
     On the n_mu Gauss-Legendre nodes the first n_mu of them are
-    w_mu-orthogonal, so they span R^n_mu.
+    w_mu-orthogonal, so they span R^n_mu.  Each candidate is evaluated once
+    per model, kept read-only in ``model.cache`` under ("ladder", k).
     """
-    mu = model.quad.nodes
-    return lambda k: np.polynomial.legendre.Legendre.basis(k)(mu)
+    mu, cache = model.quad.nodes, model.cache
+
+    def candidate(k):
+        key = ("ladder", k)
+        if key not in cache:
+            cache[key] = np.polynomial.legendre.Legendre.basis(k)(mu)
+            cache[key].flags.writeable = False
+        return cache[key]
+    return candidate
 
 
 def _fourier_ladder(model):
@@ -396,8 +459,9 @@ def _factor_substep(model, sub, dt, factor, mat, trace, step_index):
     The L substep (``factor`` "L", mat = V S^T) runs with the spatial basis
     frozen, the K substep ("K", mat = X S) with the angular basis frozen.
     The exponential takes the Taylor ``expmv``, its segments sized by
-    ``_norm_bound``, while dt times the bound is at most
-    _STRUCTURED_THRESHOLD, and the exact mode flow beyond.  The result is
+    ``_norm_bound``, while dt times the bound is at most the factor's
+    _STRUCTURED_THRESHOLD, and the exact mode flow beyond; the trace
+    records which ("taylor" or "structured").  The result is
     orthonormalized by the weighted QR with the factor's ladder.  Returns
     (propagated factor, QrResult).
     """
@@ -408,10 +472,12 @@ def _factor_substep(model, sub, dt, factor, mat, trace, step_index):
         operator, flow = operator_K, _propagate_k_structured
         w, ladder = model.wx, _fourier_ladder(model)
     bound = _norm_bound(model, sub, factor)
-    if dt * bound <= _STRUCTURED_THRESHOLD:
+    if dt * bound <= _STRUCTURED_THRESHOLD[factor]:
+        route = "taylor"
         sol = expmv(operator(model, sub), dt, vec(mat), EXPMV_TOL, norm=bound)
         out = unvec(sol, mat.shape)
     else:
+        route = "structured"
         out = flow(model, sub, dt, mat)
     qr = weighted_mgs(out, w, ladder=ladder)
     if len(qr.replaced_columns) == qr.q.shape[1]:
@@ -420,7 +486,7 @@ def _factor_substep(model, sub, dt, factor, mat, trace, step_index):
             f"factor collapsed; the state has lost its rank entirely"
         )
     _record(trace, step_index, factor, mat, out, w, qr.replaced_columns,
-            qr.q)
+            qr.q, route)
     return out, qr
 
 

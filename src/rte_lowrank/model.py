@@ -12,7 +12,7 @@ uniform periodic grid, so the full system decouples into Fourier modes in x
 and :func:`full_flow` is its exact flow.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,13 +37,21 @@ EPS_MIN = 2.0**-511
 
 @dataclass(frozen=True)
 class RteModel:
-    """Immutable bundle of grid, quadrature, derivative matrices, and eps."""
+    """Immutable bundle of grid, quadrature, derivative matrices, and eps.
+
+    ``cache`` holds what the integrators compute once per model and reuse
+    on every step: the step-invariant blocks of the structured L flow, per
+    dt, and the Legendre ladder.  It is freed with the model, and
+    ``dataclasses.replace`` gives the copy an empty one.
+    """
 
     grid: SpatialGrid
     quad: AngularQuadrature
     diff: DiffMatrices
     eps: float
     w_mu_matrix: np.ndarray
+    cache: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def wx(self):

@@ -166,6 +166,7 @@ class TestCmdRun:
         res = cmd_run(cfg, tmp_path)
         assert res.diagnostics
         assert res.diagnostics[0]["substep"] == "L"
+        assert res.diagnostics[0]["route"] in ("taylor", "structured")
 
 
 class TestSweepEps:

@@ -254,12 +254,34 @@ class TestOracleEquivalence:
     def test_structured_and_expmv_routes_agree(self, monkeypatch):
         m = build(n_x=48, n_mu=12, eps=0.05)
         st, _, _ = from_full(generic_matrix(m), 4, m)
-        monkeypatch.setattr(integrators, "_STRUCTURED_THRESHOLD", 0.0)
+        monkeypatch.setattr(integrators, "_STRUCTURED_THRESHOLD",
+                            {"L": 0.0, "K": 0.0})
         out_s = gap_step(m, st, 0.02)
-        monkeypatch.setattr(integrators, "_STRUCTURED_THRESHOLD", np.inf)
+        monkeypatch.setattr(integrators, "_STRUCTURED_THRESHOLD",
+                            {"L": np.inf, "K": np.inf})
         monkeypatch.setattr(integrators, "EXPMV_TOL", 1e-12)
         out_e = gap_step(m, st, 0.02)
         assert rel_err(reconstruct(out_s), reconstruct(out_e), m) <= 1e-9
+
+    def test_k_routes_agree_above_the_k_edge(self):
+        # the fig1 shape at eps = 1, where the K substep crosses the edge:
+        # dt times the bound is 1 % above it, so _factor_substep takes the
+        # exact flow, and the Taylor sweep it replaces must agree
+        m = build(n_x=1000, n_mu=100, eps=1.0)
+        x, mu = m.grid.points, m.quad.nodes
+        f0 = np.ones((1000, 100))
+        for k, c in enumerate([-0.1, -0.01, 1e-3, 1e-4], start=1):
+            f0 += c * np.outer(np.sin(k * np.pi * x), mu**k)
+        st, _, _ = from_full(f0, 5, m)
+        sub = assemble_substeps(m, st.x, st.v)
+        bound = _norm_bound(m, sub, "K")
+        dt = 1.01 * _STRUCTURED_THRESHOLD["K"] / bound
+        k0 = st.x @ st.s
+        taylor = unvec(expmv(operator_K(m, sub), dt, vec(k0), EXPMV_TOL,
+                             norm=bound), k0.shape)
+        exact = _propagate_k_structured(m, sub, dt, k0)
+        assert (np.linalg.norm(exact - taylor)
+                <= 1e-10 * np.linalg.norm(taylor))
 
 
 def basis_with_constant(n, r, w, rng):
@@ -278,6 +300,15 @@ class TestReplacementLadders:
         assert res.replaced_columns == {1}
         mu_hat = m.quad.nodes / weighted_norm(m.quad.nodes, m.wmu)
         assert np.abs(res.q[:, 1] - mu_hat).max() <= 1e-12
+
+    def test_legendre_candidates_are_evaluated_once(self):
+        m = build(n_x=16, n_mu=12)
+        ladder = _legendre_ladder(m)
+        p3 = ladder(3)
+        assert _legendre_ladder(m)(3) is p3
+        assert np.array_equal(
+            p3, np.polynomial.legendre.Legendre.basis(3)(m.quad.nodes))
+        assert not p3.flags.writeable
 
     @pytest.mark.parametrize("factor", ["K", "L"])
     def test_first_candidates_are_a_basis(self, factor):
@@ -393,7 +424,7 @@ class TestTaylorRoute:
         v = basis_with_constant(n_mu, r, m.wmu, rng)
         sub = assemble_substeps(m, x, v)
         bound = _norm_bound(m, sub, factor)
-        assume(dt * bound <= _STRUCTURED_THRESHOLD)
+        assume(dt * bound <= _STRUCTURED_THRESHOLD[factor])
         op = (operator_L if factor == "L" else operator_K)(m, sub)
         y0 = vec(rng.standard_normal((n_mu if factor == "L" else m.grid.n_x,
                                       r)))
@@ -408,10 +439,10 @@ class TestTaylorRoute:
 class TestTaylorSegments:
     @pytest.mark.parametrize("spectrum", ["dissipative", "rotation"])
     def test_accurate_at_the_route_edge(self, spectrum):
-        # t times the norm at the threshold: the longest Taylor sweep that
-        # _factor_substep runs, on a spectrum in [-100, 0] and on 2 x 2
+        # t times the norm at the higher threshold: the longest Taylor sweep
+        # that _factor_substep runs, on a spectrum in [-100, 0] and on 2 x 2
         # rotation blocks with frequencies up to 100
-        n, top = 200, _STRUCTURED_THRESHOLD
+        n, top = 200, max(_STRUCTURED_THRESHOLD.values())
         v = np.random.default_rng(0).standard_normal(n)
         if spectrum == "dissipative":
             d = np.linspace(-top, 0.0, n)
@@ -627,6 +658,15 @@ class TestGapProperties:
         for idx in (0, 1):
             assert resid[1e-2][idx] <= 0.5 * resid[1e-1][idx]
             assert resid[1e-3][idx] <= 0.5 * resid[1e-2][idx]
+
+    @pytest.mark.parametrize("eps, route", [(1.0, "taylor"),
+                                            (1e-3, "structured")])
+    def test_debug_trace_records_routes(self, eps, route):
+        m = build(eps=eps)
+        st, _, _ = from_full(generic_matrix(m), 3, m)
+        _, trace = integrate(m, st, "bug", 0.05, 1, debug=True)
+        assert [(t.substep, t.route) for t in trace] == [
+            ("L", route), ("K", route), ("S", None)]
 
     def test_debug_trace_records_substeps(self):
         m = build()
@@ -1094,6 +1134,57 @@ class TestConjugateFolding:
                               self.mode_by_mode(m, sub, dt, l0, expm_batch))
 
 
+class TestCollisionCache:
+    # the structured L flow keeps its step-invariant blocks on the model,
+    # per dt: diag(mu) J, (dt/eps^2)(W_mu - I) and exp of the latter, the
+    # slice of scale 0 at odd rank, which later substeps do not recompute
+    @staticmethod
+    def substep(rank, eps=1e-3, n_mu=8):
+        m = build(n_x=16, n_mu=n_mu, eps=eps)
+        rng = np.random.default_rng(rank)
+        sub = assemble_substeps(m, basis_with_constant(16, rank, m.wx, rng),
+                                basis_with_constant(n_mu, rank, m.wmu, rng))
+        return m, sub, rng.standard_normal((n_mu, rank))
+
+    @pytest.mark.parametrize("rank", [4, 5, 6, 7])
+    def test_later_substeps_batch_only_nonzero_scales(self, monkeypatch,
+                                                      rank):
+        dt = 0.1
+        m, sub, l0 = self.substep(rank)
+        expm_batch = integrators._expm_batch
+        first, slices_first = TestConjugateFolding.counted_flow(
+            monkeypatch, m, sub, dt, l0)
+        monkeypatch.undo()
+        second, slices_second = TestConjugateFolding.counted_flow(
+            monkeypatch, m, sub, dt, l0)
+        assert slices_first == [(rank + 1) // 2]
+        assert slices_second == [rank // 2]
+        assert np.array_equal(first, second)
+        assert np.array_equal(second, TestConjugateFolding.mode_by_mode(
+            m, sub, dt, l0, expm_batch))
+
+    def test_one_entry_per_dt_on_a_new_model(self):
+        m, sub, l0 = self.substep(5)
+        assert m.cache == {}
+        for dt in (0.1, 0.05, 0.1):
+            _propagate_l_structured(m, sub, dt, l0)
+        assert sorted(m.cache) == [("L", 0.05), ("L", 0.1)]
+        assert all("zero" in blocks for blocks in m.cache.values())
+        assert dataclasses.replace(m).cache == {}
+
+    def test_cached_steps_equal_fresh_model_steps(self):
+        m = build(n_x=64, n_mu=16, eps=1e-3)
+        st, _, _ = from_full(generic_matrix(m), 5, m)
+        cached = fresh = st
+        for _ in range(5):
+            cached = gap_step(m, cached, 0.1)
+            fresh = gap_step(dataclasses.replace(m), fresh, 0.1)
+        assert "zero" in m.cache[("L", 0.1)]
+        for a, b in zip((cached.x, cached.s, cached.v),
+                        (fresh.x, fresh.s, fresh.v)):
+            assert np.array_equal(a, b)
+
+
 class TestRealLBlocks:
     # the structured L flow exponentiates the real flip-form blocks
     # M(a) = a diag(mu) J + (dt/eps^2)(W_mu - I), a = (dt/eps) g
@@ -1183,7 +1274,9 @@ class TestRankDecision:
                 return out
 
             monkeypatch.setattr(integrators, "_expm_batch", noisy)
-            out, _ = integrate(m, st, "gap", dt, n_steps)
+            # a fresh model, whose cached collision slice is noisy too
+            out, _ = integrate(dataclasses.replace(m), st, "gap", dt,
+                               n_steps)
             return rel_err(reconstruct(out), ref, m)
 
         clean = gap_error(None)

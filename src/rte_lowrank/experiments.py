@@ -188,7 +188,10 @@ def load_config(path, overrides=()):
 def resolve_output_dir(cfg, out=None):
     path = out or cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "out"
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot use output directory {path}: {err}") from err
     return path
 
 

@@ -27,19 +27,20 @@ the reference, one per +-g pair of A_x).  It exponentiates each distinct
 scale once, in one batch: ``_expm_batch`` scales each block by a power of
 two, calls scipy's Pade step once on the stack and squares the blocks as
 batched matmuls.  Both routes agree to EXPMV_TOL and are cross-checked in
-the test suite.  Both exact flows also decide against the whole factor what
-is roundoff.  The K flow propagates only the Fourier rows of K that carry
-data, those whose largest entry is at least machine epsilon times the
-largest of all: diffusion damps the others below roundoff, and each row's
-flow is a contraction, so leaving them exactly zero costs less than the
-rfft's own rounding.  The L flow collapses the angular columns onto a few
-directions in the diffusive regime, and makes its roundoff columns exactly
-dependent (``_drop_roundoff_columns``), so that roundoff does not pick the
-directions the weighted QR keeps.  What does not change from step to step
-is computed once per model and kept in ``RteModel.cache``: the L flow's
-collision block and, at odd rank, its pure-collision propagator, the slice
-of the zero eigenvalue of A_x, which later substeps leave out of the batch
-(``_l_flow_blocks``); and the Legendre ladder.
+the test suite.  Both exact routes also decide against the whole factor
+what is roundoff.  The K flow propagates only the Fourier rows of K that
+carry data, those whose largest entry is at least machine epsilon times
+the largest of all: diffusion damps the others below roundoff, and each
+row's flow is a contraction, so leaving them exactly zero costs less than
+the rfft's own rounding.  The L flow collapses the angular columns onto a
+few directions in the diffusive regime, so on that route the weighted QR
+judges each column against the largest one (``whole_factor``), and
+roundoff does not pick the directions it keeps.  What does not change
+from step to step is computed once per model and kept in
+``RteModel.cache``: the L flow's collision block and, at odd rank, its
+pure-collision propagator, the slice of the zero eigenvalue of A_x, which
+later substeps leave out of the batch (``_l_flow_blocks``); and the
+Legendre ladder.
 
 The dense reference is the exact flow of the full system,
 ``model.full_flow``: an rfft in x and one n_mu x n_mu exponential per
@@ -93,10 +94,6 @@ _STRUCTURED_THRESHOLD = {"L": 100.0, "K": 20.0}
 # the largest 1-norm at which the degree-13 Pade approximant of exp needs
 # no scaling (Higham, SIMAX 26(4), 2005, Table 2.3)
 _THETA_13 = 5.371920351148152
-
-# residual, relative to the largest column's w-norm, at or below which a
-# column of the structured L flow's output is roundoff
-_RANK_TOL = 1e-10
 
 
 @dataclass
@@ -207,8 +204,8 @@ def _propagate_k_structured(model, sub, dt, k_mat):
     sqrt(n_rows r) u top, n_rows = n_x/2 + 1: about 1e-14 relative at
     1000 x 100, rank 5, below the rfft's own rounding and four orders
     below EXPMV_TOL.  A K whose rfft is not finite raises
-    NumericalFailureError here: the row flows would carry its NaNs into
-    the weighted QR, which does not check for them.
+    NumericalFailureError here, before the row flows would spread its NaNs
+    with warnings.
     """
     eps = model.eps
     r = sub.b_mu.shape[0]
@@ -243,15 +240,9 @@ def _propagate_l_structured(model, sub, dt, l_mat):
     is first made exactly odd; each pair then shares one slice, and the
     zero of an odd rank takes its own: ceil(r/2) real slices.
 
-    The flow returns L1 with its roundoff columns made exactly dependent
-    (``_drop_roundoff_columns``), so that the weighted QR replaces them from
-    the Legendre ladder whatever their roundoff.  The decision is made here
-    and not in the step: this is the route of the diffusive regime (dt
-    times the bound above _STRUCTURED_THRESHOLD), where the collision damps
-    the angular directions beyond the first few below roundoff.  On the
-    Taylor route the same rule replaced hundreds of columns that the
-    weighted QR keeps, and cost the rte compare benchmark 10-20 % of its
-    wall time.  A nonfinite L raises NumericalFailureError.
+    The weighted QR then decides the rank against the whole factor (see
+    ``_factor_substep``).  A nonfinite L raises NumericalFailureError here,
+    before the change of basis L U would turn it into NaNs with a warning.
     """
     eps = model.eps
     if not np.all(np.isfinite(l_mat)):
@@ -266,8 +257,7 @@ def _propagate_l_structured(model, sub, dt, l_mat):
     rows = _propagate_modes(np.abs(a), blocks["mu_flip"], blocks["coll"],
                             rows, cache=blocks)
     rows[flip] = rows[flip, ::-1]
-    l1 = np.real(from_flip_basis(rows).T @ u.conj().T)
-    return _drop_roundoff_columns(l1, model.wmu)
+    return np.real(from_flip_basis(rows).T @ u.conj().T)
 
 
 def _l_flow_blocks(model, dt):
@@ -290,39 +280,6 @@ def _l_flow_blocks(model, dt):
             "coll": (dt / model.eps**2) * (model.w_mu_matrix - np.eye(n_mu)),
         }
     return model.cache[key]
-
-
-def _drop_roundoff_columns(l1, w):
-    """Replace each roundoff column j >= 1 of l1 by its projection.
-
-    Column by column, a Householder QR of diag(sqrt w) times the kept
-    columns before j and column j gives its residual |R_jj|.  Where that
-    is at most _RANK_TOL times the largest column's w-norm, column j becomes
-    Q[:, :-1] R[:-1, j], its projection onto the kept columns, and is not
-    kept.  The threshold is set by the whole factor, as rank-adaptive BUG
-    truncates against the whole coefficient matrix (Ceruti, Kusch & Lubich,
-    BIT 62, 2022), so a column of roundoff is dropped whatever its
-    direction, and ``weighted_mgs``, whose test is relative to each
-    column's own norm, sees it as exactly dependent.  A nonfinite l1
-    raises NumericalFailureError.
-    """
-    top = np.abs(l1).max(initial=0.0)
-    if not np.isfinite(top):
-        raise NumericalFailureError("angular substep overflowed")
-    # scaled exactly by a power of two near the largest entry, so that the
-    # column norms of a huge factor cannot overflow
-    _, exp2 = np.frexp(top)
-    sq = np.sqrt(w)
-    b = sq[:, None] * np.ldexp(l1, -exp2)
-    tol = _RANK_TOL * np.linalg.norm(b, axis=0).max()
-    kept = [0]
-    for j in range(1, b.shape[1]):
-        q, r_factor = np.linalg.qr(b[:, kept + [j]])
-        if abs(r_factor[-1, -1]) <= tol:
-            l1[:, j] = np.ldexp((q[:, :-1] @ r_factor[:-1, -1]) / sq, exp2)
-        else:
-            kept.append(j)
-    return l1
 
 
 def _s_generator(model, sub, sign):
@@ -462,8 +419,12 @@ def _factor_substep(model, sub, dt, factor, mat, trace, step_index):
     ``_norm_bound``, while dt times the bound is at most the factor's
     _STRUCTURED_THRESHOLD, and the exact mode flow beyond; the trace
     records which ("taylor" or "structured").  The result is
-    orthonormalized by the weighted QR with the factor's ladder.  Returns
-    (propagated factor, QrResult).
+    orthonormalized by the weighted QR with the factor's ladder.  On the
+    structured L route, where the collision damps the angular directions
+    beyond the first few below roundoff, the QR judges each column against
+    the whole factor; on the Taylor route that rule replaced hundreds of
+    columns the per-column rule keeps, and cost the rte compare benchmark
+    10-20 % of its wall time.  Returns (propagated factor, QrResult).
     """
     if factor == "L":
         operator, flow = operator_L, _propagate_l_structured
@@ -479,7 +440,8 @@ def _factor_substep(model, sub, dt, factor, mat, trace, step_index):
     else:
         route = "structured"
         out = flow(model, sub, dt, mat)
-    qr = weighted_mgs(out, w, ladder=ladder)
+    qr = weighted_mgs(out, w, ladder=ladder,
+                      whole_factor=factor == "L" and route == "structured")
     if len(qr.replaced_columns) == qr.q.shape[1]:
         raise DegenerateStateError(
             f"all {qr.q.shape[1]} columns of the {_BASIS_LABEL[factor]} "

@@ -90,7 +90,7 @@ class QrResult:
     replaced_columns: set = field(default_factory=set)
 
 
-def weighted_mgs(a, w, ladder=None):
+def weighted_mgs(a, w, ladder=None, whole_factor=False):
     """Householder QR in the w-inner product, with laddered column replacement.
 
     Parameters
@@ -104,19 +104,28 @@ def weighted_mgs(a, w, ladder=None):
         k = 0, 1, ..., m - 1; the first m candidates must span R^m.  Built
         one at a time, so no m x m basis is ever stored.  Defaults to the
         unit vectors e_k.
+    whole_factor : bool, optional
+        Judge residuals against the largest column's w-norm, not each
+        column's own (below).
 
     The columns are pre-scaled to unit w-norm and factored by one Householder
     QR of diag(sqrt(w)) a, which stays orthonormal to roundoff however badly
-    the columns are graded; |R_jj| is the residual of column j after
-    projection onto the preceding columns.  Signs are fixed so that
-    diag(R) >= 0.  A column is deficient when that residual falls below
-    _MGS_TAU times its original w-norm, floored at a machine-scale absolute
-    threshold.  While a column is deficient, the first such column j takes
-    the next ladder candidate, scaled to unit w-norm, and the QR is redone.
-    A candidate already in the span of the preceding columns comes back
-    deficient and is passed over in turn.  Each replaced column then gets
-    R_jj = 0 and R[:j, j] = the projection of the original column onto the
-    preceding q columns.
+    the columns are graded; |R_jj| times the column's scale is the residual
+    of column j after projection onto the preceding columns.  Signs are
+    fixed so that diag(R) >= 0.  A column is deficient when that residual
+    is at most _MGS_TAU times its original w-norm, floored at a
+    machine-scale absolute threshold, or with ``whole_factor`` at most
+    _MGS_TAU times the largest column's w-norm, so that a column of
+    roundoff is deficient whatever its direction, as rank-adaptive BUG
+    truncates against the whole coefficient matrix (Ceruti, Kusch & Lubich,
+    BIT 62, 2022).  While a
+    column is deficient, the first such column j takes the next ladder
+    candidate, scaled to unit w-norm, and the QR is redone; a candidate is
+    judged against its own norm in both modes.  A candidate already in the
+    span of the preceding columns comes back deficient and is passed over
+    in turn.  Each replaced column then gets R_jj = 0 and R[:j, j] = the
+    projection of the original column onto the preceding q columns.  A
+    nonfinite a raises NumericalFailureError.
     """
     a = np.asarray(a, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -131,16 +140,22 @@ def weighted_mgs(a, w, ladder=None):
     # square each column scaled by a power of two near its largest entry:
     # the scaling is exact, so ordinary columns round as unscaled ones do,
     # and finite huge entries cannot overflow
-    _, exp2 = np.frexp(np.abs(a).max(axis=0, initial=0.0))
+    col_max = np.abs(a).max(axis=0, initial=0.0)
+    # the largest entry is NaN or inf when any entry is
+    if not math.isfinite(col_max.max(initial=0.0)):
+        raise NumericalFailureError("weighted QR: the factor is not finite")
+    _, exp2 = np.frexp(col_max)
     pow2 = np.ldexp(1.0, exp2 - 1)
     a_pow2 = a / pow2
     col_norms = pow2 * np.sqrt(np.sum(w[:, None] * a_pow2 * a_pow2, axis=0))
-    abs_floor = np.finfo(float).eps * col_norms.max(initial=0.0)
+    top = col_norms.max(initial=0.0)
+    abs_floor = np.finfo(float).eps * top
 
     # pre-scale live columns to unit w-norm; undo through r_factor at the end
     col_scale = np.where(col_norms > abs_floor, col_norms, 1.0)
     b = sq[:, None] * (a / col_scale)
-    thresh = _MGS_TAU * np.maximum(col_norms, abs_floor) / col_scale
+    ref = top if whole_factor else np.maximum(col_norms, abs_floor)
+    thresh = _MGS_TAU * ref / col_scale
 
     work = b.copy()
     replaced = set()

@@ -1,9 +1,12 @@
-"""Explicit CSR matrices of the discrete operators, for cross-checking tests.
+"""Reference implementations, for cross-checking tests.
 
 The package applies D_x as its two-point stencil and the collision as a
-rank-one update, and it never assembles a matrix.  These are the same maps
-built the textbook way, from COO triplets and Kronecker products, so a test
-can compare an apply or a symbol with an independent matrix form.
+rank-one update, and it never assembles a matrix.  Most of these are the
+same maps built the textbook way, from COO triplets and Kronecker products,
+so a test can compare an apply or a symbol with an independent matrix form.
+``drop_roundoff_columns`` is the whole-factor rank decision made column by
+column, in QRs of its own, against which the weighted QR's one-pass rule
+is checked.
 """
 
 import numpy as np
@@ -79,3 +82,30 @@ def operator_K_matrix(model, sub):
         + (sp.kron(sp.csr_matrix(sub.c_mu.T), sp.identity(n_x), format="csr")
            - sp.identity(r * n_x, format="csr")) / eps**2
     ).tocsr()
+
+
+def drop_roundoff_columns(l1, w, tol=1e-10):
+    """Return l1 with each roundoff column j >= 1 replaced by its projection.
+
+    Column by column, a Householder QR of diag(sqrt w) times the kept
+    columns before j and column j gives its residual |R_jj|.  Where that is
+    at most tol times the largest column's w-norm, column j becomes
+    Q[:, :-1] R[:-1, j], its projection onto the kept columns, and is not
+    kept; the per-column rule of the weighted QR then sees it as exactly
+    dependent.  l1 must be finite; it is not modified.
+    """
+    # scaled exactly by a power of two near the largest entry, so that the
+    # column norms of a huge factor cannot overflow
+    _, exp2 = np.frexp(np.abs(l1).max(initial=0.0))
+    sq = np.sqrt(w)
+    b = sq[:, None] * np.ldexp(l1, -exp2)
+    thresh = tol * np.linalg.norm(b, axis=0).max()
+    out = np.array(l1, dtype=float)
+    kept = [0]
+    for j in range(1, b.shape[1]):
+        q, r_factor = np.linalg.qr(b[:, kept + [j]])
+        if abs(r_factor[-1, -1]) <= thresh:
+            out[:, j] = np.ldexp((q[:, :-1] @ r_factor[:-1, -1]) / sq, exp2)
+        else:
+            kept.append(j)
+    return out

@@ -413,6 +413,22 @@ class TestCli:
         assert "backward coefficient substep" in err
         assert "collapsed" not in err
 
+    @pytest.mark.parametrize("source", ["--out", "output_dir"])
+    def test_unusable_output_dir_exit_two(self, tmp_path, capsys, source):
+        # a directory below a regular file cannot be made; that is a
+        # config error that names the path, not a traceback (exit 1)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        bad = str(blocker / "sub")
+        if source == "--out":
+            path, extra = write_cfg(tmp_path, TINY), ["--out", bad]
+        else:
+            path, extra = write_cfg(tmp_path, {**TINY, "output_dir": bad}), []
+        assert cli_main(["run", "--config", str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert bad in err
+        assert "Traceback" not in err
+
     def test_override_flag(self, tmp_path):
         path = write_cfg(tmp_path, TINY)
         out = tmp_path / "out"

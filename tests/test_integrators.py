@@ -1076,8 +1076,7 @@ class TestConjugateFolding:
             y = np.stack((y.real, y.imag)) @ e
             y = y[0] + 1j * y[1]
             rows[j] = y[::-1] if aj < 0 else y
-        l1 = np.real(model_module.from_flip_basis(rows).T @ u.conj().T)
-        return integrators._drop_roundoff_columns(l1, m.wmu)
+        return np.real(model_module.from_flip_basis(rows).T @ u.conj().T)
 
     @staticmethod
     def counted_flow(monkeypatch, m, sub, dt, l0):
@@ -1236,10 +1235,15 @@ class TestRealLBlocks:
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_nonfinite_flow_output_raises(self, value):
+        # the weighted QR that every flow output goes to checks it, in both
+        # of its rank rules, before its Householder QR and without a warning
         l1 = np.ones((6, 3))
         l1[2, 1] = value
-        with pytest.raises(NumericalFailureError, match="angular"):
-            integrators._drop_roundoff_columns(l1, np.ones(6))
+        for whole_factor in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalFailureError, match="not finite"):
+                    weighted_mgs(l1, np.ones(6), whole_factor=whole_factor)
 
 
 class TestRankDecision:
@@ -1283,3 +1287,95 @@ class TestRankDecision:
         assert clean <= 1e-7
         noisy_errors = [gap_error(seed) for seed in range(6)]
         assert max(noisy_errors) <= 10.0 * clean, (clean, noisy_errors)
+
+
+class TestWholeFactorRule:
+    # on the structured L route the weighted QR judges each column against
+    # the largest one, in its own QR.  On real flow outputs that decides as
+    # the column-by-column rule of oracles.drop_roundoff_columns followed by
+    # the per-column QR: the same columns are replaced, from the same
+    # Legendre candidates in the same order, so q is bit-identical.
+    @staticmethod
+    def l_substep_qrs(monkeypatch, n_mu, run):
+        """Call run() with the steps' weighted QR spied on.
+
+        Returns (input, ladder, result) of each QR of an angular factor.
+        """
+        seen = []
+
+        def spy(a, w, ladder=None, **kwargs):
+            res = weighted_mgs(a, w, ladder=ladder, **kwargs)
+            if a.shape[0] == n_mu:
+                seen.append((a.copy(), ladder, res))
+            return res
+
+        monkeypatch.setattr(integrators, "weighted_mgs", spy)
+        run()
+        monkeypatch.undo()
+        return seen
+
+    @staticmethod
+    def assert_oracle_decides_alike(m, seen):
+        for out, ladder, res in seen:
+            ref = weighted_mgs(oracles.drop_roundoff_columns(out, m.wmu),
+                               m.wmu, ladder=ladder)
+            assert res.replaced_columns == ref.replaced_columns
+            assert np.array_equal(res.q, ref.q)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    @pytest.mark.parametrize("rank", [4, 5, 6, 7])
+    @pytest.mark.parametrize("pairs", ["exact", "roundoff"])
+    def test_substeps_match_the_column_by_column_rule(self, monkeypatch,
+                                                     pairs, rank, eps):
+        # the setups of TestConjugateFolding and TestCollisionCache; the
+        # second substep takes the cached collision slice.  Every case but
+        # exact pairs at rank 4, eps = 1e-3 replaces one to four columns.
+        dt, n_mu = 0.1, 8
+        m, sub, l0 = TestCollisionCache.substep(rank, eps=eps, n_mu=n_mu)
+        if pairs == "exact":
+            a_x = np.zeros((rank, rank))
+            for k, g in enumerate([0.7, 2.5, 1.3][:rank // 2]):
+                a_x[2 * k, 2 * k + 1], a_x[2 * k + 1, 2 * k] = g, -g
+            sub = dataclasses.replace(sub, a_x=a_x)
+        trace = []
+
+        def run():
+            for _ in range(2):
+                integrators._factor_substep(m, sub, dt, "L", l0, trace, 0)
+
+        seen = self.l_substep_qrs(monkeypatch, n_mu, run)
+        assert [t.route for t in trace] == ["structured"] * 2
+        assert len(seen) == 2
+        self.assert_oracle_decides_alike(m, seen)
+
+    @pytest.mark.parametrize("noise_seed", [None, 0, 1])
+    def test_gap_steps_match_the_column_by_column_rule(self, monkeypatch,
+                                                      noise_seed):
+        # the setup of TestRankDecision, clean and with 1e-12 noise on
+        # every L propagator
+        eps, dt, n_mu = 1e-4, 0.1, 16
+        m = build(n_x=64, n_mu=n_mu, eps=eps)
+        x, mu = m.grid.points, m.quad.nodes
+        f0 = np.ones((64, n_mu))
+        for k, c in enumerate([-0.1, -0.01, 1e-3, 1e-4], start=1):
+            f0 += c * np.outer(np.sin(k * np.pi * x), mu**k)
+        st, _, _ = from_full(f0, 5, m)
+        expm_batch = integrators._expm_batch
+        rng = np.random.default_rng(noise_seed)
+
+        def noisy(mats):
+            out = expm_batch(mats)
+            if out.shape[-1] == n_mu and noise_seed is not None:
+                out = out + (1e-12 * np.abs(out).max()
+                             * rng.standard_normal(out.shape))
+            return out
+
+        def run():
+            monkeypatch.setattr(integrators, "_expm_batch", noisy)
+            _, trace = integrate(m, st, "gap", dt, 3, debug=True)
+            assert all(t.route == "structured" for t in trace)
+
+        seen = self.l_substep_qrs(monkeypatch, n_mu, run)
+        assert len(seen) == 3
+        assert all(res.replaced_columns for _, _, res in seen)
+        self.assert_oracle_decides_alike(m, seen)

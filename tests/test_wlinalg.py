@@ -197,6 +197,36 @@ class TestWeightedQrProperties:
         assert np.array_equal(again.r_factor, rf)
         assert again.replaced_columns == res.replaced_columns
 
+    @given(qr_inputs())
+    def test_whole_factor_contract(self, inputs):
+        # with whole_factor a column's residual is judged against the
+        # largest column's w-norm, so every column at or below 1e-10 of it
+        # is replaced, however far it is from its predecessors' span
+        a, w, _ = inputs
+        res = weighted_mgs(a, w, whole_factor=True)
+        m, r = a.shape
+        q, rf = res.q, res.r_factor
+        assert np.abs(weighted_inner(q, q, w) - np.eye(r)).max() <= 1e-12
+        assert np.array_equal(rf, np.triu(rf))
+
+        norms = [weighted_norm(a[:, j], w) for j in range(r)]
+        top = max(norms)
+        for j in range(r):
+            err = weighted_norm(q @ rf[:, j] - a[:, j], w)
+            if j in res.replaced_columns:
+                assert rf[j, j] == 0.0
+                # the residual against the q columns before it
+                assert err <= 2e-10 * top
+            else:
+                # 0.99: the test itself rounds the residual and the scale
+                assert rf[j, j] > 0.99e-10 * top
+                assert err <= 1e-10 * norms[j]
+
+        again = weighted_mgs(a, w, whole_factor=True)
+        assert np.array_equal(again.q, q)
+        assert np.array_equal(again.r_factor, rf)
+        assert again.replaced_columns == res.replaced_columns
+
 
 class TestWeightedTruncatedSvd:
     def test_exact_rank_one(self):

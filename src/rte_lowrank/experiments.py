@@ -416,7 +416,11 @@ def cmd_singvals(cfg, outdir):
 
 
 def cmd_compare(cfg, outdir):
-    """gap/psi/bug/reference errors against the dense reference at fixed eps."""
+    """gap/psi/bug/reference errors against the dense reference at fixed eps.
+
+    A scheme that raises, or ends with rel_l2_full not at most 1, is
+    ``diverged``, with NaN errors.
+    """
     cfg.validate()
     model, f0 = _model_and_initial(cfg, cfg.eps)
     reference = _reference(cfg, model, f0, "dense")
@@ -428,8 +432,14 @@ def cmd_compare(cfg, outdir):
         try:
             res, _ = run_single(replace(cfg, integrator=scheme), model, f0,
                                 cfg.dt, reference, start)
-            rows.append((scheme, res.error_report["rel_l2_full"],
-                         res.error_report["rel_l2_density"], "ok"))
+            full = res.error_report["rel_l2_full"]
+            # farther from the reference than the zero matrix is: a finite
+            # blow-up, reported as a raised divergence is
+            if not full <= 1.0:
+                raise NumericalFailureError(
+                    f"rel_l2_full = {full:.3e} against the reference")
+            rows.append((scheme, full, res.error_report["rel_l2_density"],
+                         "ok"))
         except (NumericalFailureError, DegenerateStateError) as err:
             log.warning("%s diverged: %s", scheme, err)
             rows.append((scheme, math.nan, math.nan, "diverged"))

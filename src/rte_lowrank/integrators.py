@@ -18,14 +18,16 @@ measured crossover: 100 for L, and 20 for K, whose exact flow on the few
 live Fourier rows of band-limited data beat the Taylor sweep at 20 in
 every timed shape (BENCH_collision_cache.json).  The Taylor tolerance is
 the fixed accuracy target EXPMV_TOL, as in Al-Mohy & Higham, SISC 33(2),
-2011.  The exact flows decouple into
-modes, and one kernel, ``_propagate_modes``, maps
-each mode row y_q to y_q exp(scale_q b + c): K on the Fourier modes of the
-circulant D_x (complex r x r blocks), L on the eigenvectors of the
-antisymmetric r x r A_x (real n_mu x n_mu blocks, by the flip similarity of
-the reference, one per +-g pair of A_x).  It exponentiates each distinct
-scale once, in one batch: ``_expm_batch`` scales each block by a power of
-two, calls scipy's Pade step once on the stack and squares the blocks as
+2011.  The exact flows decouple into modes, and one kernel,
+``_propagate_modes``, maps each mode row y_q to y_q exp(scale_q b + c): K
+on the Fourier modes of the circulant D_x (complex r x r blocks), L on
+the eigenvectors of the antisymmetric r x r A_x (real n_mu x n_mu blocks,
+by the flip similarity of the reference, one per +-g pair of A_x).  The L
+rows whose scale is exactly 0 are pure collision and skip the kernel:
+their propagator has the closed form W_mu + e^-c (I - W_mu),
+c = dt/eps^2.  The kernel exponentiates each distinct scale once, in one
+batch: ``_expm_batch`` scales each block by a power of two, calls scipy's
+Pade step once on the stack and squares the blocks as
 batched matmuls.  Both routes agree to EXPMV_TOL and are cross-checked in
 the test suite.  Both exact routes also decide against the whole factor
 what is roundoff.  The K flow propagates only the Fourier rows of K that
@@ -35,12 +37,8 @@ row's flow is a contraction, so leaving them exactly zero costs less than
 the rfft's own rounding.  The L flow collapses the angular columns onto a
 few directions in the diffusive regime, so on that route the weighted QR
 judges each column against the largest one (``whole_factor``), and
-roundoff does not pick the directions it keeps.  What does not change
-from step to step is computed once per model and kept in
-``RteModel.cache``: the L flow's collision block and, at odd rank, its
-pure-collision propagator, the slice of the zero eigenvalue of A_x, which
-later substeps leave out of the batch (``_l_flow_blocks``); and the
-Legendre ladder.
+roundoff does not pick the directions it keeps, whichever way the
+pure-collision rows round.
 
 The dense reference is the exact flow of the full system,
 ``model.full_flow``: an rfft in x and one n_mu x n_mu exponential per
@@ -147,34 +145,15 @@ def _expm_batch(mats):
     return out
 
 
-def _propagate_modes(scale, b, c, y, cache=None):
+def _propagate_modes(scale, b, c, y):
     """Map each mode row y_q to y_q exp(scale_q b + c) by one batched expm.
 
-    The batch holds each distinct scale once.  ``cache``, a dict kept with
-    c by the caller, holds exp(c), the slice of scale 0, under "zero" once
-    one call has computed it; later calls with a scale 0 batch only the
-    other scales.  The scales are then nonnegative, so 0 sorts first.
-    ``_expm_batch`` exponentiates each slice on its own, so the cached
-    slice is bit-identical to a recomputed one.  Real propagators act on
-    the real and imaginary parts of complex rows separately, so the stack
-    is never copied to complex.
+    The batch holds each distinct scale once.  Real propagators act on the
+    real and imaginary parts of complex rows separately, so the stack is
+    never copied to complex.
     """
     scale, inverse = np.unique(scale, return_inverse=True)
-
-    def batch(scales):
-        return _expm_batch(scales[:, None, None] * b[None, :, :]
-                           + c[None, :, :])
-
-    zero = cache is not None and scale[0] == 0.0
-    if zero and "zero" in cache:
-        prop = cache["zero"]
-        if len(scale) > 1:
-            prop = np.concatenate((prop, batch(scale[1:])))
-    else:
-        prop = batch(scale)
-        if zero:
-            # a copy, so that the cache does not keep the whole stack alive
-            cache["zero"] = prop[:1].copy()
+    prop = _expm_batch(scale[:, None, None] * b[None, :, :] + c[None, :, :])
     prop = prop[inverse]
     if np.iscomplexobj(prop) or np.isrealobj(y):
         return np.einsum("qi,qij->qj", y, prop)
@@ -233,12 +212,18 @@ def _propagate_l_structured(model, sub, dt, l_mat):
     the per-mode generator of ``model.full_flow`` with g_j in place of the
     D_x symbol.  Its flip similarity makes each block real:
     y exp(dt H_j) = from_flip_basis(to_flip_basis(y) exp(M(a_j))) with
-    M(a) = a diag(mu) J + (dt/eps^2)(W_mu - I) and a_j = (dt/eps) g_j.
+    M(a) = a diag(mu) J + c (W_mu - I), a_j = (dt/eps) g_j and c = dt/eps^2.
     J M(a) J = M(-a), so exp(M(-a)) = J exp(M(a)) J: the rows of negative
     a_j are flipped by J before and after, and only |a_j| is exponentiated.
     eigh returns the pairs +-g matching only to roundoff, so the spectrum
-    is first made exactly odd; each pair then shares one slice, and the
-    zero of an odd rank takes its own: ceil(r/2) real slices.
+    is first made exactly odd; each pair then shares one slice.
+
+    The rows of scale exactly 0, the zero of an odd rank and every row when
+    A_x = 0, take the pure collision flow in closed form: W_mu is a
+    projection and U^H W_mu U = W_mu, so
+    exp(c (W_mu - I)) = W_mu + e^-c (I - W_mu), and each such row maps to
+    e^-c y + (1 - e^-c) (1/2)(y . w_mu) 1^T.  The batch holds the rest:
+    floor(r/2) real slices.
 
     The weighted QR then decides the rank against the whole factor (see
     ``_factor_substep``).  A nonfinite L raises NumericalFailureError here,
@@ -250,36 +235,20 @@ def _propagate_l_structured(model, sub, dt, l_mat):
             f"angular substep got a nonfinite factor (eps={eps:g}, dt={dt:g})")
     gam, u = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))
     a = (dt / eps) * (0.5 * (gam - gam[::-1]))
-    flip = a < 0
+    c = dt / eps**2
     rows = to_flip_basis((l_mat @ u).T)
-    rows[flip] = rows[flip, ::-1]
-    blocks = _l_flow_blocks(model, dt)
-    rows = _propagate_modes(np.abs(a), blocks["mu_flip"], blocks["coll"],
-                            rows, cache=blocks)
-    rows[flip] = rows[flip, ::-1]
+    zero = a == 0.0
+    y = rows[zero]
+    rows[zero] = (np.exp(-c) * y
+                  - (0.5 * np.expm1(-c)) * (y @ model.wmu)[:, None])
+    if not zero.all():
+        live, flip = ~zero, a < 0
+        rows[flip] = rows[flip, ::-1]
+        rows[live] = _propagate_modes(
+            np.abs(a[live]), np.diag(model.quad.nodes)[:, ::-1],
+            c * (model.w_mu_matrix - np.eye(model.quad.n_mu)), rows[live])
+        rows[flip] = rows[flip, ::-1]
     return np.real(from_flip_basis(rows).T @ u.conj().T)
-
-
-def _l_flow_blocks(model, dt):
-    """The blocks of the structured L flow that stay the same every step.
-
-    Kept in ``model.cache`` under ("L", dt): "mu_flip", diag(mu) J, and
-    "coll", (dt/eps^2)(W_mu - I), and after the first substep with a zero
-    scale, "zero", the pure-collision propagator exp(coll) as
-    ``_expm_batch`` returns it.  At odd rank every substep has that zero
-    scale, and with it up to 22 squarings of an n_mu x n_mu block.  The
-    closed form W_mu + e^-c (I - W_mu) is not used in its place: its
-    roundoff differs from the batched slices', and the rank decisions of
-    the diffusive regime follow roundoff (ROADMAP item 3).
-    """
-    key = ("L", dt)
-    if key not in model.cache:
-        n_mu = model.quad.n_mu
-        model.cache[key] = {
-            "mu_flip": np.diag(model.quad.nodes)[:, ::-1],
-            "coll": (dt / model.eps**2) * (model.w_mu_matrix - np.eye(n_mu)),
-        }
-    return model.cache[key]
 
 
 def _s_generator(model, sub, sign):
@@ -377,17 +346,12 @@ def _legendre_ladder(model):
     """Angular replacement candidates P_k(mu), k = 0, 1, ...: 1, mu, ...
 
     On the n_mu Gauss-Legendre nodes the first n_mu of them are
-    w_mu-orthogonal, so they span R^n_mu.  Each candidate is evaluated once
-    per model, kept read-only in ``model.cache`` under ("ladder", k).
+    w_mu-orthogonal, so they span R^n_mu.
     """
-    mu, cache = model.quad.nodes, model.cache
+    mu = model.quad.nodes
 
     def candidate(k):
-        key = ("ladder", k)
-        if key not in cache:
-            cache[key] = np.polynomial.legendre.Legendre.basis(k)(mu)
-            cache[key].flags.writeable = False
-        return cache[key]
+        return np.polynomial.legendre.legval(mu, np.eye(k + 1)[k])
     return candidate
 
 

@@ -307,6 +307,29 @@ class TestCompare:
         lines = (tmp_path / "compare.csv").read_text().splitlines()
         assert lines[0] == "scheme,rel_l2_full,rel_l2_density,status"
 
+    @pytest.mark.parametrize("initial_condition", ["poly_fourier",
+                                                   "parabolic"])
+    def test_finite_blow_up_is_diverged(self, tmp_path, caplog,
+                                        initial_condition):
+        # PSI ends near 1e89 here (1.8e89 from poly_fourier, 1.1e89 from
+        # parabolic) without overflowing
+        cfg = RunConfig.from_dict({
+            **TINY, "n_x": 64, "n_mu": 16, "rank": 5, "eps": 0.03,
+            "dt": 0.1, "t_final": 0.3,
+            "initial_condition": initial_condition,
+            "ic_coeffs": [1.0, -0.1, -0.01, 1e-3, 1e-4],
+        })
+        by_scheme = {r[0]: r for r in cmd_compare(cfg, tmp_path)}
+        psi = by_scheme["psi"]
+        assert psi[3] == "diverged"
+        assert np.isnan(psi[1]) and np.isnan(psi[2])
+        assert "psi diverged: rel_l2_full = " in caplog.text
+        for scheme in ("gap", "bug"):
+            assert by_scheme[scheme][3] == "ok"
+            assert by_scheme[scheme][1] <= 1.0
+        lines = (tmp_path / "compare.csv").read_text().splitlines()
+        assert lines[2] == "psi,nan,nan,diverged"
+
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     def test_diffusive_regime_above_dense_fallback(self, tmp_path, eps):
         # 64 x 16 = 1024 dimensions: a Taylor reference here needs on the

@@ -301,14 +301,15 @@ class TestReplacementLadders:
         mu_hat = m.quad.nodes / weighted_norm(m.quad.nodes, m.wmu)
         assert np.abs(res.q[:, 1] - mu_hat).max() <= 1e-12
 
-    def test_legendre_candidates_are_evaluated_once(self):
-        m = build(n_x=16, n_mu=12)
-        ladder = _legendre_ladder(m)
-        p3 = ladder(3)
-        assert _legendre_ladder(m)(3) is p3
-        assert np.array_equal(
-            p3, np.polynomial.legendre.Legendre.basis(3)(m.quad.nodes))
-        assert not p3.flags.writeable
+    def test_legendre_candidates_are_the_basis_polynomials(self):
+        # legval of the k-th unit coefficient vector rounds as
+        # Legendre.basis(k)(mu), bit for bit
+        for n_mu in (2, 16, 100, 101):
+            m = build(n_x=16, n_mu=n_mu)
+            ladder = _legendre_ladder(m)
+            for k in range(n_mu):
+                assert np.array_equal(ladder(k), np.polynomial.legendre
+                                      .Legendre.basis(k)(m.quad.nodes)), k
 
     @pytest.mark.parametrize("factor", ["K", "L"])
     def test_first_candidates_are_a_basis(self, factor):
@@ -1059,36 +1060,67 @@ class TestExpmBatch:
 
 class TestConjugateFolding:
     # the real flip-form L blocks obey exp(M(-a)) = J exp(M(a)) J, so the L
-    # flow exponentiates |a_j| once per +-g pair of A_x (and once for the
-    # zero of an odd rank): ceil(r/2) slices.  Sharing a slice changes no
-    # bit against a mode-by-mode flip-form flow through the same kernel.
+    # flow exponentiates |a_j| once per +-g pair of A_x, and the zero of an
+    # odd rank takes the closed form (TestPureCollisionRows): floor(r/2)
+    # slices.  Sharing a slice changes no bit against a mode-by-mode
+    # flip-form flow through the same kernel.
+    @staticmethod
+    def scales(m, sub, dt):
+        gam = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))[0]
+        return (dt / m.eps) * (0.5 * (gam - gam[::-1]))
+
     @staticmethod
     def mode_by_mode(m, sub, dt, l0, expm_batch):
+        """The propagated flip-basis rows, one slice per mode."""
         eps, n_mu = m.eps, m.quad.n_mu
-        gam, u = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))
-        a = (dt / eps) * (0.5 * (gam - gam[::-1]))
+        u = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))[1]
         mu_flip = np.diag(m.quad.nodes)[:, ::-1]
         coll = (dt / eps**2) * (m.w_mu_matrix - np.eye(n_mu))
         rows = model_module.to_flip_basis((l0 @ u).T)
-        for j, aj in enumerate(a):
+        for j, aj in enumerate(TestConjugateFolding.scales(m, sub, dt)):
             e = expm_batch((abs(aj) * mu_flip + coll)[None])[0]
             y = rows[j, ::-1] if aj < 0 else rows[j]
             y = np.stack((y.real, y.imag)) @ e
             y = y[0] + 1j * y[1]
             rows[j] = y[::-1] if aj < 0 else y
-        return np.real(model_module.from_flip_basis(rows).T @ u.conj().T)
+        return rows
 
     @staticmethod
     def counted_flow(monkeypatch, m, sub, dt, l0):
+        """The flow, the slice count of each batch, and the flip-basis rows
+        before and after propagation."""
         expm_batch = integrators._expm_batch
-        slices = []
+        slices, rows = [], {}
 
         def counted(mats):
             slices.append(len(mats))
             return expm_batch(mats)
 
+        def to_flip(y):
+            rows["in"] = model_module.to_flip_basis(y)
+            return rows["in"].copy()
+
+        def from_flip(y):
+            rows["out"] = y.copy()
+            return model_module.from_flip_basis(y)
+
         monkeypatch.setattr(integrators, "_expm_batch", counted)
-        return _propagate_l_structured(m, sub, dt, l0), slices
+        monkeypatch.setattr(integrators, "to_flip_basis", to_flip)
+        monkeypatch.setattr(integrators, "from_flip_basis", from_flip)
+        out = _propagate_l_structured(m, sub, dt, l0)
+        return out, slices, rows["in"], rows["out"]
+
+    @classmethod
+    def assert_nonzero_rows_mode_by_mode(cls, monkeypatch, m, sub, dt, l0):
+        expm_batch = integrators._expm_batch
+        out, slices, _, rows = cls.counted_flow(monkeypatch, m, sub, dt, l0)
+        rank = l0.shape[1]
+        assert slices == [rank // 2]
+        live = cls.scales(m, sub, dt) != 0.0
+        assert np.count_nonzero(live) == 2 * (rank // 2)
+        assert np.array_equal(
+            rows[live], cls.mode_by_mode(m, sub, dt, l0, expm_batch)[live])
+        return out
 
     @pytest.mark.parametrize("rank", [4, 5])
     def test_exact_pairs_share_a_slice(self, monkeypatch, rank):
@@ -1107,11 +1139,7 @@ class TestConjugateFolding:
         assert np.array_equal(gam[::-1], -gam)
 
         l0 = rng.standard_normal((n_mu, rank))
-        expm_batch = integrators._expm_batch
-        out, slices = self.counted_flow(monkeypatch, m, sub, dt, l0)
-        assert slices == [(rank + 1) // 2]
-        assert np.array_equal(out,
-                              self.mode_by_mode(m, sub, dt, l0, expm_batch))
+        self.assert_nonzero_rows_mode_by_mode(monkeypatch, m, sub, dt, l0)
 
     @pytest.mark.parametrize("rank", [4, 5, 6, 7])
     def test_roundoff_pairs_share_a_slice(self, monkeypatch, rank):
@@ -1126,17 +1154,12 @@ class TestConjugateFolding:
         assert np.allclose(gam[::-1], -gam, rtol=0.0, atol=1e-12)
 
         l0 = rng.standard_normal((n_mu, rank))
-        expm_batch = integrators._expm_batch
-        out, slices = self.counted_flow(monkeypatch, m, sub, dt, l0)
-        assert slices == [(rank + 1) // 2]
-        assert np.array_equal(out,
-                              self.mode_by_mode(m, sub, dt, l0, expm_batch))
+        self.assert_nonzero_rows_mode_by_mode(monkeypatch, m, sub, dt, l0)
 
 
 class TestCollisionCache:
-    # the structured L flow keeps its step-invariant blocks on the model,
-    # per dt: diag(mu) J, (dt/eps^2)(W_mu - I) and exp of the latter, the
-    # slice of scale 0 at odd rank, which later substeps do not recompute
+    # the structured L flow keeps no state between substeps: the model is
+    # its inputs, and every substep batches the same floor(r/2) slices
     @staticmethod
     def substep(rank, eps=1e-3, n_mu=8):
         m = build(n_x=16, n_mu=n_mu, eps=eps)
@@ -1150,26 +1173,12 @@ class TestCollisionCache:
                                                       rank):
         dt = 0.1
         m, sub, l0 = self.substep(rank)
-        expm_batch = integrators._expm_batch
-        first, slices_first = TestConjugateFolding.counted_flow(
+        first = TestConjugateFolding.assert_nonzero_rows_mode_by_mode(
             monkeypatch, m, sub, dt, l0)
         monkeypatch.undo()
-        second, slices_second = TestConjugateFolding.counted_flow(
+        second = TestConjugateFolding.assert_nonzero_rows_mode_by_mode(
             monkeypatch, m, sub, dt, l0)
-        assert slices_first == [(rank + 1) // 2]
-        assert slices_second == [rank // 2]
         assert np.array_equal(first, second)
-        assert np.array_equal(second, TestConjugateFolding.mode_by_mode(
-            m, sub, dt, l0, expm_batch))
-
-    def test_one_entry_per_dt_on_a_new_model(self):
-        m, sub, l0 = self.substep(5)
-        assert m.cache == {}
-        for dt in (0.1, 0.05, 0.1):
-            _propagate_l_structured(m, sub, dt, l0)
-        assert sorted(m.cache) == [("L", 0.05), ("L", 0.1)]
-        assert all("zero" in blocks for blocks in m.cache.values())
-        assert dataclasses.replace(m).cache == {}
 
     def test_cached_steps_equal_fresh_model_steps(self):
         m = build(n_x=64, n_mu=16, eps=1e-3)
@@ -1178,10 +1187,44 @@ class TestCollisionCache:
         for _ in range(5):
             cached = gap_step(m, cached, 0.1)
             fresh = gap_step(dataclasses.replace(m), fresh, 0.1)
-        assert "zero" in m.cache[("L", 0.1)]
         for a, b in zip((cached.x, cached.s, cached.v),
                         (fresh.x, fresh.s, fresh.v)):
             assert np.array_equal(a, b)
+
+
+class TestPureCollisionRows:
+    # the rows of the structured L flow whose scale is exactly 0, the zero
+    # of an odd rank and every row when A_x = 0, take the closed form
+    # W_mu + e^-c (I - W_mu), c = dt/eps^2, of the collision flow, against
+    # 40-digit mpmath of exp(c (W_mu - I)).  The data c (W_mu - I) carries
+    # rounding of relative size u, and its weights sum to 2 only to
+    # roundoff, so the flow is defined to about u max(1, c).  The worst
+    # error, in units of u max(1, c) max|y|, was 1.17 for the closed form
+    # and 1.65 for the Pade slices it replaces; the bound is 10x that.
+    @pytest.mark.parametrize("dt", [1e-3, 0.1])
+    @pytest.mark.parametrize("eps", [10.0, 1.0, 0.1, 1e-2, 1e-4])
+    @pytest.mark.parametrize("n_mu", [6, 8])
+    @pytest.mark.parametrize("a_x", ["odd rank", "zero"])
+    def test_zero_rows_match_mpmath(self, monkeypatch, a_x, n_mu, eps, dt):
+        rank = 5 if a_x == "odd rank" else 4
+        m, sub, l0 = TestCollisionCache.substep(rank, eps=eps, n_mu=n_mu)
+        if a_x == "zero":
+            sub = dataclasses.replace(sub, a_x=np.zeros((rank, rank)))
+        coll = (dt / eps**2) * (m.w_mu_matrix - np.eye(n_mu))
+        e = mp_expm(coll).real
+        out, slices, rows_in, rows_out = TestConjugateFolding.counted_flow(
+            monkeypatch, m, sub, dt, l0)
+        zero = TestConjugateFolding.scales(m, sub, dt) == 0.0
+        assert np.count_nonzero(zero) == (1 if a_x == "odd rank" else rank)
+        assert slices == ([rank // 2] if a_x == "odd rank" else [])
+        bound = 17.0 * np.finfo(float).eps * max(1.0, dt / eps**2)
+        y = rows_in[zero]
+        assert (np.abs(rows_out[zero] - y @ e).max()
+                <= bound * np.abs(y).max())
+        if a_x == "zero":
+            # every row is pure collision, so the flow is L -> E^T L
+            assert (np.abs(out - e.T @ l0).max()
+                    <= bound * np.abs(l0).max())
 
 
 class TestRealLBlocks:
@@ -1278,7 +1321,8 @@ class TestRankDecision:
                 return out
 
             monkeypatch.setattr(integrators, "_expm_batch", noisy)
-            # a fresh model, whose cached collision slice is noisy too
+            # the noise reaches the batched slices; the pure-collision
+            # rows take the closed form
             out, _ = integrate(dataclasses.replace(m), st, "gap", dt,
                                n_steps)
             return rel_err(reconstruct(out), ref, m)
@@ -1327,8 +1371,8 @@ class TestWholeFactorRule:
     @pytest.mark.parametrize("pairs", ["exact", "roundoff"])
     def test_substeps_match_the_column_by_column_rule(self, monkeypatch,
                                                      pairs, rank, eps):
-        # the setups of TestConjugateFolding and TestCollisionCache; the
-        # second substep takes the cached collision slice.  Every case but
+        # the setups of TestConjugateFolding and TestCollisionCache, two
+        # substeps each.  Every case but
         # exact pairs at rank 4, eps = 1e-3 replaces one to four columns.
         dt, n_mu = 0.1, 8
         m, sub, l0 = TestCollisionCache.substep(rank, eps=eps, n_mu=n_mu)

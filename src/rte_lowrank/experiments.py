@@ -173,6 +173,9 @@ def load_config(path, overrides=()):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
+    if not isinstance(data, dict):
+        raise ConfigError(
+            f"config must be a JSON object, got {type(data).__name__}")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")

@@ -116,8 +116,10 @@ def full_operator(model):
 
 
 def _check_orthonormal(basis, w, label):
-    defect = orthonormality_defect(basis, w)
-    if defect > _ORTHO_TOL:
+    # a NaN or inf entry makes the defect NaN or inf, which must fail too
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = orthonormality_defect(basis, w)
+    if not defect <= _ORTHO_TOL:
         raise OrthonormalityError(label, defect)
 
 

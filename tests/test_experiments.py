@@ -358,6 +358,21 @@ class TestCli:
         assert cli_main(["run", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == 2
 
+    # a config file that is not a JSON object must not escape as a
+    # TypeError (exit 1) or be read as a sequence of field names
+    @pytest.mark.parametrize("text,overrides", [
+        ("5", []), ("null", []), ("[1]", ["--override", "n_x=4"]),
+        ('"abc"', [])], ids=["number", "null", "list", "string"])
+    def test_config_not_an_object_exit_two(self, tmp_path, capsys, text,
+                                           overrides):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert cli_main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out"), *overrides]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+
     # each must be rejected before any work, not escape as a ValueError,
     # LinAlgError, ZeroDivisionError or TypeError (exit 1), nor run with a
     # string read as a flag (exit 0); the seed selects nothing, but is still

@@ -123,18 +123,24 @@ class TestStepBasics:
 
     # a start off the weighted Stiefel manifolds must raise, wherever the
     # check sits: X scaled by 1.1 (defect 0.21) or V shifted by 1e-6 (defect
-    # of order 1e-6), both far above the 1e-8 tolerance
+    # of order 1e-6), both far above the 1e-8 tolerance, or one NaN or inf
+    # entry in either basis, whose defect is NaN or inf
     @pytest.mark.parametrize("name", ["gap", "psi", "bug"])
-    @pytest.mark.parametrize("factor", ["x", "v"])
+    @pytest.mark.parametrize("factor", ["x", "v", "x-nan", "v-nan", "x-inf",
+                                        "v-inf"])
     def test_non_orthonormal_start_rejected(self, name, factor):
         m = build()
         st, _, _ = from_full(generic_matrix(m), 3, m)
         if factor == "x":
             st.x = 1.1 * st.x
-        else:
+        elif factor == "v":
             st.v = st.v + 1e-6
-        with pytest.raises(OrthonormalityError):
+        else:
+            basis, value = factor.split("-")
+            getattr(st, basis)[2, 1] = float(value)
+        with pytest.raises(OrthonormalityError) as err:
             integrate(m, st, name, 0.1, 1)
+        assert err.value.factor == f"{factor[0]}_basis"
 
     def test_degenerate_state_names_one_step(self):
         # integrate prefixes the 1-based step; the inner message adds none
@@ -520,8 +526,11 @@ class TestSSubstep:
                                      log_eps, log_dt, seed):
         eps, dt = 10.0**log_eps, 10.0**log_dt
         # the backward (PSI) flow grows like exp(dt/eps^2); beyond this it
-        # overflows or loses every digit to cancellation
-        assume(sign > 0 or dt / eps**2 <= 30.0)
+        # overflows or loses every digit to cancellation.  Forward, scipy's
+        # expm of the generator is itself about 2e-9 from the exact flow at
+        # dt/eps^2 = 1e8, so it is an oracle only up to 1e6 (2.1e-11 from a
+        # 60-digit flow there); TestSSubstepMpmath covers the stiffer corner
+        assume(dt / eps**2 <= (1e6 if sign > 0 else 30.0))
         m = build(n_x=n_x, n_mu=n_mu, eps=eps)
         r = min(rank, n_mu)
         rng = np.random.default_rng(seed)
@@ -537,11 +546,11 @@ class TestSSubstep:
 
 
 class TestSSubstepMpmath:
-    # the oracle above is scipy's expm of the same generator, the substep's
-    # own algorithm; here the exponential is taken at 60 digits.  Forward
-    # runs reach dt/eps^2 = 1e6 (measured 2.1e-11 there); backward runs stay
-    # where exp(dt/eps^2) is finite.  At dt/eps^2 = 1e8 both the substep and
-    # scipy sit about 5e-10 from this oracle.
+    # the oracle above is scipy's expm of the whole r^2 x r^2 generator;
+    # here the exponential is taken at 60 digits.  Forward runs reach
+    # dt/eps^2 = 1e6 (measured 2.1e-11 there); backward runs stay where
+    # exp(dt/eps^2) is finite.  At dt/eps^2 = 1e8 both the substep and
+    # scipy sit 2e-10 to 3e-9 from this oracle.
     @pytest.mark.parametrize("sign,rank,eps,dt,seed", [
         (1.0, 4, 1e-3, 1.0, 0),
         (1.0, 3, 1e-3, 1.0, 1),
@@ -562,6 +571,29 @@ class TestSSubstepMpmath:
         out = _solve_s_substep(m, sub, dt, s0, sign, "test")
         assert (np.linalg.norm(vec(out) - oracle)
                 <= 1e-10 * np.linalg.norm(oracle))
+
+    # at dt/eps^2 = 1e8 neither the substep nor scipy's expm of the
+    # generator meets 1e-10; the substep must stay within 2x of scipy's
+    # distance from the 60-digit flow (measured ratios 0.18 to 1.6)
+    @pytest.mark.parametrize("n_x,n_mu,rank,dt,seed", [
+        (8, 4, 4, 1.0, 0),
+        (24, 8, 4, 1.0, 3),
+        (24, 8, 4, 1.0, 8),
+        (24, 8, 3, 0.5, 4),
+    ])
+    def test_no_farther_than_scipy_when_stiff(self, n_x, n_mu, rank, dt,
+                                              seed):
+        m = build(n_x=n_x, n_mu=n_mu, eps=1e-4)
+        rng = np.random.default_rng(seed)
+        x = basis_with_constant(n_x, rank, m.wx, rng)
+        v = basis_with_constant(n_mu, rank, m.wmu, rng)
+        sub = assemble_substeps(m, x, v)
+        s0 = rng.standard_normal((rank, rank))
+        gen = dt * TestSSubstep.galerkin_generator(m, sub, x)
+        exact = mp_expm(gen, dps=60).real @ vec(s0)
+        out = _solve_s_substep(m, sub, dt, s0, 1.0, "test")
+        err = np.linalg.norm(vec(out) - exact)
+        assert err <= 2.0 * np.linalg.norm(sla.expm(gen) @ vec(s0) - exact)
 
     @pytest.mark.xfail(strict=True, reason=(
         "known fault: at dt/eps^2 = 1e8 the substep and scipy.linalg.expm "

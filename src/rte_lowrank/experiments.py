@@ -21,7 +21,8 @@ from .grids import build_diff_matrices, gauss_legendre, uniform_grid
 from .integrators import integrate
 from .model import EPS_MIN, density, diffusion_limit_density, make_model
 from .state import error_report, from_full, reconstruct, report_to_dict
-from .wlinalg import frob_norm_weighted, weighted_singular_values
+from .wlinalg import (frob_norm_weighted, weighted_norm,
+                      weighted_singular_values)
 
 log = logging.getLogger(__name__)
 
@@ -227,14 +228,24 @@ def _reference(cfg, model, f0, kind):
 
     kind "dense" is the exact flow of the full system from f0 over
     cfg.t_final; kind "diffusion_limit" is the diffusion-limit density of
-    f0 at cfg.t_final, lifted as constant in angle.
+    f0 at cfg.t_final, lifted as constant in angle.  Errors are relative to
+    the reference's weighted norm and to its density's, so a reference
+    with either norm zero raises ConfigError before any job runs.
     """
     if kind == "dense":
         ref, _ = integrate(model, f0, "reference", cfg.t_final, 1)
     else:
         rho = diffusion_limit_density(model, density(model, f0), cfg.t_final)
         ref = np.outer(rho, np.ones(model.quad.n_mu))
-    return ref, kind, weighted_singular_values(ref, model.wx, model.wmu)
+    wx, wmu = model.wx, model.wmu
+    zero = [name for name, norm in (
+        ("density norm", weighted_norm(density(model, ref), wx)),
+        ("weighted norm", frob_norm_weighted(ref, wx, wmu))) if norm == 0.0]
+    if zero:
+        raise ConfigError(
+            f"the {kind} reference has zero {' and '.join(zero)}, so "
+            f"relative errors are undefined; check the initial condition")
+    return ref, kind, weighted_singular_values(ref, wx, wmu)
 
 
 def _model_and_initial(cfg, eps):
@@ -409,10 +420,10 @@ def cmd_singvals(cfg, outdir):
     """Weighted singular values of the reference solution at t_final."""
     cfg.validate(allow_zero_t=True)
     model, f0 = _model_and_initial(cfg, cfg.eps)
-    if cfg.t_final == 0:
-        sigma = weighted_singular_values(f0, model.wx, model.wmu)
-    else:
-        _, _, sigma = _reference(cfg, model, f0, "dense")
+    f = f0
+    if cfg.t_final > 0:
+        f, _ = integrate(model, f0, "reference", cfg.t_final, 1)
+    sigma = weighted_singular_values(f, model.wx, model.wmu)
     rows = [(k + 1, s) for k, s in enumerate(sigma)]
     write_csv(Path(outdir) / "singvals.csv", ["index", "sigma"], rows)
     return sigma

@@ -66,8 +66,6 @@ from .wlinalg import (
     DENSE_EXPM_LIMIT,
     expmv,
     orthonormality_defect,
-    unvec,
-    vec,
     weighted_inner,
     weighted_mgs,
     weighted_norm,
@@ -398,8 +396,7 @@ def _factor_substep(model, sub, dt, factor, mat, trace, step_index):
     bound = _norm_bound(model, sub, factor)
     if dt * bound <= _STRUCTURED_THRESHOLD[factor]:
         route = "taylor"
-        sol = expmv(operator(model, sub), dt, vec(mat), EXPMV_TOL, norm=bound)
-        out = unvec(sol, mat.shape)
+        out = expmv(operator(model, sub), dt, mat, EXPMV_TOL, bound)
     else:
         route = "structured"
         out = flow(model, sub, dt, mat)

@@ -6,8 +6,8 @@ The semi-discrete system for the value matrix F (n_x x n_mu) is
 
 with W_mu = (1/2) w_mu 1^T the angular averaging matrix.  Galerkin
 restrictions of this right-hand side onto low-rank factors give the r x r
-matrices A_x, B_mu, C_mu and the Kronecker substep operators acting on the
-vectorized angular (L) and spatial (K) factors.  D_x is circulant on the
+matrices A_x, B_mu, C_mu and the substep operators acting on the angular
+(L) and spatial (K) factor matrices themselves.  D_x is circulant on the
 uniform periodic grid, so the full system decouples into Fourier modes in x
 and :func:`full_flow` is its exact flow.
 """
@@ -23,8 +23,6 @@ from .wlinalg import (
     dense_expm,
     frob_norm_weighted,
     orthonormality_defect,
-    unvec,
-    vec,
     weighted_inner,
 )
 # unused here, but bench/tracing.py rebinds this name in this module
@@ -102,17 +100,10 @@ def full_rhs(model, f):
 
 
 def full_operator(model):
-    """Vectorized form of :func:`full_rhs` on column-major vec(F).
-
-    The map equals -(1/eps) diag(mu) kron D_x + (1/eps^2)(W_mu^T kron I - I);
-    the apply evaluates it through :func:`full_rhs`, without the matrix.
-    """
-    n_x, n_mu = model.grid.n_x, model.quad.n_mu
-
-    def apply(u):
-        return vec(full_rhs(model, unvec(u, (n_x, n_mu))))
-
-    return SparseOperator(n_x * n_mu, apply, name="full_rte_operator")
+    """:func:`full_rhs` as an operator on the n_x x n_mu value matrix."""
+    return SparseOperator((model.grid.n_x, model.quad.n_mu),
+                          lambda f: full_rhs(model, f),
+                          name="full_rte_operator")
 
 
 def _check_orthonormal(basis, w, label):
@@ -158,10 +149,9 @@ def assemble_substeps(model, x_basis, v_basis):
 
 
 def operator_L(model, sub):
-    """Propagation operator for the vectorized angular factor L (n_mu x r).
+    """Propagation operator on the angular factor L (n_mu x r).
 
-    Realizes dL/dt = -(1/eps) diag(mu) L A_x^T + (1/eps^2)(W_mu^T L - L) on
-    vec(L), i.e. -(1/eps) A_x kron diag(mu) + (1/eps^2)(I kron W_mu^T - I).
+    Realizes dL/dt = -(1/eps) diag(mu) L A_x^T + (1/eps^2)(W_mu^T L - L).
     The apply forms L (-A_x^T/eps), with the r x r block built once here,
     scales its rows by mu, and adds the rank-one collision: the one row
     (1/2)(w_mu^T L)/eps^2 on every row, minus L/eps^2.
@@ -173,22 +163,20 @@ def operator_L(model, sub):
     transport = -sub.a_x.T / eps
     half_w = (0.5 / eps**2) * model.wmu
 
-    def apply(u):
-        l = unvec(u, (n_mu, r))
+    def apply(l):
         out = l @ transport
         out *= mu[:, None]
         out += half_w @ l
         out -= l / eps**2
-        return vec(out)
+        return out
 
-    return SparseOperator(r * n_mu, apply, name="L_substep_operator")
+    return SparseOperator((n_mu, r), apply, name="L_substep_operator")
 
 
 def operator_K(model, sub):
-    """Propagation operator for the vectorized spatial factor K (n_x x r).
+    """Propagation operator on the spatial factor K (n_x x r).
 
-    Realizes dK/dt = -(1/eps) D_x K B_mu + (1/eps^2)(K C_mu - K) on vec(K),
-    i.e. -(1/eps) B_mu^T kron D_x + (1/eps^2)(C_mu^T kron I - I).  The apply
+    Realizes dK/dt = -(1/eps) D_x K B_mu + (1/eps^2)(K C_mu - K).  The apply
     takes D_x as its two-point stencil, K[i+1] - K[i-1], times the r x r
     block -B_mu/(2 dx eps), plus K times (C_mu - I)/eps^2; both blocks are
     formed once here.
@@ -199,13 +187,12 @@ def operator_K(model, sub):
     transport = sub.b_mu * (-0.5 / (model.grid.dx * eps))
     collision = (sub.c_mu - np.eye(r)) / eps**2
 
-    def apply(u):
-        k = unvec(u, (n_x, r))
+    def apply(k):
         out = _centered_difference(k) @ transport
         out += k @ collision
-        return vec(out)
+        return out
 
-    return SparseOperator(r * n_x, apply, name="K_substep_operator")
+    return SparseOperator((n_x, r), apply, name="K_substep_operator")
 
 
 def density(model, f):

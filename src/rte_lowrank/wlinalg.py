@@ -21,16 +21,6 @@ _NORM_EST_SEED = 0x5EED
 _SEGMENT_THETA = 3.0
 
 
-def vec(m):
-    """Column-major vectorization."""
-    return np.asarray(m).reshape(-1, order="F")
-
-
-def unvec(a, shape):
-    """Inverse of :func:`vec`."""
-    return np.asarray(a).reshape(shape, order="F")
-
-
 def weighted_inner(a, b, w):
     """Return a^T diag(w) b for matrices (or vectors) sharing the row count."""
     a = np.atleast_2d(np.asarray(a, dtype=float).T).T
@@ -66,10 +56,10 @@ def frob_norm_weighted(f, wx, wmu):
 
 
 class SparseOperator:
-    """A linear map exposed only through its action on vectors."""
+    """A linear map exposed only through its action on arrays of ``shape``."""
 
-    def __init__(self, dim, apply, name="operator"):
-        self.dim = dim
+    def __init__(self, shape, apply, name="operator"):
+        self.shape = tuple(shape)
         self.apply = apply
         self.name = name
 
@@ -219,9 +209,14 @@ def weighted_truncated_svd(f, r, wx, wmu):
 
 
 def estimate_operator_norm(op):
-    """Power-iteration estimate of the spectral norm of op (8 iterations)."""
+    """Power-iteration estimate of the spectral norm of op (8 iterations).
+
+    Nothing in the package calls it: :func:`expmv` takes its caller's
+    proven bound.  It stays only because bench/tracing.py wraps this name
+    (ROADMAP item 1).
+    """
     rng = np.random.default_rng(_NORM_EST_SEED)
-    v = rng.standard_normal(op.dim)
+    v = rng.standard_normal(op.shape)
     v /= np.linalg.norm(v)
     est = 0.0
     for _ in range(8):
@@ -234,41 +229,40 @@ def estimate_operator_norm(op):
     return est
 
 
-def expmv(op, t, v, tol=1e-10, norm=None):
+def expmv(op, t, v, tol, norm):
     """Compute exp(t A) v using only the action of A.
 
     Parameters
     ----------
     op : SparseOperator
     t : float
-    v : (op.dim,) array
+    v : array of shape op.shape
     tol : float
         Target relative accuracy.
-    norm : float, optional
-        An upper bound on the spectral norm of A.  When omitted, the norm is
-        estimated by power iteration (:func:`estimate_operator_norm`).
+    norm : float
+        An upper bound on the spectral norm of A, as a map on arrays of
+        op.shape in the Frobenius norm.
 
     The workhorse is a truncated Taylor series with time-step scaling: t is
     split into m substeps so the scaled norm is at most _SEGMENT_THETA = 3,
-    and within each substep terms are summed until the term norm drops below
-    the (per-substep) tolerance.  With a true bound the k-th term is at most
-    3^k/k! of the segment's input, so a segment reaches the 4u floor within
-    about 35 terms, inside the cap of 60, and its roundoff hump stays near
-    e^3 u.  Sizing segments from a norm bound follows Al-Mohy & Higham,
-    SISC 33(2), 2011.  The power-iteration estimate can fall short of the
-    norm, and a substep that has not met its tolerance after 60 terms
-    raises NumericalFailureError rather than return an unconverged sum.
+    and within each substep terms are summed until the term's Frobenius
+    norm drops below the (per-substep) tolerance.  With a true bound the
+    k-th term is at most 3^k/k! of the segment's input, so a segment
+    reaches the 4u floor within about 35 terms, inside the cap of 60, and
+    its roundoff hump stays near e^3 u.  Sizing segments from a norm bound
+    follows Al-Mohy & Higham, SISC 33(2), 2011.  A bound that falls short
+    of the norm can leave a substep short of its tolerance after 60 terms,
+    and that raises NumericalFailureError rather than return an
+    unconverged sum.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     v = np.asarray(v, dtype=float)
-    if v.shape != (op.dim,):
-        raise ValueError(f"vector length {v.shape} does not match dim {op.dim}")
+    if v.shape != op.shape:
+        raise ValueError(f"input shape {v.shape} does not match {op.shape}")
     if t == 0.0:
         return v.copy()
 
-    if norm is None:
-        norm = estimate_operator_norm(op)
     scaled = norm * abs(t)
     if not np.isfinite(scaled):
         raise NumericalFailureError(
@@ -287,10 +281,10 @@ def expmv(op, t, v, tol=1e-10, norm=None):
             for k in range(1, 61):
                 term = (h / k) * op.apply(term)
                 acc += term
-                # np.linalg.norm of a real vector is sqrt(x.dot(x)); calling
-                # it without the wrapper gives the same bits
-                converged = (math.sqrt(term.dot(term))
-                             <= tol_seg * math.sqrt(acc.dot(acc)))
+                # squared Frobenius norms as one dot product of the
+                # flattened arrays, without np.linalg.norm's wrapper
+                converged = (math.sqrt(np.vdot(term, term))
+                             <= tol_seg * math.sqrt(np.vdot(acc, acc)))
                 if converged:
                     break
             w = acc

@@ -1,9 +1,11 @@
 """Reference implementations, for cross-checking tests.
 
 The package applies D_x as its two-point stencil and the collision as a
-rank-one update, and it never assembles a matrix.  Most of these are the
-same maps built the textbook way, from COO triplets and Kronecker products,
-so a test can compare an apply or a symbol with an independent matrix form.
+rank-one update to the factor matrices themselves, and it never assembles a
+matrix.  Most of these are the same maps built the textbook way, from COO
+triplets and Kronecker products, so a test can compare an apply or a symbol
+with an independent matrix form.  The Kronecker matrices act on the
+column-major ``vec`` of a matrix, and ``unvec`` undoes it.
 ``drop_roundoff_columns`` is the whole-factor rank decision made column by
 column, in QRs of its own, against which the weighted QR's one-pass rule
 is checked.
@@ -11,6 +13,16 @@ is checked.
 
 import numpy as np
 import scipy.sparse as sp
+
+
+def vec(m):
+    """Column-major vectorization, the layout of the Kronecker matrices."""
+    return np.asarray(m).reshape(-1, order="F")
+
+
+def unvec(a, shape):
+    """Inverse of :func:`vec`."""
+    return np.asarray(a).reshape(shape, order="F")
 
 
 def d_x_matrix(grid):

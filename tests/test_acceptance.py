@@ -132,9 +132,9 @@ def test_criterion_4_expmv_oracle():
 
         for a, t in cases:
             dim = a.shape[0]
-            op = SparseOperator(dim, lambda v, a=a: a @ v)
+            op = SparseOperator((dim,), lambda v, a=a: a @ v)
             v = rng.standard_normal(dim)
-            got = expmv(op, t, v, tol=1e-10)
+            got = expmv(op, t, v, 1e-10, np.linalg.norm(a.toarray(), 2))
             oracle = dense_expm(t * a.toarray()) @ v
             assert np.linalg.norm(got - oracle) <= \
                 1e-8 * np.linalg.norm(oracle)

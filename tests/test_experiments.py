@@ -451,6 +451,43 @@ class TestCli:
         assert "backward coefficient substep" in err
         assert "collapsed" not in err
 
+    # relative errors divide by the reference's weighted and density norms;
+    # a reference with either one zero is a config error found before any
+    # job, not a ZeroDivisionError traceback (exit 1)
+    @pytest.mark.parametrize("command,coeffs,integrator,kind", [
+        ("run", [0], "reference", "diffusion_limit"),
+        ("compare", [0], "gap", "dense"),
+        ("sweep-dt", [0], "gap", "dense"),
+        ("run", [0, 1], "gap", "diffusion_limit"),
+        ("sweep-eps", [0, 1], "gap", "diffusion_limit"),
+    ])
+    def test_zero_reference_exit_two(self, tmp_path, capsys, command, coeffs,
+                                     integrator, kind):
+        path = write_cfg(tmp_path, {
+            **TINY, "n_x": 16, "n_mu": 4, "rank": 2, "eps": 1.0, "dt": 0.1,
+            "t_final": 0.2, "initial_condition": "poly_fourier",
+            "ic_coeffs": coeffs, "integrator": integrator})
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (f"config error: the {kind} reference has zero density norm"
+                in err)
+        assert "Traceback" not in err
+        assert not any(out.iterdir())
+
+    def test_zero_data_singvals_exit_zero(self, tmp_path):
+        # singular values need no relative error
+        path = write_cfg(tmp_path, {
+            **TINY, "n_x": 16, "n_mu": 4, "rank": 2, "eps": 1.0, "dt": 0.1,
+            "t_final": 0.2, "initial_condition": "poly_fourier",
+            "ic_coeffs": [0]})
+        assert cli_main(["singvals", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "singvals.csv").read_text().splitlines()
+        assert len(rows) == 5
+        assert all(float(row.split(",")[1]) == 0.0 for row in rows[1:])
+
     @pytest.mark.parametrize("source", ["--out", "output_dir"])
     def test_unusable_output_dir_exit_two(self, tmp_path, capsys, source):
         # a directory below a regular file cannot be made; that is a

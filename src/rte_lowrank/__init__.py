@@ -48,7 +48,6 @@ from .state import (
     error_report,
     from_full,
     load_state,
-    orthonormality_defects,
     reconstruct,
     save_state,
 )

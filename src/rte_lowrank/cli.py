@@ -12,12 +12,7 @@ import argparse
 import logging
 import sys
 
-from .exceptions import (
-    ConfigError,
-    DegenerateStateError,
-    NumericalFailureError,
-    SizeCapError,
-)
+from .exceptions import ConfigError, NumericalFailureError, SizeCapError
 from .experiments import (
     cmd_compare,
     cmd_run,
@@ -71,7 +66,7 @@ def main(argv=None):
     except SizeCapError as err:
         print(f"size-cap rejection: {err}", file=sys.stderr)
         return 4
-    except (NumericalFailureError, DegenerateStateError) as err:
+    except NumericalFailureError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     print(f"wrote results to {outdir}")

@@ -5,8 +5,12 @@ class NumericalFailureError(RuntimeError):
     """A numerical routine produced non-finite values."""
 
 
-class DegenerateStateError(RuntimeError):
-    """Every column of a low-rank factor collapsed during orthonormalization."""
+class DegenerateStateError(NumericalFailureError):
+    """Every column of a low-rank factor collapsed during orthonormalization.
+
+    A numerical failure like any other: the CLI exits 3 on it, and
+    ``rte compare`` reports the scheme as diverged.
+    """
 
 
 class OrthonormalityError(ValueError):

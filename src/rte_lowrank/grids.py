@@ -66,13 +66,11 @@ def gauss_legendre(n):
     Nodes are computed by Newton iteration on the Legendre polynomial with
     Chebyshev initial guesses (tolerance 1e-15, at most 100 iterations),
     weights as 2 / ((1 - x^2) P_n'(x)^2).  Output is sorted ascending and
-    symmetrized so that nodes[j] = -nodes[n-1-j] holds to roundoff.
+    symmetrized so that nodes[j] = -nodes[n-1-j] holds to roundoff.  For
+    n = 1 one Newton step lands on the node 0 exactly, with weight 2.
     """
     if n < 1:
         raise ValueError(f"quadrature order must be >= 1, got {n}")
-    if n == 1:
-        return AngularQuadrature(1, np.zeros(1), np.full(1, 2.0))
-
     i = np.arange(1, n + 1)
     x = np.cos(np.pi * (i - 0.25) / (n + 0.5))
     for _ in range(100):

@@ -43,9 +43,10 @@ flow's modes of A_x: one 2-D r x r exponential per row of U^H S.
 
 The dense reference is the exact flow of the full system,
 ``model.full_flow``: an rfft in x and one n_mu x n_mu exponential per
-distinct D_x symbol, the blocks of the L flow with the D_x symbol in place
-of the eigenvalues of A_x, each made real by one fixed unitary similarity.
-It runs no Taylor loop, so EXPMV_TOL does not affect it.
+distinct nonzero D_x symbol, the blocks of the L flow with the D_x symbol
+in place of the eigenvalues of A_x, each made real by one fixed unitary
+similarity; the zero symbol takes the closed collision form, as the L rows
+of scale 0 do.  It runs no Taylor loop, so EXPMV_TOL does not affect it.
 """
 
 import logging
@@ -57,8 +58,8 @@ import scipy.linalg as sla
 
 from .exceptions import DegenerateStateError, NumericalFailureError, SizeCapError
 from .model import (SubstepMatrices, angular_blocks, assemble_substeps,
-                    from_flip_basis, full_flow, operator_K, operator_L,
-                    spatial_block, to_flip_basis)
+                    collision_flow, from_flip_basis, full_flow, operator_K,
+                    operator_L, spatial_block, to_flip_basis)
 # unused here, but bench/tracing.py rebinds this name in this module
 from .model import full_operator  # noqa: F401
 from .state import LowRankState
@@ -218,11 +219,9 @@ def _propagate_l_structured(model, sub, dt, l_mat):
     is first made exactly odd; each pair then shares one slice.
 
     The rows of scale exactly 0, the zero of an odd rank and every row when
-    A_x = 0, take the pure collision flow in closed form: W_mu is a
-    projection and U^H W_mu U = W_mu, so
-    exp(c (W_mu - I)) = W_mu + e^-c (I - W_mu), and each such row maps to
-    e^-c y + (1 - e^-c) (1/2)(y . w_mu) 1^T.  The batch holds the rest:
-    floor(r/2) real slices.
+    A_x = 0, are pure collision and take its closed form,
+    ``model.collision_flow``, as the reference's mean mode does.  The batch
+    holds the rest: floor(r/2) real slices.
 
     The weighted QR then decides the rank against the whole factor (see
     ``_factor_substep``).  A nonfinite L raises NumericalFailureError here,
@@ -237,9 +236,7 @@ def _propagate_l_structured(model, sub, dt, l_mat):
     c = dt / eps**2
     rows = to_flip_basis((l_mat @ u).T)
     zero = a == 0.0
-    y = rows[zero]
-    rows[zero] = (np.exp(-c) * y
-                  - (0.5 * np.expm1(-c)) * (y @ model.wmu)[:, None])
+    rows[zero] = collision_flow(model, c, rows[zero])
     if not zero.all():
         live, flip = ~zero, a < 0
         rows[flip] = rows[flip, ::-1]
@@ -537,7 +534,7 @@ def integrate(model, initial, scheme, dt, n_steps, debug=False):
     for i in range(n_steps):
         try:
             state = step_fn(model, state, dt, trace=trace, step_index=i)
-        except (NumericalFailureError, DegenerateStateError) as err:
+        except NumericalFailureError as err:
             raise type(err)(f"step {i + 1}/{n_steps}: {err}") from err
         if debug:
             sig = np.linalg.svd(state.s, compute_uv=False)

@@ -78,6 +78,15 @@ def _centered_difference(a):
     return out
 
 
+def _value_matrix(model, f):
+    """f as a float n_x x n_mu value matrix; ValueError on any other shape."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (model.grid.n_x, model.quad.n_mu):
+        raise ValueError(f"f has shape {f.shape}, expected "
+                         f"({model.grid.n_x}, {model.quad.n_mu})")
+    return f
+
+
 def full_rhs(model, f):
     """Right-hand side of the semi-discrete transfer equation.
 
@@ -85,12 +94,7 @@ def full_rhs(model, f):
     -mu/(2 dx eps); the collision F W_mu - F is rank one plus identity,
     (1/2)(F w_mu) 1^T - F, so neither needs a matrix product.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (model.grid.n_x, model.quad.n_mu):
-        raise ValueError(
-            f"f has shape {f.shape}, expected "
-            f"({model.grid.n_x}, {model.quad.n_mu})"
-        )
+    f = _value_matrix(model, f)
     eps = model.eps
     out = _centered_difference(f)
     out *= model.quad.nodes * (-0.5 / (model.grid.dx * eps))
@@ -197,12 +201,7 @@ def operator_K(model, sub):
 
 def density(model, f):
     """Angular density rho = (1/2) F w_mu."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (model.grid.n_x, model.quad.n_mu):
-        raise ValueError(
-            f"f has shape {f.shape}, expected "
-            f"({model.grid.n_x}, {model.quad.n_mu})"
-        )
+    f = _value_matrix(model, f)
     return 0.5 * (f @ model.wmu)
 
 
@@ -236,6 +235,21 @@ def from_flip_basis(rows):
     return (0.5 + 0.5j) * (rows - 1j * rows[..., ::-1])
 
 
+def collision_flow(model, c, rows):
+    """Each row y of ``rows`` under exp(c (W_mu - I)), in closed form.
+
+    The pure collision flow over the scaled time c = t/eps^2.  W_mu is a
+    projection, so exp(c (W_mu - I)) = W_mu + e^-c (I - W_mu), and each row
+    maps to e^-c y + (1 - e^-c) (1/2)(y . w_mu) 1^T with no exponential.
+    Its mass y . w_mu then moves only by the roundoff of sum(w_mu) - 2,
+    where the squared Pade exponential of c (W_mu - I) drifts with c (by
+    3e-8 relative at c = 1e8).  U^H W_mu U = W_mu for the unitary U of
+    :func:`to_flip_basis`, so the form holds for flip-basis rows too.
+    """
+    return (np.exp(-c) * rows
+            - (0.5 * np.expm1(-c)) * (rows @ model.wmu)[:, None])
+
+
 def full_flow(model, f, t):
     """Exact flow exp(t A) of the full system on the value matrix F.
 
@@ -253,7 +267,10 @@ def full_flow(model, f, t):
     For even n_x the modes q and n_x/2 - q have the same symbol, so they go
     in mirrored pairs: one exponential per distinct symbol, applied row by
     row to each mode that shares it, so that every row rounds as it would
-    alone.  The exponentials go through ``dense_expm`` and not
+    alone.  The symbol 0 (the mean mode, and for even n_x the Nyquist
+    mode) leaves pure collision, which takes :func:`collision_flow` and no
+    exponential, so the mass, which sits in the mean mode, moves only at
+    roundoff.  The exponentials go through ``dense_expm`` and not
     ``integrators._propagate_modes``, because bench/tracing.py books every
     3-D expm stack in ``integrators`` as the L or K substep route.
     """
@@ -261,11 +278,16 @@ def full_flow(model, f, t):
     scale, inverse = np.unique((t / eps) * model.diff.d_x_symbol.imag,
                                return_inverse=True)
     mu_flip = np.diag(model.quad.nodes)[:, ::-1]
-    coll = (t / eps**2) * (model.w_mu_matrix - np.eye(model.quad.n_mu))
+    c = t / eps**2
+    coll = c * (model.w_mu_matrix - np.eye(model.quad.n_mu))
     rows = to_flip_basis(np.fft.rfft(f, axis=0))
     for q, s in enumerate(scale):
+        modes = np.flatnonzero(inverse == q)
+        if s == 0.0:
+            rows[modes] = collision_flow(model, c, rows[modes])
+            continue
         e = dense_expm(s * mu_flip + coll)
-        for i in np.flatnonzero(inverse == q):
+        for i in modes:
             rows[i] = rows[i] @ e
     # rebound, so that the flip-basis rows are freed before the irfft
     rows = from_flip_basis(rows)

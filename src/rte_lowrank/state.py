@@ -5,8 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import density
-from .wlinalg import frob_norm_weighted, orthonormality_defect, \
-    weighted_norm, weighted_singular_values, weighted_truncated_svd
+from .wlinalg import frob_norm_weighted, weighted_norm, \
+    weighted_singular_values, weighted_truncated_svd
 
 
 @dataclass
@@ -21,19 +21,18 @@ class LowRankState:
     s: np.ndarray
     v: np.ndarray
 
-    @property
-    def rank(self):
-        return self.s.shape[0]
-
 
 @dataclass
 class ErrorReport:
-    """Error metrics of an approximation against a reference solution."""
+    """Error metrics of an approximation against a reference solution.
+
+    Plain floats throughout, so that ``asdict`` gives the JSON form.
+    """
 
     rel_l2_density: float
     rel_l2_full: float
     mass: float
-    sigma_spectrum: np.ndarray
+    sigma_spectrum: list
 
 
 def from_full(f, r, model):
@@ -56,27 +55,18 @@ def reconstruct(state):
     return state.x @ state.s @ state.v.T
 
 
-def orthonormality_defects(state, model):
-    """Max-entry deviations of x^T diag(wx) x and v^T diag(wmu) v from I."""
-    return (orthonormality_defect(state.x, model.wx),
-            orthonormality_defect(state.v, model.wmu))
-
-
 def error_report(approx, reference, model, spectrum=None):
     """Relative L2 errors, mass, and the reference's weighted spectrum.
 
-    ``approx`` may be a LowRankState or a dense matrix; ``reference`` is a
-    dense matrix of matching shape.  ``spectrum`` is the reference's
-    weighted spectrum when the caller already has it, as a sweep that
-    measures every job against one reference does.
+    ``approx`` and ``reference`` are dense n_x x n_mu matrices; a low-rank
+    state is measured through :func:`reconstruct`.  ``spectrum`` is the
+    reference's weighted spectrum when the caller already has it, as a
+    sweep that measures every job against one reference does.
     """
-    f_a = reconstruct(approx) if isinstance(approx, LowRankState) else \
-        np.asarray(approx, dtype=float)
+    f_a = np.asarray(approx, dtype=float)
     f_r = np.asarray(reference, dtype=float)
-    if f_a.shape != f_r.shape:
-        raise ValueError(f"shape mismatch: {f_a.shape} vs {f_r.shape}")
-
     wx, wmu = model.wx, model.wmu
+    # density checks both shapes against the model's grid
     rho_a = density(model, f_a)
     rho_r = density(model, f_r)
     rho_norm = weighted_norm(rho_r, wx)
@@ -90,7 +80,8 @@ def error_report(approx, reference, model, spectrum=None):
 
     if spectrum is None:
         spectrum = weighted_singular_values(f_r, wx, wmu)
-    return ErrorReport(float(rel_rho), float(rel_full), mass, spectrum)
+    return ErrorReport(float(rel_rho), float(rel_full), mass,
+                       [float(s) for s in spectrum])
 
 
 def save_state(state, path):
@@ -116,14 +107,3 @@ def load_state(path):
                 f"{path}: array {name!r} has shape {arrays[name].shape}; "
                 f"need x (n, r), s (r, r), v (m, r) with r <= min(n, m)")
     return LowRankState(**arrays)
-
-
-def report_to_dict(report):
-    """JSON-ready dictionary form of an ErrorReport."""
-    return {
-        "rel_l2_density": report.rel_l2_density,
-        "rel_l2_full": report.rel_l2_full,
-        "mass": report.mass,
-        "sigma_spectrum": [float(s) for s in report.sigma_spectrum],
-    }
-

@@ -21,15 +21,13 @@ the fixed accuracy target EXPMV_TOL, as in Al-Mohy & Higham, SISC 33(2),
 2011.  The exact flows decouple into modes, and one kernel,
 ``_propagate_modes``, maps each mode row y_q to y_q exp(scale_q b + c): K
 on the Fourier modes of the circulant D_x (complex r x r blocks), L on
-the eigenvectors of the antisymmetric r x r A_x (real n_mu x n_mu blocks,
-by the flip similarity of the reference, one per +-g pair of A_x).  The L
-rows whose scale is exactly 0 are pure collision and skip the kernel:
-their propagator has the closed form W_mu + e^-c (I - W_mu),
-c = dt/eps^2.  The kernel exponentiates each distinct scale once, in one
-batch: ``_expm_batch`` scales each block by a power of two, calls scipy's
-Pade step once on the stack and squares the blocks as
-batched matmuls.  Both routes agree to EXPMV_TOL and are cross-checked in
-the test suite.  Both exact routes also decide against the whole factor
+the eigenvectors of the antisymmetric r x r A_x, through
+``model.flip_flow``, the angular flow it shares with the reference (real
+n_mu x n_mu blocks, one per +-g pair of A_x).  The kernel exponentiates
+each distinct scale once, in one batch: ``_expm_batch`` scales each block
+by a power of two, calls scipy's Pade step once on the stack and squares
+the blocks as batched matmuls.  Both routes agree to EXPMV_TOL and are
+cross-checked in the test suite.  Both exact routes also decide against the whole factor
 what is roundoff.  The K flow propagates only the Fourier rows of K that
 carry data, those whose largest entry is at least machine epsilon times
 the largest of all: diffusion damps the others below roundoff, and each
@@ -42,11 +40,9 @@ pure-collision rows round.  The S substep of PSI and BUG takes the L
 flow's modes of A_x: one 2-D r x r exponential per row of U^H S.
 
 The dense reference is the exact flow of the full system,
-``model.full_flow``: an rfft in x and one n_mu x n_mu exponential per
-distinct nonzero D_x symbol, the blocks of the L flow with the D_x symbol
-in place of the eigenvalues of A_x, each made real by one fixed unitary
-similarity; the zero symbol takes the closed collision form, as the L rows
-of scale 0 do.  It runs no Taylor loop, so EXPMV_TOL does not affect it.
+``model.full_flow``: an rfft in x and ``model.flip_flow`` on the Fourier
+modes, with one n_mu x n_mu exponential per distinct nonzero D_x symbol.
+It runs no Taylor loop, so EXPMV_TOL does not affect it.
 """
 
 import logging
@@ -58,8 +54,8 @@ import scipy.linalg as sla
 
 from .exceptions import DegenerateStateError, NumericalFailureError, SizeCapError
 from .model import (SubstepMatrices, angular_blocks, assemble_substeps,
-                    collision_flow, from_flip_basis, full_flow, operator_K,
-                    operator_L, spatial_block, to_flip_basis)
+                    flip_flow, full_flow, operator_K, operator_L,
+                    spatial_block)
 # unused here, but bench/tracing.py rebinds this name in this module
 from .model import full_operator  # noqa: F401
 from .state import LowRankState
@@ -209,19 +205,11 @@ def _propagate_l_structured(model, sub, dt, l_mat):
 
     With A_x = U diag(-i g) U^H, row j of (L U)^T obeys the row form
     dy_j/dt = y_j H_j with H_j = -(i g_j/eps) diag(mu) + (1/eps^2)(W_mu - I),
-    the per-mode generator of ``model.full_flow`` with g_j in place of the
-    D_x symbol.  Its flip similarity makes each block real:
-    y exp(dt H_j) = from_flip_basis(to_flip_basis(y) exp(M(a_j))) with
-    M(a) = a diag(mu) J + c (W_mu - I), a_j = (dt/eps) g_j and c = dt/eps^2.
-    J M(a) J = M(-a), so exp(M(-a)) = J exp(M(a)) J: the rows of negative
-    a_j are flipped by J before and after, and only |a_j| is exponentiated.
-    eigh returns the pairs +-g matching only to roundoff, so the spectrum
-    is first made exactly odd; each pair then shares one slice.
-
-    The rows of scale exactly 0, the zero of an odd rank and every row when
-    A_x = 0, are pure collision and take its closed form,
-    ``model.collision_flow``, as the reference's mean mode does.  The batch
-    holds the rest: floor(r/2) real slices.
+    which ``model.flip_flow`` propagates with a_j = (dt/eps) g_j through
+    ``_propagate_modes``.  eigh returns the pairs +-g matching only to
+    roundoff, so the spectrum is first made exactly odd; each pair then
+    shares one slice, and the zero of an odd rank takes the closed
+    collision form: floor(r/2) real slices.
 
     The weighted QR then decides the rank against the whole factor (see
     ``_factor_substep``).  A nonfinite L raises NumericalFailureError here,
@@ -233,18 +221,8 @@ def _propagate_l_structured(model, sub, dt, l_mat):
             f"angular substep got a nonfinite factor (eps={eps:g}, dt={dt:g})")
     gam, u = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))
     a = (dt / eps) * (0.5 * (gam - gam[::-1]))
-    c = dt / eps**2
-    rows = to_flip_basis((l_mat @ u).T)
-    zero = a == 0.0
-    rows[zero] = collision_flow(model, c, rows[zero])
-    if not zero.all():
-        live, flip = ~zero, a < 0
-        rows[flip] = rows[flip, ::-1]
-        rows[live] = _propagate_modes(
-            np.abs(a[live]), np.diag(model.quad.nodes)[:, ::-1],
-            c * (model.w_mu_matrix - np.eye(model.quad.n_mu)), rows[live])
-        rows[flip] = rows[flip, ::-1]
-    return np.real(from_flip_basis(rows).T @ u.conj().T)
+    rows = flip_flow(model, a, dt / eps**2, (l_mat @ u).T, _propagate_modes)
+    return np.real(rows.T @ u.conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ class RteModel:
     quad: AngularQuadrature
     diff: DiffMatrices
     eps: float
-    w_mu_matrix: np.ndarray
 
     @property
     def wx(self):
@@ -65,8 +64,7 @@ def make_model(grid, quad, diff, eps):
     """Assemble an RteModel; eps must lie in [EPS_MIN, 10]."""
     if not EPS_MIN <= eps <= 10.0:
         raise ValueError(f"eps must lie in [2**-511, 10], got {eps}")
-    w_mu_matrix = 0.5 * np.outer(quad.weights, np.ones(quad.n_mu))
-    return RteModel(grid, quad, diff, float(eps), w_mu_matrix)
+    return RteModel(grid, quad, diff, float(eps))
 
 
 def _centered_difference(a):
@@ -221,12 +219,7 @@ def diffusion_limit_density(model, rho0, t):
 
 
 def to_flip_basis(rows):
-    """rows @ U with the unitary U = (1 - i)(I + iJ)/2, J the flip mu -> -mu.
-
-    For a row-form generator G on the angular nodes with J G J = conj(G),
-    U^H G U is real, and y exp(G) = from_flip_basis(to_flip_basis(y)
-    exp(U^H G U)).
-    """
+    """rows @ U, U = (1 - i)(I + iJ)/2 unitary and J the flip mu -> -mu."""
     return (0.5 - 0.5j) * (rows + 1j * rows[..., ::-1])
 
 
@@ -250,47 +243,69 @@ def collision_flow(model, c, rows):
             - (0.5 * np.expm1(-c)) * (rows @ model.wmu)[:, None])
 
 
+def flip_flow(model, a, c, rows, propagate):
+    """Each complex mode row y_q under exp(-i a_q diag(mu) + c (W_mu - I)).
+
+    The angular blocks of two exact flows: the L substep's on the
+    eigenvectors of the antisymmetric A_x, whose eigenvalues -i g_q give
+    a_q = (dt/eps) g_q, and the reference's on the Fourier modes of D_x,
+    whose imaginary symbols d_q give a_q = (t/eps) Im d_q; c = t/eps^2.
+    With J the flip mu -> -mu and symmetric nodes, each block G obeys
+    J G J = conj(G), so the unitary U of :func:`to_flip_basis` makes it
+    real, U^H G U = M(a_q) = a_q diag(mu) J + c (W_mu - I), and
+    y exp(G) = ((y U) exp(M(a_q))) U^H: one real exponential, a third of
+    the cost of the complex one.  J M(a) J = M(-a), so the rows of negative
+    a_q are flipped by J before and after, and only |a_q| reaches the
+    kernel ``propagate(scale, b, c, y)``, which maps each row y_q to
+    y_q exp(scale_q b + c), b = diag(mu) J.  The rows of a_q exactly 0 are
+    pure collision and take :func:`collision_flow`.  The caller passes the
+    kernel, so that each exponential runs where bench/tracing.py books it.
+    """
+    rows = to_flip_basis(rows)
+    zero = a == 0.0
+    rows[zero] = collision_flow(model, c, rows[zero])
+    if not zero.all():
+        live, flip = ~zero, a < 0
+        n_mu = model.quad.n_mu
+        coll = c * (0.5 * np.outer(model.wmu, np.ones(n_mu)) - np.eye(n_mu))
+        rows[flip] = rows[flip, ::-1]
+        rows[live] = propagate(np.abs(a[live]),
+                               np.diag(model.quad.nodes)[:, ::-1], coll,
+                               rows[live])
+        rows[flip] = rows[flip, ::-1]
+    return from_flip_basis(rows)
+
+
+def _expm_rows(scale, b, c, y):
+    """Map each row y_q to y_q exp(scale_q b + c), overwriting y.
+
+    One ``dense_expm`` per distinct scale, applied row by row to each row
+    that shares it, so that every row rounds as it would alone.
+    """
+    scale, inverse = np.unique(scale, return_inverse=True)
+    for q, s in enumerate(scale):
+        e = dense_expm(s * b + c)
+        for i in np.flatnonzero(inverse == q):
+            y[i] = y[i] @ e
+    return y
+
+
 def full_flow(model, f, t):
     """Exact flow exp(t A) of the full system on the value matrix F.
 
-    D_x is circulant, so row q of rfft(F) obeys dF_q/dt = F_q G_q with
-    G_q = -(d_q/eps) diag(mu) + (1/eps^2)(W_mu - I), d_q the D_x symbol:
-    one n_mu x n_mu exponential per Fourier mode, the row-form blocks of the
-    structured L flow.  d_q is imaginary and the nodes are symmetric, so
-    with J the flip mu -> -mu, J G_q J = conj(G_q), and the unitary U of
-    :func:`to_flip_basis` turns G_q into the real
-    M_q = U^H G_q U = (Im d_q/eps) diag(mu) J + (1/eps^2)(W_mu - I).
-    Each mode therefore takes one real exponential, a third of the cost of
-    the complex one, and F_q exp(t G_q) = ((F_q U) exp(t M_q)) U^H.  The
-    structured L flow takes the same real blocks.
-
-    For even n_x the modes q and n_x/2 - q have the same symbol, so they go
-    in mirrored pairs: one exponential per distinct symbol, applied row by
-    row to each mode that shares it, so that every row rounds as it would
-    alone.  The symbol 0 (the mean mode, and for even n_x the Nyquist
-    mode) leaves pure collision, which takes :func:`collision_flow` and no
-    exponential, so the mass, which sits in the mean mode, moves only at
-    roundoff.  The exponentials go through ``dense_expm`` and not
+    D_x is circulant, so row q of rfft(F) evolves alone by
+    exp(t G_q), G_q = -(d_q/eps) diag(mu) + (1/eps^2)(W_mu - I), d_q the
+    D_x symbol: the blocks of :func:`flip_flow`.  For even n_x the modes q
+    and n_x/2 - q have the same symbol, so they share one exponential.
+    The symbol 0 (the mean mode, and for even n_x the Nyquist mode) leaves
+    pure collision, so the mass, which sits in the mean mode, moves only
+    at roundoff.  The exponentials go through ``dense_expm`` and not
     ``integrators._propagate_modes``, because bench/tracing.py books every
     3-D expm stack in ``integrators`` as the L or K substep route.
     """
     eps = model.eps
-    scale, inverse = np.unique((t / eps) * model.diff.d_x_symbol.imag,
-                               return_inverse=True)
-    mu_flip = np.diag(model.quad.nodes)[:, ::-1]
-    c = t / eps**2
-    coll = c * (model.w_mu_matrix - np.eye(model.quad.n_mu))
-    rows = to_flip_basis(np.fft.rfft(f, axis=0))
-    for q, s in enumerate(scale):
-        modes = np.flatnonzero(inverse == q)
-        if s == 0.0:
-            rows[modes] = collision_flow(model, c, rows[modes])
-            continue
-        e = dense_expm(s * mu_flip + coll)
-        for i in modes:
-            rows[i] = rows[i] @ e
-    # rebound, so that the flip-basis rows are freed before the irfft
-    rows = from_flip_basis(rows)
+    rows = flip_flow(model, (t / eps) * model.diff.d_x_symbol.imag,
+                     t / eps**2, np.fft.rfft(f, axis=0), _expm_rows)
     return np.fft.irfft(rows, n=model.grid.n_x, axis=0)
 
 

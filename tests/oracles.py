@@ -55,6 +55,12 @@ def d_xx_matrix(grid):
     return sp.coo_matrix((vals2, (rows2, cols2)), shape=(n, n)).tocsr()
 
 
+def w_mu_matrix(model):
+    """The angular averaging matrix W_mu = (1/2) w_mu 1^T."""
+    n_mu = model.quad.n_mu
+    return 0.5 * np.outer(model.quad.weights, np.ones(n_mu))
+
+
 def full_operator_matrix(model):
     """-(1/eps) diag(mu) kron D_x + (1/eps^2)(W_mu^T kron I - I)."""
     n_x, n_mu = model.grid.n_x, model.quad.n_mu
@@ -64,7 +70,7 @@ def full_operator_matrix(model):
     return (
         -sp.kron(sp.diags(model.quad.nodes), d_x_matrix(model.grid),
                  format="csr") / eps
-        + (sp.kron(sp.csr_matrix(model.w_mu_matrix.T), i_x, format="csr")
+        + (sp.kron(sp.csr_matrix(w_mu_matrix(model).T), i_x, format="csr")
            - sp.identity(dim, format="csr")) / eps**2
     ).tocsr()
 
@@ -74,7 +80,7 @@ def operator_L_matrix(model, sub):
     n_mu = model.quad.n_mu
     r = sub.a_x.shape[0]
     eps = model.eps
-    wt = model.w_mu_matrix.T
+    wt = w_mu_matrix(model).T
     return (
         -sp.kron(sp.csr_matrix(sub.a_x), sp.diags(model.quad.nodes),
                  format="csr") / eps

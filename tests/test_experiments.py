@@ -415,6 +415,33 @@ class TestCli:
                          "--out", str(tmp_path / "out"),
                          "--override", override]) == 2
 
+    # each is a config error found before any output is written
+    @pytest.mark.parametrize("command,config,message", [
+        ("run", None, "cannot read config"),
+        ("run", '{"n_x": 32,', "cannot read config"),
+        ("run", {**TINY, "domain": [1.0, 1.0]}, "domain: need b > a"),
+        ("run", {**TINY, "domain": [2.0, 0.0]}, "domain: need b > a"),
+        ("run", {**TINY, "initial_condition": "poly_fourier"},
+         "poly_fourier needs a nonempty ic_coeffs list"),
+        ("sweep-eps", {**TINY, "eps": []}, "eps list is empty"),
+        ("sweep-dt", {**TINY, "dt": []}, "dt list is empty"),
+    ], ids=["missing", "not-json", "empty-domain", "reversed-domain",
+            "no-ic-coeffs", "no-eps", "no-dt"])
+    def test_config_error_before_output_exit_two(self, tmp_path, capsys,
+                                                 command, config, message):
+        path = tmp_path / "cfg.json"
+        if isinstance(config, dict):
+            path = write_cfg(tmp_path, config)
+        elif config is not None:
+            path.write_text(config)
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_size_cap_exit_four(self, tmp_path):
         path = write_cfg(tmp_path, {**TINY, "integrator": "reference",
                                     "n_x": 4000, "n_mu": 100})

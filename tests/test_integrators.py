@@ -1,4 +1,6 @@
 import dataclasses
+import logging
+import re
 import warnings
 
 import numpy as np
@@ -110,6 +112,12 @@ class TestStepBasics:
         st, _, _ = from_full(generic_matrix(m), 2, m)
         with pytest.raises(ValueError):
             integrate(m, st, "rk4", 0.1, 1)
+
+    def test_zero_steps_rejected(self):
+        m = build()
+        st, _, _ = from_full(generic_matrix(m), 2, m)
+        with pytest.raises(ValueError, match="n_steps"):
+            integrate(m, st, "gap", 0.1, 0)
 
     def test_degenerate_state_detected(self):
         m = build()
@@ -707,6 +715,28 @@ class TestGapProperties:
                    if t.orth_defect is not None)
         assert any(t.orth_defect is not None for t in trace)
 
+    def test_debug_trace_warns_on_basis_defect(self, monkeypatch, caplog):
+        # every new basis scaled by 1 + 1e-9 has a defect of about 2e-9:
+        # above the trace's 1e-10 warning level, and inside the 1e-8
+        # tolerance with which the next step's assembly checks it
+        qr_fn = integrators.weighted_mgs
+
+        def scaled(*args, **kwargs):
+            qr = qr_fn(*args, **kwargs)
+            return dataclasses.replace(qr, q=(1.0 + 1e-9) * qr.q)
+
+        monkeypatch.setattr(integrators, "weighted_mgs", scaled)
+        m = build()
+        st, _, _ = from_full(generic_matrix(m), 3, m)
+        with caplog.at_level(logging.WARNING, logger=integrators.__name__):
+            _, trace = integrate(m, st, "gap", 0.05, 2, debug=True)
+        warned = [r.getMessage() for r in caplog.records]
+        assert len(warned) == 4
+        assert all(re.fullmatch(r"step [12]: (angular|spatial) basis defect "
+                                r"\S+ exceeds 1e-10", w) for w in warned)
+        assert [t.substep for t in trace] == ["L", "K", "L", "K"]
+        assert all(1e-10 < t.orth_defect <= 1e-8 for t in trace)
+
     def test_deficient_columns_reported_in_diffusive_limit(self):
         # at eps = 1e-4 most spatial columns collapse; each collapsed column
         # must be reported and replaced, leaving S with a nonnegative diagonal
@@ -759,6 +789,14 @@ class TestReference:
         m0 = m.grid.dx * np.sum(f0 @ m.wmu)
         m1 = m.grid.dx * np.sum(f1 @ m.wmu)
         assert abs(m1 - m0) <= 1e-14 * abs(m0)
+
+    def test_overflow_raises_without_warning(self):
+        m = build(n_x=16, n_mu=4, eps=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError,
+                               match="reference flow overflowed"):
+                reference_step(m, np.full((16, 4), 1e308), 0.1)
 
     def test_weighted_norm_non_increasing(self):
         m = build(n_x=48, n_mu=12, eps=0.5)
@@ -883,7 +921,7 @@ class TestModePairing:
         assert len(calls) == distinct - 1
 
         mu_flip = np.diag(m.quad.nodes)[:, ::-1]
-        coll = (t / eps**2) * (m.w_mu_matrix - np.eye(n_mu))
+        coll = (t / eps**2) * (oracles.w_mu_matrix(m) - np.eye(n_mu))
         rows = np.fft.rfft(f0, axis=0)
         rows = (0.5 - 0.5j) * (rows + 1j * rows[:, ::-1])
         zero = m.diff.d_x_symbol == 0.0
@@ -1085,7 +1123,7 @@ class TestExpmBatch:
             gam = np.linalg.eigvalsh(0.5j * (sub.a_x - sub.a_x.T))
             scale = (-1j * dt / eps) * gam
             b = np.diag(m.quad.nodes)
-            c = (dt / eps**2) * (m.w_mu_matrix - np.eye(n_mu))
+            c = (dt / eps**2) * (oracles.w_mu_matrix(m) - np.eye(n_mu))
         mats = scale[:, None, None] * b + c
         out = integrators._expm_batch(mats.copy())
         for a, e in zip(mats, out):
@@ -1119,7 +1157,7 @@ class TestConjugateFolding:
         eps, n_mu = m.eps, m.quad.n_mu
         u = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))[1]
         mu_flip = np.diag(m.quad.nodes)[:, ::-1]
-        coll = (dt / eps**2) * (m.w_mu_matrix - np.eye(n_mu))
+        coll = (dt / eps**2) * (oracles.w_mu_matrix(m) - np.eye(n_mu))
         rows = model_module.to_flip_basis((l0 @ u).T)
         for j, aj in enumerate(TestConjugateFolding.scales(m, sub, dt)):
             e = expm_batch((abs(aj) * mu_flip + coll)[None])[0]
@@ -1134,6 +1172,10 @@ class TestConjugateFolding:
         """The flow, the slice count of each batch, and the flip-basis rows
         before and after propagation."""
         expm_batch = integrators._expm_batch
+        # the originals: flip_flow looks the names up in the model module,
+        # so the spies must not call them through it
+        to_flip_basis = model_module.to_flip_basis
+        from_flip_basis = model_module.from_flip_basis
         slices, rows = [], {}
 
         def counted(mats):
@@ -1141,16 +1183,16 @@ class TestConjugateFolding:
             return expm_batch(mats)
 
         def to_flip(y):
-            rows["in"] = model_module.to_flip_basis(y)
+            rows["in"] = to_flip_basis(y)
             return rows["in"].copy()
 
         def from_flip(y):
             rows["out"] = y.copy()
-            return model_module.from_flip_basis(y)
+            return from_flip_basis(y)
 
         monkeypatch.setattr(integrators, "_expm_batch", counted)
-        monkeypatch.setattr(integrators, "to_flip_basis", to_flip)
-        monkeypatch.setattr(integrators, "from_flip_basis", from_flip)
+        monkeypatch.setattr(model_module, "to_flip_basis", to_flip)
+        monkeypatch.setattr(model_module, "from_flip_basis", from_flip)
         out = _propagate_l_structured(m, sub, dt, l0)
         return out, slices, rows["in"], rows["out"]
 
@@ -1201,7 +1243,7 @@ class TestConjugateFolding:
         self.assert_nonzero_rows_mode_by_mode(monkeypatch, m, sub, dt, l0)
 
 
-class TestCollisionCache:
+class TestStatelessModel:
     # the structured L flow keeps no state between substeps: the model is
     # its inputs, and every substep batches the same floor(r/2) slices
     @staticmethod
@@ -1224,15 +1266,15 @@ class TestCollisionCache:
             monkeypatch, m, sub, dt, l0)
         assert np.array_equal(first, second)
 
-    def test_cached_steps_equal_fresh_model_steps(self):
+    def test_steps_equal_steps_on_a_copied_model(self):
         m = build(n_x=64, n_mu=16, eps=1e-3)
         st, _, _ = from_full(generic_matrix(m), 5, m)
-        cached = fresh = st
+        same = copied = st
         for _ in range(5):
-            cached = gap_step(m, cached, 0.1)
-            fresh = gap_step(dataclasses.replace(m), fresh, 0.1)
-        for a, b in zip((cached.x, cached.s, cached.v),
-                        (fresh.x, fresh.s, fresh.v)):
+            same = gap_step(m, same, 0.1)
+            copied = gap_step(dataclasses.replace(m), copied, 0.1)
+        for a, b in zip((same.x, same.s, same.v),
+                        (copied.x, copied.s, copied.v)):
             assert np.array_equal(a, b)
 
 
@@ -1251,10 +1293,10 @@ class TestPureCollisionRows:
     @pytest.mark.parametrize("a_x", ["odd rank", "zero"])
     def test_zero_rows_match_mpmath(self, monkeypatch, a_x, n_mu, eps, dt):
         rank = 5 if a_x == "odd rank" else 4
-        m, sub, l0 = TestCollisionCache.substep(rank, eps=eps, n_mu=n_mu)
+        m, sub, l0 = TestStatelessModel.substep(rank, eps=eps, n_mu=n_mu)
         if a_x == "zero":
             sub = dataclasses.replace(sub, a_x=np.zeros((rank, rank)))
-        coll = (dt / eps**2) * (m.w_mu_matrix - np.eye(n_mu))
+        coll = (dt / eps**2) * (oracles.w_mu_matrix(m) - np.eye(n_mu))
         e = mp_expm(coll).real
         out, slices, rows_in, rows_out = TestConjugateFolding.counted_flow(
             monkeypatch, m, sub, dt, l0)
@@ -1284,7 +1326,7 @@ class TestRealLBlocks:
         gam = np.linalg.eigvalsh(0.5j * (sub.a_x - sub.a_x.T))
         a = sign * (dt / eps) * np.abs(gam)
         mu_flip = np.diag(m.quad.nodes)[:, ::-1]
-        coll = (dt / eps**2) * (m.w_mu_matrix - np.eye(n_mu))
+        coll = (dt / eps**2) * (oracles.w_mu_matrix(m) - np.eye(n_mu))
         return a[:, None, None] * mu_flip + coll
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-4])
@@ -1415,11 +1457,11 @@ class TestWholeFactorRule:
     @pytest.mark.parametrize("pairs", ["exact", "roundoff"])
     def test_substeps_match_the_column_by_column_rule(self, monkeypatch,
                                                      pairs, rank, eps):
-        # the setups of TestConjugateFolding and TestCollisionCache, two
+        # the setups of TestConjugateFolding and TestStatelessModel, two
         # substeps each.  Every case but
         # exact pairs at rank 4, eps = 1e-3 replaces one to four columns.
         dt, n_mu = 0.1, 8
-        m, sub, l0 = TestCollisionCache.substep(rank, eps=eps, n_mu=n_mu)
+        m, sub, l0 = TestStatelessModel.substep(rank, eps=eps, n_mu=n_mu)
         if pairs == "exact":
             a_x = np.zeros((rank, rank))
             for k, g in enumerate([0.7, 2.5, 1.3][:rank // 2]):

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from rte_lowrank.exceptions import OrthonormalityError
 from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
 from rte_lowrank.model import (
     EPS_MIN,
+    RteModel,
     SubstepMatrices,
     angular_blocks,
     assemble_substeps,
@@ -57,7 +59,12 @@ class TestModelBasics:
     def test_w_mu_matrix_projection_property(self):
         m = build(n_mu=16)
         w = m.wmu
-        assert np.abs(m.w_mu_matrix @ w - w).max() <= 1e-13
+        assert np.abs(oracles.w_mu_matrix(m) @ w - w).max() <= 1e-13
+
+    def test_model_is_its_inputs(self):
+        # nothing derived is stored: the flows build what they need
+        assert [f.name for f in dataclasses.fields(RteModel)] == [
+            "grid", "quad", "diff", "eps"]
 
     def test_eps_range(self):
         grid = uniform_grid(0, 2, 8)
@@ -246,7 +253,7 @@ class TestSubstepOperators:
         rng = np.random.default_rng(4)
         l = rng.standard_normal((8, 3))
         direct = (-(m.quad.nodes[:, None] * (l @ sub.a_x.T)) / m.eps
-                  + (m.w_mu_matrix.T @ l - l) / m.eps**2)
+                  + (oracles.w_mu_matrix(m).T @ l - l) / m.eps**2)
         assert np.abs(op.apply(l) - direct).max() <= \
             1e-13 * np.abs(direct).max()
         matrix = oracles.operator_L_matrix(m, sub)
@@ -265,7 +272,7 @@ class TestSubstepOperators:
         t = 2.5
         norm = np.linalg.norm(oracles.operator_L_matrix(m, sub).toarray(), 2)
         out = expmv(op, t, l, 1e-12, norm)
-        wt = m.w_mu_matrix.T
+        wt = oracles.w_mu_matrix(m).T
         oracle = wt @ l + np.exp(-t) * (l - wt @ l)
         assert np.abs(out - oracle).max() <= 1e-10 * np.abs(l).max()
 
@@ -382,6 +389,11 @@ class TestDiffusionLimit:
         rho = np.sin(np.pi * m.grid.points)
         assert np.array_equal(diffusion_limit_density(m, rho, 0.0), rho)
 
+    def test_negative_time_rejected(self):
+        m = build()
+        with pytest.raises(ValueError):
+            diffusion_limit_density(m, np.ones(32), -1.0)
+
     def test_constant_profile_fixed(self):
         m = build()
         rho = 2.5 * np.ones(32)
@@ -497,6 +509,6 @@ class TestSemiDiscreteIdentities:
             assert inner <= 1e-12 * scale / eps
             # the transport part is skew, so the inner product equals the
             # collision dissipation -(1/eps^2) ||f - f W||_w^2
-            defect = f @ m.w_mu_matrix - f
+            defect = f @ oracles.w_mu_matrix(m) - f
             expected = -frob_norm_weighted(defect, m.wx, m.wmu) ** 2 / eps**2
             assert inner == pytest.approx(expected, rel=1e-10, abs=1e-12 * scale / eps)

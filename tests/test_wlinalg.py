@@ -351,6 +351,14 @@ class TestExpmv:
         with pytest.raises(ValueError):
             expmv(op, 1.0, np.ones((9, 1)), 1e-10, norm)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("norm", [np.inf, np.nan])
+    def test_nonfinite_norm_raises_without_warning(self, norm):
+        from rte_lowrank.exceptions import NumericalFailureError
+        op = SparseOperator((3,), lambda u: u, name="identity")
+        with pytest.raises(NumericalFailureError, match="not finite"):
+            expmv(op, 1.0, np.ones(3), 1e-10, norm)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_names_operator_and_time(self):
         from rte_lowrank.exceptions import NumericalFailureError
@@ -395,6 +403,10 @@ class TestDenseExpm:
         out = dense_expm(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         expected = np.array([[np.cos(1), np.sin(1)], [-np.sin(1), np.cos(1)]])
         assert out == pytest.approx(expected, abs=1e-12)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            dense_expm(np.zeros((2, 3)))
 
     def test_dense_limit(self, monkeypatch):
         monkeypatch.setattr(wlinalg, "DENSE_EXPM_LIMIT", 10)

@@ -347,6 +347,7 @@ def cmd_sweep_eps(cfg, outdir):
         raise ConfigError("eps list is empty")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps list must be strictly descending")
+    _as_float("dt", cfg.dt)
 
     # the diffusion-limit density does not depend on eps: lift it once
     lift_model, f0 = _model_and_initial(cfg, eps_list[0])
@@ -436,6 +437,7 @@ def cmd_compare(cfg, outdir):
     ``diverged``, with NaN errors.
     """
     cfg.validate()
+    _as_float("dt", cfg.dt)
     model, f0 = _model_and_initial(cfg, cfg.eps)
     reference = _reference(cfg, model, f0, "dense")
     ref, _, sigma = reference

@@ -1,11 +1,12 @@
 """One-step maps: GAP, PSI, BUG, and the dense reference solver.
 
-Each low-rank step is built from substep flows for the angular factor L, the
-spatial factor K, and (for PSI/BUG) the coefficient matrix S, each advanced
-by its exponential.  The new L and K are orthonormalized by the weighted
-QR, whose deficient columns are replaced from a fixed ladder: Legendre
-polynomials P_k(mu) in angle, which start 1, mu, the span the diffusion
-limit needs, and the grid's Fourier modes in space.
+Each low-rank step opens with the L substep on the angular factor, in
+``_open_step``, which all three schemes share, and goes on with substep
+flows for the spatial factor K and (for PSI/BUG) the coefficient matrix S,
+each advanced by its exponential.  The new L and K are orthonormalized by
+the weighted QR, whose deficient columns are replaced from a fixed ladder:
+Legendre polynomials P_k(mu) in angle, which start 1, mu, the span the
+diffusion limit needs, and the grid's Fourier modes in space.
 
 The L and K substeps are one helper, ``_factor_substep``, and its
 exponential is one decision made from one number: the closed-form bound
@@ -37,7 +38,7 @@ few directions in the diffusive regime, so on that route the weighted QR
 judges each column against the largest one (``whole_factor``), and
 roundoff does not pick the directions it keeps, whichever way the
 pure-collision rows round.  The S substep of PSI and BUG takes the L
-flow's modes of A_x: one 2-D r x r exponential per row of U^H S.
+flow's modes of A_x through ``expm_rows``, the reference's row kernel.
 
 The dense reference is the exact flow of the full system,
 ``model.full_flow``: an rfft in x and ``model.flip_flow`` on the Fourier
@@ -54,7 +55,7 @@ import scipy.linalg as sla
 
 from .exceptions import DegenerateStateError, NumericalFailureError, SizeCapError
 from .model import (SubstepMatrices, angular_blocks, assemble_substeps,
-                    flip_flow, full_flow, operator_K, operator_L,
+                    expm_rows, flip_flow, full_flow, operator_K, operator_L,
                     spatial_block)
 # unused here, but bench/tracing.py rebinds this name in this module
 from .model import full_operator  # noqa: F401
@@ -254,27 +255,31 @@ def _norm_bound(model, sub, factor):
     return transport / model.eps + 2.0 / model.eps**2
 
 
-def _solve_s_substep(model, sub, dt, s_mat, sign, context):
+def _solve_s_substep(model, sub, dt, s_mat, sign, trace, step_index):
     """Exact flow of dS/dt = sign (-(1/eps) A_x S B_mu + (S C_mu - S)/eps^2).
 
     With A_x = U diag(-i g) U^H, as in the L flow, row j of U^H S obeys
     dy_j/dt = y_j G_j, G_j = sign ((i g_j/eps) B_mu + (1/eps^2)(C_mu - I)):
-    the K flow's row form with g_j in place of the D_x symbol.  Each row
-    takes one r x r exponential as its own 2-D ``sla.expm`` call; the
-    benchmark's tracer books a 3-D stack as an L or K route.
+    the K flow's row form with g_j in place of the D_x symbol.  The rows go
+    through ``expm_rows`` with ``sla.expm``, not a 3-D stack, which the
+    benchmark's tracer books as an L or K route.
     """
     eps = model.eps
     gam, u = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))
     with np.errstate(over="ignore", invalid="ignore"):
         collision = (sign * dt / eps**2) * (sub.c_mu - np.eye(len(s_mat)))
-        rows = u.conj().T @ s_mat
-        for j, g in enumerate(gam):
-            rows[j] = rows[j] @ sla.expm(
-                (1j * sign * dt * g / eps) * sub.b_mu + collision)
+        # real scales: NumPy divides a complex array by eps via 1/eps
+        rows = expm_rows(sla.expm, 1j * (sign * dt * gam / eps), sub.b_mu,
+                         collision, u.conj().T @ s_mat)
         sol = np.real(u @ rows)
     if not np.all(np.isfinite(sol)):
+        what = ("Galerkin coefficient substep" if sign > 0 else
+                "backward coefficient substep: the flow grows like "
+                "exp(dt/eps^2) when integrated backward; expected for small "
+                "eps -- prefer the gap or bug scheme there")
         raise NumericalFailureError(
-            f"{context} overflowed (eps={eps:g}, dt={dt:g})")
+            f"{what} overflowed (eps={eps:g}, dt={dt:g})")
+    _record(trace, step_index, "S", s_mat, sol)
     return sol
 
 
@@ -387,6 +392,15 @@ def _factor_substep(model, sub, dt, factor, mat, trace, step_index):
     return out, qr
 
 
+def _open_step(model, state, dt, trace, step_index):
+    """dt check, Galerkin matrices and L substep: (matrices, L, new V)."""
+    _check_positive("dt", dt)
+    sub = assemble_substeps(model, state.x, state.v)
+    l1, qr_v = _factor_substep(model, sub, dt, "L", state.v @ state.s.T,
+                               trace, step_index)
+    return sub, l1, qr_v.q
+
+
 def gap_step(model, state, dt, trace=None, step_index=0):
     """One step of the Galerkin alternating-projection scheme.
 
@@ -396,12 +410,7 @@ def gap_step(model, state, dt, trace=None, step_index=0):
     angular basis and re-orthonormalized to give the new X and S.  X is
     unchanged until then, so the K substep reuses the step's A_x.
     """
-    _check_positive("dt", dt)
-    sub = assemble_substeps(model, state.x, state.v)
-    _, qr_v = _factor_substep(model, sub, dt, "L", state.v @ state.s.T,
-                              trace, step_index)
-    v1 = qr_v.q
-
+    sub, _, v1 = _open_step(model, state, dt, trace, step_index)
     k0 = state.x @ state.s @ weighted_inner(state.v, v1, model.wmu)
     sub = SubstepMatrices(sub.a_x, *angular_blocks(model, v1))
     _, qr_x = _factor_substep(model, sub, dt, "K", k0, trace, step_index)
@@ -415,21 +424,10 @@ def psi_step(model, state, dt, trace=None, step_index=0):
     backward in time (the known instability source for collisional problems),
     and the spatial factor is propagated in the predicted angular basis.
     """
-    _check_positive("dt", dt)
-    sub = assemble_substeps(model, state.x, state.v)
-    l1, qr_v = _factor_substep(model, sub, dt, "L", state.v @ state.s.T,
-                               trace, step_index)
-    v1 = qr_v.q
-
-    s_tilde = weighted_inner(v1, l1, model.wmu).T
+    sub, l1, v1 = _open_step(model, state, dt, trace, step_index)
     sub = SubstepMatrices(sub.a_x, *angular_blocks(model, v1))
-    s_hat = _solve_s_substep(
-        model, sub, dt, s_tilde, sign=-1.0,
-        context="backward coefficient substep: the flow grows like "
-                "exp(dt/eps^2) when integrated backward; expected for small "
-                "eps -- prefer the gap or bug scheme there")
-    _record(trace, step_index, "S", s_tilde, s_hat)
-
+    s_tilde = weighted_inner(v1, l1, model.wmu).T
+    s_hat = _solve_s_substep(model, sub, dt, s_tilde, -1.0, trace, step_index)
     _, qr_x = _factor_substep(model, sub, dt, "K", state.x @ s_hat, trace,
                               step_index)
     return LowRankState(qr_x.q, qr_x.r_factor, v1)
@@ -443,21 +441,15 @@ def bug_step(model, state, dt, trace=None, step_index=0):
     yields X_new.  The coefficient matrix is then projected into the new
     bases and integrated forward with the Galerkin-reduced dynamics.
     """
-    _check_positive("dt", dt)
-    sub = assemble_substeps(model, state.x, state.v)
-    _, qr_v = _factor_substep(model, sub, dt, "L", state.v @ state.s.T,
-                              trace, step_index)
+    sub, _, v1 = _open_step(model, state, dt, trace, step_index)
     _, qr_x = _factor_substep(model, sub, dt, "K", state.x @ state.s,
                               trace, step_index)
-    x1, v1 = qr_x.q, qr_v.q
-
+    x1 = qr_x.q
     sub = SubstepMatrices(spatial_block(model, x1),
                           *angular_blocks(model, v1))
     s0 = (weighted_inner(x1, state.x, model.wx) @ state.s
           @ weighted_inner(state.v, v1, model.wmu))
-    s1 = _solve_s_substep(model, sub, dt, s0, sign=1.0,
-                          context="Galerkin coefficient substep")
-    _record(trace, step_index, "S", s0, s1)
+    s1 = _solve_s_substep(model, sub, dt, s0, 1.0, trace, step_index)
     return LowRankState(x1, s1, v1)
 
 

@@ -13,6 +13,7 @@ and :func:`full_flow` is its exact flow.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -276,17 +277,19 @@ def flip_flow(model, a, c, rows, propagate):
     return from_flip_basis(rows)
 
 
-def _expm_rows(scale, b, c, y):
-    """Map each row y_q to y_q exp(scale_q b + c), overwriting y.
+def expm_rows(expm, scale, b, c, y):
+    """Map each row y_q to y_q expm(scale_q b + c), overwriting y.
 
-    One ``dense_expm`` per distinct scale, applied row by row to each row
-    that shares it, so that every row rounds as it would alone.
+    One 2-D ``expm`` per distinct scale, applied row by row to each row
+    that shares it, so that every row rounds as it would alone.  Each
+    caller passes its exponential, so that bench/tracing.py books it.
     """
-    scale, inverse = np.unique(scale, return_inverse=True)
-    for q, s in enumerate(scale):
-        e = dense_expm(s * b + c)
-        for i in np.flatnonzero(inverse == q):
-            y[i] = y[i] @ e
+    last = None
+    for i in np.argsort(scale).tolist():
+        if scale[i] != last:
+            last = scale[i]
+            e = expm(last * b + c)
+        y[i] = y[i] @ e
     return y
 
 
@@ -299,13 +302,15 @@ def full_flow(model, f, t):
     and n_x/2 - q have the same symbol, so they share one exponential.
     The symbol 0 (the mean mode, and for even n_x the Nyquist mode) leaves
     pure collision, so the mass, which sits in the mean mode, moves only
-    at roundoff.  The exponentials go through ``dense_expm`` and not
+    at roundoff.  The exponentials are the per-row kernel
+    :func:`expm_rows` with ``dense_expm``, not the batched
     ``integrators._propagate_modes``, because bench/tracing.py books every
     3-D expm stack in ``integrators`` as the L or K substep route.
     """
     eps = model.eps
     rows = flip_flow(model, (t / eps) * model.diff.d_x_symbol.imag,
-                     t / eps**2, np.fft.rfft(f, axis=0), _expm_rows)
+                     t / eps**2, np.fft.rfft(f, axis=0),
+                     partial(expm_rows, dense_expm))
     return np.fft.irfft(rows, n=model.grid.n_x, axis=0)
 
 

@@ -415,7 +415,8 @@ class TestCli:
                          "--out", str(tmp_path / "out"),
                          "--override", override]) == 2
 
-    # each is a config error found before any output is written
+    # each is a config error found before any output is written, and
+    # before any reference, rank-r start or integration is computed
     @pytest.mark.parametrize("command,config,message", [
         ("run", None, "cannot read config"),
         ("run", '{"n_x": 32,', "cannot read config"),
@@ -425,10 +426,18 @@ class TestCli:
          "poly_fourier needs a nonempty ic_coeffs list"),
         ("sweep-eps", {**TINY, "eps": []}, "eps list is empty"),
         ("sweep-dt", {**TINY, "dt": []}, "dt list is empty"),
+        ("compare", {**TINY, "dt": [0.1, 0.05]}, "dt must be a number"),
+        ("sweep-eps", {**TINY, "dt": [0.1, 0.05]}, "dt must be a number"),
     ], ids=["missing", "not-json", "empty-domain", "reversed-domain",
-            "no-ic-coeffs", "no-eps", "no-dt"])
+            "no-ic-coeffs", "no-eps", "no-dt", "compare-dt-list",
+            "sweep-eps-dt-list"])
     def test_config_error_before_output_exit_two(self, tmp_path, capsys,
-                                                 command, config, message):
+                                                 monkeypatch, command,
+                                                 config, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the config error")
+        for name in ("integrate", "from_full", "diffusion_limit_density"):
+            monkeypatch.setattr(experiments, name, no_work)
         path = tmp_path / "cfg.json"
         if isinstance(config, dict):
             path = write_cfg(tmp_path, config)

@@ -543,9 +543,47 @@ class TestSSubstep:
         s0 = rng.standard_normal((r, r))
         gen = sign * self.galerkin_generator(m, sub, x)
         oracle = sla.expm(dt * gen) @ vec(s0)
-        out = _solve_s_substep(m, sub, dt, s0, sign, "test")
+        out = _solve_s_substep(m, sub, dt, s0, sign, None, 0)
         assert (np.linalg.norm(vec(out) - oracle)
                 <= 1e-10 * np.linalg.norm(oracle))
+
+
+class TestSSubstepContract:
+    # the S substep records itself like L and K, and names its failure
+    # from its direction
+    @staticmethod
+    def substep(rank=3, seed=0):
+        m = build(n_x=24, n_mu=8, eps=0.5)
+        rng = np.random.default_rng(seed)
+        x = basis_with_constant(24, rank, m.wx, rng)
+        v = basis_with_constant(8, rank, m.wmu, rng)
+        return m, assemble_substeps(m, x, v), rng.standard_normal((rank, rank))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_records_one_s_substep(self, sign):
+        m, sub, s0 = self.substep()
+        trace = []
+        out = _solve_s_substep(m, sub, 0.1, s0, sign, trace, 3)
+        assert trace == [integrators.SubstepTrace(
+            3, "S", float(np.linalg.norm(s0)), float(np.linalg.norm(out)),
+            None, ())]
+        untraced = _solve_s_substep(m, sub, 0.1, s0, sign, None, 3)
+        assert np.array_equal(untraced, out)
+
+    @pytest.mark.parametrize("sign,name", [
+        (1.0, "Galerkin coefficient substep overflowed"),
+        (-1.0, "backward coefficient substep: the flow grows"),
+    ], ids=["forward", "backward"])
+    def test_nonfinite_names_its_direction(self, sign, name):
+        m, sub, s0 = self.substep()
+        s0[1, 2] = np.inf
+        trace = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError) as err:
+                _solve_s_substep(m, sub, 0.1, s0, sign, trace, 0)
+        assert str(err.value).startswith(name)
+        assert trace == []
 
 
 class TestSSubstepMpmath:
@@ -571,7 +609,7 @@ class TestSSubstepMpmath:
         s0 = rng.standard_normal((rank, rank))
         gen = sign * TestSSubstep.galerkin_generator(m, sub, x)
         oracle = mp_expm(dt * gen, dps=60).real @ vec(s0)
-        out = _solve_s_substep(m, sub, dt, s0, sign, "test")
+        out = _solve_s_substep(m, sub, dt, s0, sign, None, 0)
         assert (np.linalg.norm(vec(out) - oracle)
                 <= 1e-10 * np.linalg.norm(oracle))
 
@@ -594,7 +632,7 @@ class TestSSubstepMpmath:
         s0 = rng.standard_normal((rank, rank))
         gen = dt * TestSSubstep.galerkin_generator(m, sub, x)
         exact = mp_expm(gen, dps=60).real @ vec(s0)
-        out = _solve_s_substep(m, sub, dt, s0, 1.0, "test")
+        out = _solve_s_substep(m, sub, dt, s0, 1.0, None, 0)
         err = np.linalg.norm(vec(out) - exact)
         assert err <= 2.0 * np.linalg.norm(sla.expm(gen) @ vec(s0) - exact)
 
@@ -703,6 +741,17 @@ class TestGapProperties:
         _, trace = integrate(m, st, "bug", 0.05, 1, debug=True)
         assert [(t.substep, t.route) for t in trace] == [
             ("L", route), ("K", route), ("S", None)]
+
+    # both open with L, as GAP does; PSI's S sits between L and K, BUG's
+    # after K
+    @pytest.mark.parametrize("scheme,order", [
+        ("psi", ["L", "S", "K"]), ("bug", ["L", "K", "S"])])
+    def test_debug_trace_reads_each_schemes_substeps(self, scheme, order):
+        m = build(eps=0.5)
+        st, _, _ = from_full(generic_matrix(m), 3, m)
+        _, trace = integrate(m, st, scheme, 0.05, 2, debug=True)
+        assert [(t.step_index, t.substep) for t in trace] == [
+            (i, name) for i in range(2) for name in order]
 
     def test_debug_trace_records_substeps(self):
         m = build()

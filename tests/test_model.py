@@ -21,6 +21,7 @@ from rte_lowrank.model import (
     assemble_substeps,
     density,
     diffusion_limit_density,
+    expm_rows,
     full_operator,
     full_rhs,
     make_model,
@@ -56,11 +57,6 @@ def random_orthobases(model, r, seed):
 
 
 class TestModelBasics:
-    def test_w_mu_matrix_projection_property(self):
-        m = build(n_mu=16)
-        w = m.wmu
-        assert np.abs(oracles.w_mu_matrix(m) @ w - w).max() <= 1e-13
-
     def test_model_is_its_inputs(self):
         # nothing derived is stored: the flows build what they need
         assert [f.name for f in dataclasses.fields(RteModel)] == [
@@ -88,6 +84,27 @@ class TestModelBasics:
         for eps in (np.nextafter(EPS_MIN, 0.0), 1e-160, 1e-300):
             with pytest.raises(ValueError):
                 make_model(grid, quad, diff, eps)
+
+
+class TestExpmRows:
+    # the per-row kernel of the reference and the S substep: one exponential
+    # per distinct scale, and each row rounds as it would alone
+    @pytest.mark.parametrize("unit", [1.0, 1j], ids=["real", "imaginary"])
+    def test_one_exponential_per_distinct_scale(self, unit):
+        rng = np.random.default_rng(0)
+        b, c = rng.standard_normal((2, 5, 5))
+        scale = unit * np.array([0.5, 1.5, 0.5, -2.0, 1.5, 0.5])
+        y = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        calls = []
+
+        def counting_expm(a):
+            calls.append(a)
+            return sla.expm(a)
+
+        out = expm_rows(counting_expm, scale, b, c, y.copy())
+        assert len(calls) == 3
+        for i in range(len(scale)):
+            assert np.array_equal(out[i], y[i] @ sla.expm(scale[i] * b + c))
 
 
 class TestFullRhs:

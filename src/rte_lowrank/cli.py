@@ -20,7 +20,7 @@ from .experiments import (
     cmd_sweep_dt,
     cmd_sweep_eps,
     load_config,
-    resolve_output_dir,
+    make_outdir,
 )
 
 _COMMANDS = {
@@ -42,7 +42,7 @@ def build_parser():
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", help="output directory (default: ./out)")
         p.add_argument("--override", nargs="*", action="extend", default=[],
                        metavar="KEY=VAL",
                        help="config field overrides (values parsed as JSON)")
@@ -58,7 +58,7 @@ def main(argv=None):
     )
     try:
         cfg = load_config(args.config, args.override)
-        outdir = resolve_output_dir(cfg, args.out)
+        outdir = make_outdir(args.out)
         _COMMANDS[args.command](cfg, outdir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

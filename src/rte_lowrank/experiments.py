@@ -1,14 +1,14 @@
 """Config-driven experiment runners: single runs, parameter sweeps, metrics.
 
-Configs are JSON files (see exp/*.cfg for the two stock experiments).  Every
-command writes plot-ready CSV tables plus a result.json echoing the resolved
-configuration, so a run is reproducible from its own output directory.
+Configs are JSON files (see exp/*.cfg for the two stock experiments).  Each
+command writes plot-ready CSV tables, and each echoes the resolved config
+where it writes JSON: ``run`` and ``sweep-eps`` in result.json, ``sweep-dt``
+in sweep_dt_summary.json.  ``compare`` and ``singvals`` write one CSV each.
 """
 
 import json
 import logging
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -25,8 +25,6 @@ from .wlinalg import (frob_norm_weighted, weighted_norm,
                       weighted_singular_values)
 
 log = logging.getLogger(__name__)
-
-OUTPUT_DIR_ENV = "RTE_OUTPUT_DIR"
 
 INTEGRATORS = ("gap", "psi", "bug", "reference")
 INITIAL_CONDITIONS = ("parabolic", "fourier_ladder", "poly_fourier")
@@ -54,7 +52,6 @@ class RunConfig:
     integrator: str = "gap"
     initial_condition: str = "parabolic"
     ic_coeffs: Optional[list] = None
-    output_dir: Optional[str] = None
     seed: int = 0  # validated, but selects nothing
     debug_trace: bool = False
     compare_reference: bool = False
@@ -109,11 +106,7 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         cfg = cls(**d)
-        # before resolve_output_dir reads output_dir, and before a truthy
-        # string can switch a flag on
-        if cfg.output_dir is not None and not isinstance(cfg.output_dir, str):
-            raise ConfigError(
-                f"output_dir must be a string, got {cfg.output_dir!r}")
+        # before a truthy string can switch a flag on
         for name in ("debug_trace", "compare_reference"):
             if not isinstance(getattr(cfg, name), bool):
                 raise ConfigError(
@@ -133,6 +126,14 @@ def _as_float(name, value):
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return float(value)
+
+
+def _as_list(name, value):
+    """A sweep's eps or dt as a nonempty list; a number is a list of one."""
+    values = value if isinstance(value, list) else [value]
+    if not values:
+        raise ConfigError(f"{name} list is empty")
+    return values
 
 
 def _as_floats(name, value):
@@ -189,9 +190,9 @@ def load_config(path, overrides=()):
     return RunConfig.from_dict(data)
 
 
-def resolve_output_dir(cfg, out=None):
-    path = out or cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "out"
-    path = Path(path)
+def make_outdir(out):
+    """The directory --out names, or ./out without the flag; made here."""
+    path = Path(out or "out")
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as err:
@@ -248,11 +249,19 @@ def _reference(cfg, model, f0, kind):
     return ref, kind, weighted_singular_values(ref, wx, wmu)
 
 
-def _model_and_initial(cfg, eps):
-    """The model at eps on the config's grid, and the initial matrix."""
+def _setup(cfg, eps, kind):
+    """(model at eps, initial matrix f0, reference, rank-r start).
+
+    ``reference`` is the ``_reference`` triple of the given kind and
+    ``start`` is ``from_full(f0, cfg.rank, model)``; a command that measures
+    errors builds these once, here, and shares them among its jobs.
+    """
+    eps = _as_float("eps", eps)
     grid, quad, diff = build_setup(cfg)
-    return (make_model(grid, quad, diff, _as_float("eps", eps)),
-            initial_matrix(cfg, grid, quad))
+    model = make_model(grid, quad, diff, eps)
+    f0 = initial_matrix(cfg, grid, quad)
+    return (model, f0, _reference(cfg, model, f0, kind),
+            from_full(f0, cfg.rank, model))
 
 
 def run_single(cfg, model, f0, dt, reference, start):
@@ -260,8 +269,8 @@ def run_single(cfg, model, f0, dt, reference, start):
 
     ``reference`` is a ``_reference`` triple to measure the error against
     and ``start`` is ``from_full(f0, cfg.rank, model)``, the rank-r state
-    with its delta0 and sigma_tail; a command builds each once and shares
-    them among its jobs.  Returns (RunResult, final matrix).
+    with its delta0 and sigma_tail, both from ``_setup``.  Returns
+    (RunResult, final matrix).
     """
     dt = _as_float("dt", dt)
     n = n_steps(cfg.t_final, dt)
@@ -320,13 +329,10 @@ def write_csv(path, header, rows):
 def cmd_run(cfg, outdir):
     """Single integration; writes result.json (+ errors.csv vs dense ref)."""
     cfg.validate()
-    if isinstance(cfg.eps, list) or isinstance(cfg.dt, list):
-        raise ConfigError("run needs scalar eps and dt; use a sweep command")
-    model, f0 = _model_and_initial(cfg, cfg.eps)
-    kind = "dense" if cfg.compare_reference else "diffusion_limit"
-    result, _ = run_single(cfg, model, f0, cfg.dt,
-                           _reference(cfg, model, f0, kind),
-                           from_full(f0, cfg.rank, model))
+    dt = _as_float("dt", cfg.dt)
+    model, f0, reference, start = _setup(
+        cfg, cfg.eps, "dense" if cfg.compare_reference else "diffusion_limit")
+    result, _ = run_single(cfg, model, f0, dt, reference, start)
     _write_json(Path(outdir) / "result.json", asdict(result))
     if cfg.compare_reference:
         rep = result.error_report
@@ -342,20 +348,17 @@ def cmd_run(cfg, outdir):
 def cmd_sweep_eps(cfg, outdir):
     """One run per eps against the diffusion-limit density; writes CSV."""
     cfg.validate()
-    eps_list = cfg.eps if isinstance(cfg.eps, list) else [cfg.eps]
-    if not eps_list:
-        raise ConfigError("eps list is empty")
+    eps_list = _as_list("eps", cfg.eps)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps list must be strictly descending")
-    _as_float("dt", cfg.dt)
+    dt = _as_float("dt", cfg.dt)
 
     # the diffusion-limit density does not depend on eps: lift it once
-    lift_model, f0 = _model_and_initial(cfg, eps_list[0])
-    reference = _reference(cfg, lift_model, f0, "diffusion_limit")
-    start = from_full(f0, cfg.rank, lift_model)
+    lift_model, f0, reference, start = _setup(cfg, eps_list[0],
+                                              "diffusion_limit")
     grid, quad, diff = lift_model.grid, lift_model.quad, lift_model.diff
 
-    results = [run_single(cfg, make_model(grid, quad, diff, eps), f0, cfg.dt,
+    results = [run_single(cfg, make_model(grid, quad, diff, eps), f0, dt,
                           reference, start)[0]
                for eps in eps_list]
     rows = [
@@ -384,14 +387,10 @@ def fit_slope(dts, errors, floor):
 def cmd_sweep_dt(cfg, outdir):
     """GAP error vs time step against one coalesced reference; writes CSV."""
     cfg.validate()
-    dt_list = cfg.dt if isinstance(cfg.dt, list) else [cfg.dt]
-    if not dt_list:
-        raise ConfigError("dt list is empty")
+    dt_list = _as_list("dt", cfg.dt)
 
-    model, f0 = _model_and_initial(cfg, cfg.eps)
-    reference = _reference(cfg, model, f0, "dense")
+    model, f0, reference, start = _setup(cfg, cfg.eps, "dense")
     ref, _, sigma = reference
-    start = from_full(f0, cfg.rank, model)
     ref_norm = frob_norm_weighted(ref, model.wx, model.wmu)
     r = cfg.rank
     sigma_tail = float(sigma[r]) if r < len(sigma) else 0.0
@@ -420,10 +419,12 @@ def cmd_sweep_dt(cfg, outdir):
 def cmd_singvals(cfg, outdir):
     """Weighted singular values of the reference solution at t_final."""
     cfg.validate(allow_zero_t=True)
-    model, f0 = _model_and_initial(cfg, cfg.eps)
-    f = f0
+    eps = _as_float("eps", cfg.eps)
+    grid, quad, diff = build_setup(cfg)
+    model = make_model(grid, quad, diff, eps)
+    f = initial_matrix(cfg, grid, quad)
     if cfg.t_final > 0:
-        f, _ = integrate(model, f0, "reference", cfg.t_final, 1)
+        f, _ = integrate(model, f, "reference", cfg.t_final, 1)
     sigma = weighted_singular_values(f, model.wx, model.wmu)
     rows = [(k + 1, s) for k, s in enumerate(sigma)]
     write_csv(Path(outdir) / "singvals.csv", ["index", "sigma"], rows)
@@ -434,20 +435,18 @@ def cmd_compare(cfg, outdir):
     """gap/psi/bug/reference errors against the dense reference at fixed eps.
 
     A scheme that raises, or ends with rel_l2_full not at most 1, is
-    ``diverged``, with NaN errors.
+    ``diverged``, with NaN errors.  The reference row measures the
+    reference against itself: exact zeros.
     """
     cfg.validate()
-    _as_float("dt", cfg.dt)
-    model, f0 = _model_and_initial(cfg, cfg.eps)
-    reference = _reference(cfg, model, f0, "dense")
-    ref, _, sigma = reference
-    start = from_full(f0, cfg.rank, model)
+    dt = _as_float("dt", cfg.dt)
+    model, f0, reference, start = _setup(cfg, cfg.eps, "dense")
 
     rows = []
     for scheme in ("gap", "psi", "bug"):
         try:
             res, _ = run_single(replace(cfg, integrator=scheme), model, f0,
-                                cfg.dt, reference, start)
+                                dt, reference, start)
             full = res.error_report["rel_l2_full"]
             # farther from the reference than the zero matrix is: a finite
             # blow-up, reported as a raised divergence is
@@ -459,9 +458,7 @@ def cmd_compare(cfg, outdir):
         except NumericalFailureError as err:
             log.warning("%s diverged: %s", scheme, err)
             rows.append((scheme, math.nan, math.nan, "diverged"))
-    # the reference row measures the reference computed above against itself
-    report = error_report(ref, ref, model, sigma)
-    rows.append(("reference", report.rel_l2_full, report.rel_l2_density, "ok"))
+    rows.append(("reference", 0.0, 0.0, "ok"))
     write_csv(Path(outdir) / "compare.csv",
               ["scheme", "rel_l2_full", "rel_l2_density", "status"], rows)
     return rows

@@ -190,8 +190,7 @@ def _propagate_k_structured(model, sub, dt, k_mat):
         mag = np.abs(k_hat).max(axis=1)
         top = mag.max()
     if not np.isfinite(top):
-        raise NumericalFailureError(
-            f"spatial substep overflowed (eps={eps:g}, dt={dt:g})")
+        raise NumericalFailureError("spatial substep overflowed")
     live = mag >= np.finfo(float).eps * top
     out = np.zeros_like(k_hat)
     out[live] = _propagate_modes(-(dt / eps) * model.diff.d_x_symbol[live],
@@ -218,8 +217,7 @@ def _propagate_l_structured(model, sub, dt, l_mat):
     """
     eps = model.eps
     if not np.all(np.isfinite(l_mat)):
-        raise NumericalFailureError(
-            f"angular substep got a nonfinite factor (eps={eps:g}, dt={dt:g})")
+        raise NumericalFailureError("angular substep got a nonfinite factor")
     gam, u = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))
     a = (dt / eps) * (0.5 * (gam - gam[::-1]))
     rows = flip_flow(model, a, dt / eps**2, (l_mat @ u).T, _propagate_modes)
@@ -273,12 +271,11 @@ def _solve_s_substep(model, sub, dt, s_mat, sign, trace, step_index):
                          collision, u.conj().T @ s_mat)
         sol = np.real(u @ rows)
     if not np.all(np.isfinite(sol)):
-        what = ("Galerkin coefficient substep" if sign > 0 else
-                "backward coefficient substep: the flow grows like "
-                "exp(dt/eps^2) when integrated backward; expected for small "
-                "eps -- prefer the gap or bug scheme there")
         raise NumericalFailureError(
-            f"{what} overflowed (eps={eps:g}, dt={dt:g})")
+            "Galerkin coefficient substep overflowed" if sign > 0 else
+            "backward coefficient substep overflowed: the flow grows like "
+            "exp(dt/eps^2) when integrated backward, as expected for small "
+            "eps; prefer the gap scheme there")
     _record(trace, step_index, "S", s_mat, sol)
     return sol
 
@@ -384,8 +381,9 @@ def _factor_substep(model, sub, dt, factor, mat, trace, step_index):
                       whole_factor=factor == "L" and route == "structured")
     if len(qr.replaced_columns) == qr.q.shape[1]:
         raise DegenerateStateError(
-            f"all {qr.q.shape[1]} columns of the {_BASIS_LABEL[factor]} "
-            f"factor collapsed; the state has lost its rank entirely"
+            f"the {_BASIS_LABEL[factor]} factor collapsed: all "
+            f"{qr.q.shape[1]} columns are deficient, so the state has lost "
+            f"its rank entirely"
         )
     _record(trace, step_index, factor, mat, out, w, qr.replaced_columns,
             qr.q, route)
@@ -505,7 +503,8 @@ def integrate(model, initial, scheme, dt, n_steps, debug=False):
         try:
             state = step_fn(model, state, dt, trace=trace, step_index=i)
         except NumericalFailureError as err:
-            raise type(err)(f"step {i + 1}/{n_steps}: {err}") from err
+            raise type(err)(f"step {i + 1}/{n_steps} (eps={model.eps:g}, "
+                            f"dt={dt:g}): {err}") from err
         if debug:
             sig = np.linalg.svd(state.s, compute_uv=False)
             if sig[0] > 0 and sig[-1] / sig[0] < _SIGMA_WARN_RATIO:

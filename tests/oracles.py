@@ -8,7 +8,8 @@ with an independent matrix form.  The Kronecker matrices act on the
 column-major ``vec`` of a matrix, and ``unvec`` undoes it.
 ``drop_roundoff_columns`` is the whole-factor rank decision made column by
 column, in QRs of its own, against which the weighted QR's one-pass rule
-is checked.
+is checked.  ``wide_limit_density`` is the semi-discrete diffusion limit
+that the diffusive regime approaches.
 """
 
 import numpy as np
@@ -59,6 +60,19 @@ def w_mu_matrix(model):
     """The angular averaging matrix W_mu = (1/2) w_mu 1^T."""
     n_mu = model.quad.n_mu
     return 0.5 * np.outer(model.quad.weights, np.ones(n_mu))
+
+
+def wide_limit_density(model, rho0, t):
+    """rho0 under the eps -> 0 limit of the semi-discrete system.
+
+    With the centred D_x that limit is exp((t/3) D_x^2), the wide stencil,
+    not the compact D_xx of ``model.diffusion_limit_density``.  D_x is
+    circulant, so the flow is the Fourier multiplier
+    exp((t/3) d_x_symbol^2) on the rfft of rho0; the symbol is imaginary,
+    and its square real.
+    """
+    decay = np.exp((t / 3.0) * np.real(model.diff.d_x_symbol**2))
+    return np.fft.irfft(decay * np.fft.rfft(rho0), n=model.grid.n_x)
 
 
 def full_operator_matrix(model):

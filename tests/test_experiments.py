@@ -10,7 +10,6 @@ from rte_lowrank import experiments, state, wlinalg
 from rte_lowrank.cli import main as cli_main
 from rte_lowrank.exceptions import ConfigError, SizeCapError
 from rte_lowrank.experiments import (
-    OUTPUT_DIR_ENV,
     RunConfig,
     cmd_compare,
     cmd_run,
@@ -20,7 +19,6 @@ from rte_lowrank.experiments import (
     fit_slope,
     load_config,
     n_steps,
-    resolve_output_dir,
 )
 
 TINY = {
@@ -102,13 +100,6 @@ class TestRunConfig:
         path = write_cfg(tmp_path, TINY)
         with pytest.raises(ConfigError):
             load_config(path, ["rank"])
-
-    def test_output_dir_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "from_env"))
-        cfg = RunConfig.from_dict(TINY)
-        out = resolve_output_dir(cfg)
-        assert out == tmp_path / "from_env"
-        assert out.is_dir()
 
 
 class TestCmdRun:
@@ -428,9 +419,11 @@ class TestCli:
         ("sweep-dt", {**TINY, "dt": []}, "dt list is empty"),
         ("compare", {**TINY, "dt": [0.1, 0.05]}, "dt must be a number"),
         ("sweep-eps", {**TINY, "dt": [0.1, 0.05]}, "dt must be a number"),
+        ("run", {**TINY, "output_dir": "elsewhere"},
+         "unknown config fields: ['output_dir']"),
     ], ids=["missing", "not-json", "empty-domain", "reversed-domain",
             "no-ic-coeffs", "no-eps", "no-dt", "compare-dt-list",
-            "sweep-eps-dt-list"])
+            "sweep-eps-dt-list", "output-dir-field"])
     def test_config_error_before_output_exit_two(self, tmp_path, capsys,
                                                  monkeypatch, command,
                                                  config, message):
@@ -524,18 +517,15 @@ class TestCli:
         assert len(rows) == 5
         assert all(float(row.split(",")[1]) == 0.0 for row in rows[1:])
 
-    @pytest.mark.parametrize("source", ["--out", "output_dir"])
-    def test_unusable_output_dir_exit_two(self, tmp_path, capsys, source):
+    @pytest.mark.parametrize("flag", ["--out"])
+    def test_unusable_output_dir_exit_two(self, tmp_path, capsys, flag):
         # a directory below a regular file cannot be made; that is a
         # config error that names the path, not a traceback (exit 1)
         blocker = tmp_path / "file"
         blocker.write_text("")
         bad = str(blocker / "sub")
-        if source == "--out":
-            path, extra = write_cfg(tmp_path, TINY), ["--out", bad]
-        else:
-            path, extra = write_cfg(tmp_path, {**TINY, "output_dir": bad}), []
-        assert cli_main(["run", "--config", str(path), *extra]) == 2
+        path = write_cfg(tmp_path, TINY)
+        assert cli_main(["run", "--config", str(path), flag, bad]) == 2
         err = capsys.readouterr().err
         assert bad in err
         assert "Traceback" not in err

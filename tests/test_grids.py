@@ -1,9 +1,27 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
 
 import oracles
 from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_import_loads_no_other_layer():
+    # the package re-exports nothing, so importing one module loads only
+    # what that module imports: the grids need NumPy alone
+    probe = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+             "import rte_lowrank.grids; "
+             "print([m for m in ('scipy', 'rte_lowrank.integrators') "
+             "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestGaussLegendre:

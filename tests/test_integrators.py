@@ -19,6 +19,7 @@ from rte_lowrank.exceptions import (
     OrthonormalityError,
     SizeCapError,
 )
+from rte_lowrank.experiments import RunConfig, initial_matrix
 from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
 from rte_lowrank.integrators import (
     _STRUCTURED_THRESHOLD,
@@ -156,8 +157,34 @@ class TestStepBasics:
         st.s = np.zeros_like(st.s)
         with pytest.raises(DegenerateStateError) as err:
             integrate(m, st, "gap", 0.1, 2)
-        assert str(err.value).startswith("step 1/2: all 3 columns")
+        assert str(err.value).startswith(
+            "step 1/2 (eps=1, dt=0.1): the angular factor collapsed: "
+            "all 3 columns")
         assert str(err.value).count("step") == 1
+
+    # every failure a step raises names eps and dt once, in integrate's
+    # prefix: a nonfinite S on the Taylor and on the structured L route, a
+    # zero S, whose factors collapse, and PSI's backward overflow
+    @pytest.mark.parametrize("case,eps,dt,n,subject", [
+        ("nonfinite", 1.0, 0.1, 2, "exp(0.1 * L_substep_operator) v "
+         "overflowed"),
+        ("nonfinite", 1e-3, 0.1, 2, "angular substep got a nonfinite factor"),
+        ("zero", 1.0, 0.1, 2, "the angular factor collapsed"),
+        ("psi", 0.01, 0.01, 20, "backward coefficient substep overflowed"),
+    ], ids=["nonfinite-taylor", "nonfinite-structured", "zero", "psi"])
+    def test_failure_names_eps_and_dt_once(self, case, eps, dt, n, subject):
+        m = build(n_x=64, n_mu=16, eps=eps)
+        st, _, _ = from_full(generic_matrix(m), 3, m)
+        if case == "nonfinite":
+            st.s[0, 0] = np.inf
+        elif case == "zero":
+            st.s = np.zeros_like(st.s)
+        with pytest.raises(NumericalFailureError) as err:
+            integrate(m, st, "psi" if case == "psi" else "gap", dt, n)
+        msg = str(err.value)
+        assert re.match(rf"step \d+/{n} \(eps={eps:g}, dt={dt:g}\): "
+                        rf"{re.escape(subject)}", msg), msg
+        assert msg.count("eps=") == 1 and msg.count("dt=") == 1, msg
 
     @pytest.mark.parametrize("name", ["gap", "psi", "bug"])
     def test_one_checked_assembly_per_step(self, monkeypatch, name):
@@ -572,7 +599,7 @@ class TestSSubstepContract:
 
     @pytest.mark.parametrize("sign,name", [
         (1.0, "Galerkin coefficient substep overflowed"),
-        (-1.0, "backward coefficient substep: the flow grows"),
+        (-1.0, "backward coefficient substep overflowed: the flow grows"),
     ], ids=["forward", "backward"])
     def test_nonfinite_names_its_direction(self, sign, name):
         m, sub, s0 = self.substep()
@@ -677,6 +704,37 @@ class TestPsiInstability:
         psi_step(m, st, 0.1, trace=trace)
         s_rec = [t for t in trace if t.substep == "S"][0]
         assert s_rec.post_norm > s_rec.pre_norm
+
+
+class TestAsymptoticPreserving:
+    # the paper's AP claim: in the diffusive regime GAP's K-step becomes the
+    # limit equation.  Every substep takes its exact flow there, so the
+    # density error against the system's own limit exp((t/3) D_x^2) does
+    # not depend on dt.  Measured at 64 x 16, rank 5, t = 0.5: parabolic
+    # 6.4556e-6 at eps = 1e-2 (spread over dt 4e-9) and 6.456e-8 at 1e-3
+    # (spread 1.3e-4), an eps^2 ratio of 1.0e-2; poly_fourier 1.4350e-3 and
+    # 1.4346e-4 (spread at most 2e-10), the equation's own initial layer
+    @pytest.mark.parametrize("ic,coeffs", [
+        ("parabolic", None), ("poly_fourier", [1.0, 1.0, 0.1, 0.01])])
+    def test_density_error_does_not_depend_on_dt(self, ic, coeffs):
+        errors = {}
+        for eps in (1e-2, 1e-3):
+            m = build(n_x=64, n_mu=16, eps=eps)
+            f0 = initial_matrix(
+                RunConfig(initial_condition=ic, ic_coeffs=coeffs),
+                m.grid, m.quad)
+            limit = oracles.wide_limit_density(m, density(m, f0), 0.5)
+            start, _, _ = from_full(f0, 5, m)
+            errs = []
+            for dt in (0.5, 0.25, 0.1, 0.05):
+                final, _ = integrate(m, start, "gap", dt, round(0.5 / dt))
+                rho = density(m, reconstruct(final))
+                errs.append(weighted_norm(rho - limit, m.wx)
+                            / weighted_norm(limit, m.wx))
+            assert max(errs) <= 1.01 * min(errs), (eps, errs)
+            errors[eps] = max(errs)
+        if ic == "parabolic":
+            assert errors[1e-3] <= 2e-2 * errors[1e-2], errors
 
 
 class TestGapProperties:

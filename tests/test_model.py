@@ -376,7 +376,8 @@ class TestApplyMatchesMatrix:
     def test_package_does_not_import_scipy_sparse(self):
         # D_x lives as its stencil and its symbol; the CSR forms are oracles
         probe = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
-                 "import rte_lowrank; print('scipy.sparse' in sys.modules)")
+                 "import rte_lowrank.experiments; "
+                 "print('scipy.sparse' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", probe], check=True,
                              capture_output=True, text=True)
         assert out.stdout.strip() == "False"

@@ -11,6 +11,7 @@ rejection.
 import argparse
 import logging
 import sys
+from pathlib import Path
 
 from .exceptions import ConfigError, NumericalFailureError, SizeCapError
 from .experiments import (
@@ -20,7 +21,6 @@ from .experiments import (
     cmd_sweep_dt,
     cmd_sweep_eps,
     load_config,
-    make_outdir,
 )
 
 _COMMANDS = {
@@ -58,7 +58,8 @@ def main(argv=None):
     )
     try:
         cfg = load_config(args.config, args.override)
-        outdir = make_outdir(args.out)
+        # made by the command's first write, after its own checks
+        outdir = Path(args.out or "out")
         _COMMANDS[args.command](cfg, outdir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -190,16 +190,6 @@ def load_config(path, overrides=()):
     return RunConfig.from_dict(data)
 
 
-def make_outdir(out):
-    """The directory --out names, or ./out without the flag; made here."""
-    path = Path(out or "out")
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"cannot use output directory {path}: {err}") from err
-    return path
-
-
 def build_setup(cfg):
     """Grid, quadrature, and finite-difference matrices for a config."""
     grid = uniform_grid(cfg.domain[0], cfg.domain[1], cfg.n_x)
@@ -301,9 +291,22 @@ def run_single(cfg, model, f0, dt, reference, start):
     ), f_final
 
 
+def _open_output(path):
+    """path opened for writing, its directory made at this first write.
+
+    So a command that stops on a config error leaves no directory behind;
+    one that cannot be made is a ConfigError naming it.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(
+            f"cannot use output directory {path.parent}: {err}") from err
+    return open(path, "w")
+
+
 def _write_json(path, data):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -318,8 +321,7 @@ def _fmt(value):
 
 def write_csv(path, header, rows):
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")

@@ -9,7 +9,9 @@ column-major ``vec`` of a matrix, and ``unvec`` undoes it.
 ``drop_roundoff_columns`` is the whole-factor rank decision made column by
 column, in QRs of its own, against which the weighted QR's one-pass rule
 is checked.  ``wide_limit_density`` is the semi-discrete diffusion limit
-that the diffusive regime approaches.
+that the diffusive regime approaches.  ``tangent_residual`` is the normal
+component of the right-hand side by the dense three-projection formula,
+which also runs on mpmath numbers.
 """
 
 import numpy as np
@@ -73,6 +75,29 @@ def wide_limit_density(model, rho0, t):
     """
     decay = np.exp((t / 3.0) * np.real(model.diff.d_x_symbol**2))
     return np.fft.irfft(decay * np.fft.rfft(rho0), n=model.grid.n_x)
+
+
+def tangent_residual(model, x, s, v):
+    """||(I - P) rhs(X S V^T)||_w by the dense three-projection formula.
+
+    P = P_X + P_V - P_X P_V is the tangent projector at f = X S V^T, so
+    this is g - P_X g - g P_V + P_X g P_V for the full n_x x n_mu
+    right-hand side g.  g's 1/eps^2 collision terms cancel in the
+    projection, so in float64 the value carries roundoff of about u/eps^2
+    relative to the collision's size.  Given x, s and v as object arrays of
+    mpmath numbers, it runs at their precision, and the model's float data
+    enter exactly.
+    """
+    eps = model.eps
+    wx, wmu = model.wx, model.wmu
+    f = x @ s @ v.T
+    g = (d_x_matrix(model.grid).toarray() @ f) * model.quad.nodes / -eps
+    g = g + (f @ w_mu_matrix(model) - f) / eps / eps
+    px_g = x @ (x.T @ (wx[:, None] * g))
+    g_pv = (g * wmu) @ v @ v.T
+    px_g_pv = x @ (x.T @ (wx[:, None] * g_pv))
+    resid = g - px_g - g_pv + px_g_pv
+    return np.sum(wx[:, None] * resid * resid * wmu) ** 0.5
 
 
 def full_operator_matrix(model):

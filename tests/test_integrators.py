@@ -711,14 +711,18 @@ class TestAsymptoticPreserving:
     # limit equation.  Every substep takes its exact flow there, so the
     # density error against the system's own limit exp((t/3) D_x^2) does
     # not depend on dt.  Measured at 64 x 16, rank 5, t = 0.5: parabolic
-    # 6.4556e-6 at eps = 1e-2 (spread over dt 4e-9) and 6.456e-8 at 1e-3
-    # (spread 1.3e-4), an eps^2 ratio of 1.0e-2; poly_fourier 1.4350e-3 and
-    # 1.4346e-4 (spread at most 2e-10), the equation's own initial layer
+    # 6.4556e-6 at eps = 1e-2 (spread over dt 1.5e-9), 6.456e-8 at 1e-3
+    # (spread 2.5e-5) and 6.692e-10 at 1e-4 (spread 2.4e-2), eps^2 ratios
+    # of 1.0e-2; poly_fourier 1.4350e-3, 1.4346e-4 and 1.4346e-5 (spread
+    # at most 5e-10), the equation's own initial layer.  The eps = 1e-4
+    # spread gets 5 %, not 1 %: the parabolic error there sits near the
+    # rank-5 roundoff floor.  Without the mass rule of model.angular_blocks
+    # it read 1.5e-8, with a 119 % spread
     @pytest.mark.parametrize("ic,coeffs", [
         ("parabolic", None), ("poly_fourier", [1.0, 1.0, 0.1, 0.01])])
     def test_density_error_does_not_depend_on_dt(self, ic, coeffs):
         errors = {}
-        for eps in (1e-2, 1e-3):
+        for eps, spread in ((1e-2, 0.01), (1e-3, 0.01), (1e-4, 0.05)):
             m = build(n_x=64, n_mu=16, eps=eps)
             f0 = initial_matrix(
                 RunConfig(initial_condition=ic, ic_coeffs=coeffs),
@@ -731,10 +735,11 @@ class TestAsymptoticPreserving:
                 rho = density(m, reconstruct(final))
                 errs.append(weighted_norm(rho - limit, m.wx)
                             / weighted_norm(limit, m.wx))
-            assert max(errs) <= 1.01 * min(errs), (eps, errs)
+            assert max(errs) <= (1.0 + spread) * min(errs), (eps, errs)
             errors[eps] = max(errs)
         if ic == "parabolic":
             assert errors[1e-3] <= 2e-2 * errors[1e-2], errors
+            assert errors[1e-4] <= 2e-2 * errors[1e-3], errors
 
 
 class TestGapProperties:
@@ -875,6 +880,24 @@ class TestGapProperties:
         mass0 = m.grid.dx * np.sum(reconstruct(st) @ m.wmu)
         mass1 = m.grid.dx * np.sum(reconstruct(out) @ m.wmu)
         assert abs(mass1 - mass0) <= 3e-7 * abs(mass0)
+
+    @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-4])
+    @pytest.mark.parametrize("dt", [0.1, 0.01])
+    def test_mass_drift_at_roundoff(self, eps, dt):
+        # on the grid above, the constant stays in span(V), and the mass
+        # rule of model.angular_blocks keeps C_mu from turning the 1e-15
+        # roundoff of |V^T w|^2 into a drift of 1e-15 dt/eps^2 per step
+        # (1.8e-8 at eps = 1e-4 without it); worst measured 9.3e-15
+        m = build(n_x=64, n_mu=16, eps=eps)
+        f0 = initial_matrix(
+            RunConfig(initial_condition="poly_fourier",
+                      ic_coeffs=[1.0, -0.1, -0.01, 1e-3, 1e-4]),
+            m.grid, m.quad)
+        st, _, _ = from_full(f0, 5, m)
+        out, _ = integrate(m, st, "gap", dt, round(1.0 / dt))
+        mass0 = m.grid.dx * np.sum(reconstruct(st) @ m.wmu)
+        mass1 = m.grid.dx * np.sum(reconstruct(out) @ m.wmu)
+        assert abs(mass1 - mass0) <= 1e-12 * abs(mass0)
 
 
 class TestReference:

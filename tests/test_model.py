@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -13,6 +14,7 @@ import oracles
 from oracles import unvec, vec
 from rte_lowrank.exceptions import OrthonormalityError
 from rte_lowrank.grids import build_diff_matrices, gauss_legendre, uniform_grid
+from rte_lowrank.integrators import gap_step
 from rte_lowrank.model import (
     EPS_MIN,
     RteModel,
@@ -25,10 +27,10 @@ from rte_lowrank.model import (
     full_operator,
     full_rhs,
     make_model,
+    normal_component,
     operator_K,
     operator_L,
     spatial_block,
-    tangent_residual,
 )
 from rte_lowrank.state import from_full
 from rte_lowrank.wlinalg import (
@@ -458,7 +460,7 @@ class TestTangentResidual:
         g = full_rhs(m, state.x @ state.s @ state.v.T)
         resid = g - self._local_projector(m, state, g)
         expected = frob_norm_weighted(resid, m.wx, m.wmu)
-        assert tangent_residual(m, state) == pytest.approx(expected, rel=1e-10)
+        assert normal_component(m, state) == pytest.approx(expected, rel=1e-10)
 
     def test_projector_idempotence(self):
         m = build(n_x=40, n_mu=10)
@@ -478,7 +480,7 @@ class TestTangentResidual:
         state, _, _ = from_full(f, 8, m)
         g = full_rhs(m, state.x @ state.s @ state.v.T)
         scale = frob_norm_weighted(g, m.wx, m.wmu)
-        assert tangent_residual(m, state) <= 1e-10 * scale
+        assert normal_component(m, state) <= 1e-10 * scale
 
     def test_rank_one_isotropic_scaling(self):
         # for f = rho(x) x 1 the residual is (1/eps)(I - P_X)[d_x rho] x mu:
@@ -491,7 +493,7 @@ class TestTangentResidual:
             state, _, _ = from_full(f, 1, m)
             g = full_rhs(m, state.x @ state.s @ state.v.T)
             scale = frob_norm_weighted(g, m.wx, m.wmu)
-            ratios.append(tangent_residual(m, state) / scale)
+            ratios.append(normal_component(m, state) / scale)
         assert np.ptp(ratios) <= 1e-10 * max(ratios)
 
     def test_propagates_orthonormality_error(self):
@@ -501,7 +503,28 @@ class TestTangentResidual:
         state, _, _ = from_full(f, 2, m)
         state.x = 2.0 * state.x
         with pytest.raises(OrthonormalityError):
-            tangent_residual(m, state)
+            normal_component(m, state)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_30_digit_dense_formula_at_eps_1e_4(self, seed):
+        # after one GAP step at eps = 1e-4 the state sits near the
+        # collision's equilibrium, and the dense formula's 1/eps^2 terms
+        # cancel: in float64 it is 3.7e-7 to 2.3e-6 off its own 30-digit
+        # value, which the closed form meets to at most 3.5e-16 over these
+        # seeds; the bound is 10x that
+        m = build(n_x=12, n_mu=6, eps=1e-4)
+        f = np.random.default_rng(seed).standard_normal((12, 6))
+        state, _, _ = from_full(f, 3, m)
+        state = gap_step(m, state, 0.1)
+        to_mp = np.vectorize(mpmath.mpf, otypes=[object])
+        with mpmath.workdps(30):
+            exact = oracles.tangent_residual(
+                m, to_mp(state.x), to_mp(state.s), to_mp(state.v))
+            closed = abs(normal_component(m, state) - exact) / exact
+            dense = abs(oracles.tangent_residual(m, state.x, state.s, state.v)
+                        - exact) / exact
+        assert closed <= 3.5e-15
+        assert dense > 3.5e-15
 
 
 class TestSemiDiscreteIdentities:

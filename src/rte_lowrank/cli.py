@@ -10,6 +10,7 @@ rejection.
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -50,6 +51,22 @@ def build_parser():
     return parser
 
 
+def _check_out(path):
+    """ConfigError unless the nearest existing ancestor of path is a
+    writable directory.
+
+    Checked before any job, so an unusable --out (say, a path below a
+    regular file) stops the command before its work; nothing is made
+    here, the command's first write makes the directory.
+    """
+    probe = path.absolute()
+    while not probe.exists():
+        probe = probe.parent
+    if not (probe.is_dir() and os.access(probe, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot use output directory {path}: {probe} is "
+                          f"not a writable directory")
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -60,6 +77,7 @@ def main(argv=None):
         cfg = load_config(args.config, args.override)
         # made by the command's first write, after its own checks
         outdir = Path(args.out or "out")
+        _check_out(outdir)
         _COMMANDS[args.command](cfg, outdir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -19,26 +19,35 @@ measured crossover: 100 for L, and 20 for K, whose exact flow on the few
 live Fourier rows of band-limited data beat the Taylor sweep at 20 in
 every timed shape (BENCH_collision_cache.json).  The Taylor tolerance is
 the fixed accuracy target EXPMV_TOL, as in Al-Mohy & Higham, SISC 33(2),
-2011.  The exact flows decouple into modes, and one kernel,
-``_propagate_modes``, maps each mode row y_q to y_q exp(scale_q b + c): K
-on the Fourier modes of the circulant D_x (complex r x r blocks), L on
-the eigenvectors of the antisymmetric r x r A_x, through
-``model.flip_flow``, the angular flow it shares with the reference (real
-n_mu x n_mu blocks, one per +-g pair of A_x).  The kernel exponentiates
-each distinct scale once, in one batch: ``_expm_batch`` scales each block
-by a power of two, calls scipy's Pade step once on the stack and squares
-the blocks as batched matmuls.  Both routes agree to EXPMV_TOL and are
-cross-checked in the test suite.  Both exact routes also decide against the whole factor
-what is roundoff.  The K flow propagates only the Fourier rows of K that
-carry data, those whose largest entry is at least machine epsilon times
-the largest of all: diffusion damps the others below roundoff, and each
-row's flow is a contraction, so leaving them exactly zero costs less than
-the rfft's own rounding.  The L flow collapses the angular columns onto a
-few directions in the diffusive regime, so on that route the weighted QR
-judges each column against the largest one (``whole_factor``), and
-roundoff does not pick the directions it keeps, whichever way the
-pure-collision rows round.  The S substep of PSI and BUG takes the L
-flow's modes of A_x through ``expm_rows``, the reference's row kernel.
+2011.  Both routes agree to EXPMV_TOL and are cross-checked in the test
+suite.
+
+The four exact flows, L, K, S and the reference, decouple into mode rows,
+and ``model.mode_flow`` gives them one rule.  A row whose transport scale
+is exactly 0 is pure collision, y -> y exp(c (P - I)) with P the rank-one
+collision block, and takes the closed form ``model.collision_flow``: P is
+W_mu for L and the reference, C_mu for K (the mean mode, and the Nyquist
+mode for even n_x) and for S (the zero of an odd rank).  The other rows
+are exponentiated once per distinct |scale|, the +-g pairs of A_x sharing
+one exponential.  K and L go through one batched kernel,
+``_propagate_modes``: K on the Fourier modes of the circulant D_x (complex
+r x r blocks), L on the eigenvectors of the antisymmetric r x r A_x,
+through ``model.flip_flow``, the angular flow it shares with the reference
+(real n_mu x n_mu blocks).  ``_expm_batch`` scales each block by a power
+of two, calls scipy's Pade step once on the stack and squares the blocks
+as batched matmuls.  The S substep of PSI and BUG takes the same modes of
+A_x through ``expm_rows``, the reference's row kernel.  ``_skew_modes``
+decomposes each A_x once per step, for the L bound, the L flow and S.
+
+Both exact routes also decide against the whole factor what is roundoff.
+The K flow propagates only the Fourier rows of K that carry data, those
+whose largest entry is at least machine epsilon times the largest of all:
+diffusion damps the others below roundoff, and each row's flow is a
+contraction, so leaving them exactly zero costs less than the rfft's own
+rounding.  The L flow collapses the angular columns onto a few directions
+in the diffusive regime, so on that route the weighted QR judges each
+column against the largest one (``whole_factor``), and roundoff does not
+pick the directions it keeps, whichever way the pure-collision rows round.
 
 The dense reference is the exact flow of the full system,
 ``model.full_flow``: an rfft in x and ``model.flip_flow`` on the Fourier
@@ -55,8 +64,8 @@ import scipy.linalg as sla
 
 from .exceptions import DegenerateStateError, NumericalFailureError, SizeCapError
 from .model import (SubstepMatrices, angular_blocks, assemble_substeps,
-                    expm_rows, flip_flow, full_flow, operator_K, operator_L,
-                    spatial_block)
+                    collision_flow, expm_rows, flip_flow, full_flow,
+                    mode_flow, operator_K, operator_L, spatial_block)
 # unused here, but bench/tracing.py rebinds this name in this module
 from .model import full_operator  # noqa: F401
 from .state import LowRankState
@@ -182,9 +191,16 @@ def _propagate_k_structured(model, sub, dt, k_mat):
     below EXPMV_TOL.  A K whose rfft is not finite raises
     NumericalFailureError here, before the row flows would spread its NaNs
     with warnings.
+
+    The live rows go by ``model.mode_flow``, with the real scales
+    (dt/eps) Im d_q >= 0 and b = -i B_mu.  The rows of symbol 0, the mean
+    mode, which carries the mass, and for even n_x the Nyquist mode, are
+    pure collision and take ``model.collision_flow`` with P = C_mu and its
+    theta, not the batch.
     """
     eps = model.eps
     r = sub.b_mu.shape[0]
+    c = dt / eps**2
     with np.errstate(over="ignore", invalid="ignore"):
         k_hat = np.fft.rfft(k_mat, axis=0)
         mag = np.abs(k_hat).max(axis=1)
@@ -193,23 +209,36 @@ def _propagate_k_structured(model, sub, dt, k_mat):
         raise NumericalFailureError("spatial substep overflowed")
     live = mag >= np.finfo(float).eps * top
     out = np.zeros_like(k_hat)
-    out[live] = _propagate_modes(-(dt / eps) * model.diff.d_x_symbol[live],
-                                 sub.b_mu,
-                                 (dt / eps**2) * (sub.c_mu - np.eye(r)),
-                                 k_hat[live])
+    out[live] = mode_flow(
+        (dt / eps) * model.diff.d_x_symbol[live].imag, k_hat[live],
+        lambda s, y: _propagate_modes(s, -1j * sub.b_mu,
+                                      c * (sub.c_mu - np.eye(r)), y),
+        lambda y: collision_flow(c, sub.theta, y, y @ sub.c_mu), np.conj)
     return np.fft.irfft(out, n=model.grid.n_x, axis=0)
 
 
-def _propagate_l_structured(model, sub, dt, l_mat):
+def _skew_modes(a_x):
+    """(g, U) with A_x = U diag(-i g) U^H, the one decomposition of A_x.
+
+    The eigh of the Hermitian (i/2)(A_x - A_x^T), so the symmetric
+    roundoff of A_x is dropped.  eigh returns the pairs +-g matching only
+    to roundoff, so the spectrum is made exactly odd, g_j = -g_(r-1-j):
+    each pair then shares one exponential, and the zero of an odd rank is
+    exactly 0, a pure collision row.  Each step decomposes each A_x it
+    reads once, for the L bound, the exact L flow and the S substep.
+    """
+    gam, u = np.linalg.eigh(0.5j * (a_x - a_x.T))
+    return 0.5 * (gam - gam[::-1]), u
+
+
+def _propagate_l_structured(model, modes, dt, l_mat):
     """Exact L flow on the eigenvectors of the antisymmetric A_x.
 
-    With A_x = U diag(-i g) U^H, row j of (L U)^T obeys the row form
-    dy_j/dt = y_j H_j with H_j = -(i g_j/eps) diag(mu) + (1/eps^2)(W_mu - I),
-    which ``model.flip_flow`` propagates with a_j = (dt/eps) g_j through
-    ``_propagate_modes``.  eigh returns the pairs +-g matching only to
-    roundoff, so the spectrum is first made exactly odd; each pair then
-    shares one slice, and the zero of an odd rank takes the closed
-    collision form: floor(r/2) real slices.
+    With ``modes`` = (g, U) from ``_skew_modes``, row j of (L U)^T obeys
+    the row form dy_j/dt = y_j H_j with
+    H_j = -(i g_j/eps) diag(mu) + (1/eps^2)(W_mu - I), which
+    ``model.flip_flow`` propagates with a_j = (dt/eps) g_j through
+    ``_propagate_modes``: floor(r/2) real slices, one per +-g pair.
 
     The weighted QR then decides the rank against the whole factor (see
     ``_factor_substep``).  A nonfinite L raises NumericalFailureError here,
@@ -218,9 +247,9 @@ def _propagate_l_structured(model, sub, dt, l_mat):
     eps = model.eps
     if not np.all(np.isfinite(l_mat)):
         raise NumericalFailureError("angular substep got a nonfinite factor")
-    gam, u = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))
-    a = (dt / eps) * (0.5 * (gam - gam[::-1]))
-    rows = flip_flow(model, a, dt / eps**2, (l_mat @ u).T, _propagate_modes)
+    g, u = modes
+    rows = flip_flow(model, (dt / eps) * g, dt / eps**2, (l_mat @ u).T,
+                     _propagate_modes)
     return np.real(rows.T @ u.conj().T)
 
 
@@ -228,47 +257,63 @@ def _propagate_l_structured(model, sub, dt, l_mat):
 # substep solvers
 # ---------------------------------------------------------------------------
 
-def _norm_bound(model, sub, factor):
+def _norm_bound(model, sub, factor, modes):
     """Upper bound on the spectral norm of the L or K substep operator.
 
     Transport plus collision (triangle inequality).  The L transport
-    A_x kron diag(mu) has norm ||A_x|| max|mu|, the K transport
-    B_mu^T kron D_x at most max|mu| / dx: every D_x symbol is at most 1/dx
+    A_x kron diag(mu) has norm ||A_x|| max|mu|.  ``modes`` is the
+    ``_skew_modes`` of A_x, which the exact L flow and the S substep read
+    too: max|g| is the norm of A_x's antisymmetric part, and the
+    Frobenius norm of its symmetric part, A_x's roundoff (all of A_x at
+    rank 1), bounds the rest.  The K transport B_mu^T kron D_x has norm at
+    most max|mu| / dx: every D_x symbol is at most 1/dx
     in modulus, and ||B_mu|| <= max|mu| by the Rayleigh quotient, since
     x^T B_mu x = sum_i w_i mu_i (V x)_i^2 and V is w-orthonormal.  Both
     collision parts, before the 1/eps^2, have norm at most 2.
     W_mu^T - I = -(I - P), with P = (1/2) 1 w^T a projection because the
     weights sum to 2, has the norm of P, (1/2)||1|| ||w||, which for
     Gauss-Legendre weights rises with n_mu to about 1.11 (measured up
-    to n_mu = 2000).  C_mu - I has its eigenvalues in [-1, 0]:
-    C_mu = (1/2) u u^T with u = V^T w and
+    to n_mu = 2000).  C_mu - I has its eigenvalues in [-1, 0]: C_mu is
+    symmetric of rank one, and its eigenvalue theta is 1 or
+    (1/2)||u||^2 with u = V^T w, and
     ||u||^2 = ||V V^T diag(w) 1||_w^2 <= ||1||_w^2 = 2.  A true bound makes
     the Taylor segment count of ``expmv`` a guarantee.
     """
     mu_max = np.abs(model.quad.nodes).max()
     if factor == "L":
-        transport = np.linalg.svd(sub.a_x, compute_uv=False)[0] * mu_max
+        transport = mu_max * (np.abs(modes[0]).max()
+                              + 0.5 * np.linalg.norm(sub.a_x + sub.a_x.T))
     else:
         transport = mu_max / model.grid.dx
     return transport / model.eps + 2.0 / model.eps**2
 
 
-def _solve_s_substep(model, sub, dt, s_mat, sign, trace, step_index):
+def _solve_s_substep(model, sub, modes, dt, s_mat, sign, trace, step_index):
     """Exact flow of dS/dt = sign (-(1/eps) A_x S B_mu + (S C_mu - S)/eps^2).
 
-    With A_x = U diag(-i g) U^H, as in the L flow, row j of U^H S obeys
-    dy_j/dt = y_j G_j, G_j = sign ((i g_j/eps) B_mu + (1/eps^2)(C_mu - I)):
-    the K flow's row form with g_j in place of the D_x symbol.  The rows go
-    through ``expm_rows`` with ``sla.expm``, not a 3-D stack, which the
-    benchmark's tracer books as an L or K route.
+    With ``modes`` = (g, U) from ``_skew_modes``, A_x = U diag(-i g) U^H as
+    in the L flow, row j of U^H S obeys dy_j/dt = y_j G_j,
+    G_j = sign ((i g_j/eps) B_mu + (1/eps^2)(C_mu - I)): the K flow's row
+    form with g_j in place of the D_x symbol.  The rows go by
+    ``model.mode_flow``.  B_mu and C_mu are real, so
+    exp(dt G(-g)) = conj(exp(dt G(g))): complex conjugation is the mirror,
+    and each +-g pair shares one exponential.  The zero of an odd rank is
+    pure collision and takes ``model.collision_flow`` with P = C_mu.  The
+    others go through ``expm_rows`` with ``sla.expm``, not a 3-D stack,
+    which the benchmark's tracer books as an L or K route: floor(r/2)
+    calls per substep.
     """
     eps = model.eps
-    gam, u = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))
+    g, u = modes
+    c = sign * dt / eps**2
+    collision = c * (sub.c_mu - np.eye(len(s_mat)))
     with np.errstate(over="ignore", invalid="ignore"):
-        collision = (sign * dt / eps**2) * (sub.c_mu - np.eye(len(s_mat)))
-        # real scales: NumPy divides a complex array by eps via 1/eps
-        rows = expm_rows(sla.expm, 1j * (sign * dt * gam / eps), sub.b_mu,
-                         collision, u.conj().T @ s_mat)
+        rows = mode_flow(
+            (dt / eps) * g, u.conj().T @ s_mat,
+            lambda s, y: expm_rows(sla.expm, s, (1j * sign) * sub.b_mu,
+                                   collision, y),
+            lambda y: collision_flow(c, sub.theta, y, y @ sub.c_mu),
+            np.conj)
         sol = np.real(u @ rows)
     if not np.all(np.isfinite(sol)):
         raise NumericalFailureError(
@@ -348,8 +393,10 @@ def _fourier_ladder(model):
     return candidate
 
 
-def _factor_substep(model, sub, dt, factor, mat, trace, step_index):
+def _factor_substep(model, sub, modes, dt, factor, mat, trace, step_index):
     """Advance the factor mat of substep ``factor`` by dt and orthonormalize.
+
+    ``modes`` is the ``_skew_modes`` of sub.a_x, which the L substep reads.
 
     The L substep (``factor`` "L", mat = V S^T) runs with the spatial basis
     frozen, the K substep ("K", mat = X S) with the angular basis frozen.
@@ -365,18 +412,17 @@ def _factor_substep(model, sub, dt, factor, mat, trace, step_index):
     10-20 % of its wall time.  Returns (propagated factor, QrResult).
     """
     if factor == "L":
-        operator, flow = operator_L, _propagate_l_structured
-        w, ladder = model.wmu, _legendre_ladder(model)
+        operator, w, ladder = operator_L, model.wmu, _legendre_ladder(model)
     else:
-        operator, flow = operator_K, _propagate_k_structured
-        w, ladder = model.wx, _fourier_ladder(model)
-    bound = _norm_bound(model, sub, factor)
+        operator, w, ladder = operator_K, model.wx, _fourier_ladder(model)
+    bound = _norm_bound(model, sub, factor, modes)
     if dt * bound <= _STRUCTURED_THRESHOLD[factor]:
         route = "taylor"
         out = expmv(operator(model, sub), dt, mat, EXPMV_TOL, bound)
     else:
         route = "structured"
-        out = flow(model, sub, dt, mat)
+        out = (_propagate_l_structured(model, modes, dt, mat) if factor == "L"
+               else _propagate_k_structured(model, sub, dt, mat))
     qr = weighted_mgs(out, w, ladder=ladder,
                       whole_factor=factor == "L" and route == "structured")
     if len(qr.replaced_columns) == qr.q.shape[1]:
@@ -391,12 +437,16 @@ def _factor_substep(model, sub, dt, factor, mat, trace, step_index):
 
 
 def _open_step(model, state, dt, trace, step_index):
-    """dt check, Galerkin matrices and L substep: (matrices, L, new V)."""
+    """dt check, Galerkin matrices, the modes of A_x and the L substep.
+
+    Returns (matrices, modes, L, new V).
+    """
     _check_positive("dt", dt)
     sub = assemble_substeps(model, state.x, state.v)
-    l1, qr_v = _factor_substep(model, sub, dt, "L", state.v @ state.s.T,
-                               trace, step_index)
-    return sub, l1, qr_v.q
+    modes = _skew_modes(sub.a_x)
+    l1, qr_v = _factor_substep(model, sub, modes, dt, "L",
+                               state.v @ state.s.T, trace, step_index)
+    return sub, modes, l1, qr_v.q
 
 
 def gap_step(model, state, dt, trace=None, step_index=0):
@@ -408,10 +458,11 @@ def gap_step(model, state, dt, trace=None, step_index=0):
     angular basis and re-orthonormalized to give the new X and S.  X is
     unchanged until then, so the K substep reuses the step's A_x.
     """
-    sub, _, v1 = _open_step(model, state, dt, trace, step_index)
+    sub, modes, _, v1 = _open_step(model, state, dt, trace, step_index)
     k0 = state.x @ state.s @ weighted_inner(state.v, v1, model.wmu)
     sub = SubstepMatrices(sub.a_x, *angular_blocks(model, v1))
-    _, qr_x = _factor_substep(model, sub, dt, "K", k0, trace, step_index)
+    _, qr_x = _factor_substep(model, sub, modes, dt, "K", k0, trace,
+                              step_index)
     return LowRankState(qr_x.q, qr_x.r_factor, v1)
 
 
@@ -421,13 +472,16 @@ def psi_step(model, state, dt, trace=None, step_index=0):
     The L substep matches GAP's; the coefficient matrix is then integrated
     backward in time (the known instability source for collisional problems),
     and the spatial factor is propagated in the predicted angular basis.
+    X is unchanged until then, so the S substep reuses the L substep's
+    decomposition of A_x.
     """
-    sub, l1, v1 = _open_step(model, state, dt, trace, step_index)
+    sub, modes, l1, v1 = _open_step(model, state, dt, trace, step_index)
     sub = SubstepMatrices(sub.a_x, *angular_blocks(model, v1))
     s_tilde = weighted_inner(v1, l1, model.wmu).T
-    s_hat = _solve_s_substep(model, sub, dt, s_tilde, -1.0, trace, step_index)
-    _, qr_x = _factor_substep(model, sub, dt, "K", state.x @ s_hat, trace,
-                              step_index)
+    s_hat = _solve_s_substep(model, sub, modes, dt, s_tilde, -1.0, trace,
+                             step_index)
+    _, qr_x = _factor_substep(model, sub, modes, dt, "K", state.x @ s_hat,
+                              trace, step_index)
     return LowRankState(qr_x.q, qr_x.r_factor, v1)
 
 
@@ -439,15 +493,16 @@ def bug_step(model, state, dt, trace=None, step_index=0):
     yields X_new.  The coefficient matrix is then projected into the new
     bases and integrated forward with the Galerkin-reduced dynamics.
     """
-    sub, _, v1 = _open_step(model, state, dt, trace, step_index)
-    _, qr_x = _factor_substep(model, sub, dt, "K", state.x @ state.s,
+    sub, modes, _, v1 = _open_step(model, state, dt, trace, step_index)
+    _, qr_x = _factor_substep(model, sub, modes, dt, "K", state.x @ state.s,
                               trace, step_index)
     x1 = qr_x.q
     sub = SubstepMatrices(spatial_block(model, x1),
                           *angular_blocks(model, v1))
     s0 = (weighted_inner(x1, state.x, model.wx) @ state.s
           @ weighted_inner(state.v, v1, model.wmu))
-    s1 = _solve_s_substep(model, sub, dt, s0, 1.0, trace, step_index)
+    s1 = _solve_s_substep(model, sub, _skew_modes(sub.a_x), dt, s0, 1.0,
+                          trace, step_index)
     return LowRankState(x1, s1, v1)
 
 

@@ -50,11 +50,16 @@ class RteModel:
 
 @dataclass(frozen=True)
 class SubstepMatrices:
-    """Galerkin matrices A_x, B_mu, C_mu for a given basis pair."""
+    """Galerkin matrices A_x, B_mu, C_mu for a given basis pair.
+
+    theta is the eigenvalue of the rank-one C_mu, as :func:`angular_blocks`
+    built it.
+    """
 
     a_x: np.ndarray
     b_mu: np.ndarray
     c_mu: np.ndarray
+    theta: float
 
 
 def make_model(grid, quad, diff, eps):
@@ -126,7 +131,7 @@ def spatial_block(model, x_basis):
 
 
 def angular_blocks(model, v_basis):
-    """The angular Galerkin blocks (B_mu, C_mu); V unchecked.
+    """The angular Galerkin blocks (B_mu, C_mu, theta); V unchecked.
 
     B_mu = V^T diag(mu) diag(w_mu) V
     C_mu = V^T W_mu diag(w_mu) V = (1/2) u u^T, u = V^T w_mu
@@ -139,22 +144,24 @@ def angular_blocks(model, v_basis):
     |1 - theta| < MASS_SNAP, theta is taken as exactly 1 and
     C_mu = u u^T / |u|^2, which keeps the mass (ROADMAP item 6(a)).  A
     constant that has left span(V) by more is the rank's mass error, which
-    no rule on C_mu can mend (item 6(c)).
+    no rule on C_mu can mend (item 6(c)).  theta is returned as the rule
+    set it, 1 or |u|^2/2, the eigenvalue the closed form of the pure
+    collision rows (:func:`collision_flow`) reads.
     """
     wmu = model.wmu
     b_mu = v_basis.T @ ((model.quad.nodes * wmu)[:, None] * v_basis)
     u = v_basis.T @ wmu
     norm2 = u @ u
     if abs(1.0 - norm2 / wmu.sum()) < MASS_SNAP:
-        return b_mu, np.outer(u, u) / norm2
-    return b_mu, 0.5 * np.outer(u, u)
+        return b_mu, np.outer(u, u) / norm2, 1.0
+    return b_mu, 0.5 * np.outer(u, u), 0.5 * norm2
 
 
 def assemble_substeps(model, x_basis, v_basis):
     """Galerkin matrices for a dx-orthonormal X and w_mu-orthonormal V.
 
     Checks both bases, then builds A_x by :func:`spatial_block` and B_mu,
-    C_mu by :func:`angular_blocks`.
+    C_mu, theta by :func:`angular_blocks`.
     """
     x_basis = np.asarray(x_basis, dtype=float)
     v_basis = np.asarray(v_basis, dtype=float)
@@ -242,19 +249,48 @@ def from_flip_basis(rows):
     return (0.5 + 0.5j) * (rows - 1j * rows[..., ::-1])
 
 
-def collision_flow(model, c, rows):
-    """Each row y of ``rows`` under exp(c (W_mu - I)), in closed form.
+def collision_flow(c, theta, rows, rows_p):
+    """Each row y of ``rows`` under exp(c (P - I)), in closed form.
 
-    The pure collision flow over the scaled time c = t/eps^2.  W_mu is a
-    projection, so exp(c (W_mu - I)) = W_mu + e^-c (I - W_mu), and each row
-    maps to e^-c y + (1 - e^-c) (1/2)(y . w_mu) 1^T with no exponential.
-    Its mass y . w_mu then moves only by the roundoff of sum(w_mu) - 2,
-    where the squared Pade exponential of c (W_mu - I) drifts with c (by
-    3e-8 relative at c = 1e8).  U^H W_mu U = W_mu for the unitary U of
-    :func:`to_flip_basis`, so the form holds for flip-basis rows too.
+    The pure collision flow over the scaled time c = t/eps^2, given
+    ``rows_p`` = rows P, with P rank one and P^2 = theta P: W_mu
+    (theta = 1, since the weights sum to 2) or C_mu (theta from
+    :func:`angular_blocks`, exactly 1 under its mass rule).  P/theta is a
+    projection, so with q = y P/theta each row maps to
+    e^-c (y - q) + e^(c (theta - 1)) q, and no matrix exponential is
+    formed.  For theta = 1 the component q, which carries the mass, moves
+    only by the roundoff of forming y P, where the squared Pade
+    exponential of c (P - I) drifts with c (by 3e-8 relative at c = 1e8).
+    The split also keeps the backward flow (c < 0) free of cancellation:
+    only y - q grows, like e^-c.  theta = 0 means P = 0.  U^H W_mu U = W_mu
+    for the unitary U of :func:`to_flip_basis`, so the form holds for
+    flip-basis rows too.
     """
-    return (np.exp(-c) * rows
-            - (0.5 * np.expm1(-c)) * (rows @ model.wmu)[:, None])
+    if not theta:
+        return np.exp(-c) * rows
+    q = rows_p / theta
+    return np.exp(-c) * (rows - q) + np.exp(c * (theta - 1.0)) * q
+
+
+def mode_flow(scale, rows, propagate, collide, mirror):
+    """The one rule of the four exact flows for their mode rows, in place.
+
+    A row whose real transport scale is exactly 0 is pure collision and
+    takes ``collide(rows)``, its closed form :func:`collision_flow`; the
+    others take ``propagate(|scale|, rows)``, and no zero scale reaches it.
+    The block of -s is the ``mirror`` image of the block of s (the flip J
+    for the angular flow, complex conjugation for K and S, whose blocks
+    are real but for the i of the transport), so the rows of negative
+    scale are mirrored before and after, and each +-s pair shares one
+    exponential.
+    """
+    zero, neg = scale == 0.0, scale < 0.0
+    rows[zero] = collide(rows[zero])
+    if not zero.all():
+        rows[neg] = mirror(rows[neg])
+        rows[~zero] = propagate(np.abs(scale[~zero]), rows[~zero])
+        rows[neg] = mirror(rows[neg])
+    return rows
 
 
 def flip_flow(model, a, c, rows, propagate):
@@ -268,25 +304,20 @@ def flip_flow(model, a, c, rows, propagate):
     J G J = conj(G), so the unitary U of :func:`to_flip_basis` makes it
     real, U^H G U = M(a_q) = a_q diag(mu) J + c (W_mu - I), and
     y exp(G) = ((y U) exp(M(a_q))) U^H: one real exponential, a third of
-    the cost of the complex one.  J M(a) J = M(-a), so the rows of negative
-    a_q are flipped by J before and after, and only |a_q| reaches the
+    the cost of the complex one.  The rows go by :func:`mode_flow`:
+    J M(a) J = M(-a), so J is the mirror, and only |a_q| reaches the
     kernel ``propagate(scale, b, c, y)``, which maps each row y_q to
-    y_q exp(scale_q b + c), b = diag(mu) J.  The rows of a_q exactly 0 are
-    pure collision and take :func:`collision_flow`.  The caller passes the
-    kernel, so that each exponential runs where bench/tracing.py books it.
+    y_q exp(scale_q b + c), b = diag(mu) J; the rows of a_q exactly 0 take
+    :func:`collision_flow` with P = W_mu.  The caller passes the kernel,
+    so that each exponential runs where bench/tracing.py books it.
     """
-    rows = to_flip_basis(rows)
-    zero = a == 0.0
-    rows[zero] = collision_flow(model, c, rows[zero])
-    if not zero.all():
-        live, flip = ~zero, a < 0
-        n_mu = model.quad.n_mu
-        coll = c * (0.5 * np.outer(model.wmu, np.ones(n_mu)) - np.eye(n_mu))
-        rows[flip] = rows[flip, ::-1]
-        rows[live] = propagate(np.abs(a[live]),
-                               np.diag(model.quad.nodes)[:, ::-1], coll,
-                               rows[live])
-        rows[flip] = rows[flip, ::-1]
+    n_mu = model.quad.n_mu
+    b = np.diag(model.quad.nodes)[:, ::-1]
+    coll = c * (0.5 * np.outer(model.wmu, np.ones(n_mu)) - np.eye(n_mu))
+    rows = mode_flow(
+        a, to_flip_basis(rows), lambda s, y: propagate(s, b, coll, y),
+        lambda y: collision_flow(c, 1.0, y, 0.5 * (y @ model.wmu)[:, None]),
+        lambda y: y[:, ::-1])
     return from_flip_basis(rows)
 
 
@@ -345,7 +376,7 @@ def normal_component(model, state):
     _check_orthonormal(state.v, model.wmu, "state.v")
     dx_x = _d_x(model, state.x)
     a = dx_x - state.x @ (model.grid.dx * (state.x.T @ dx_x))
-    b_mu, _ = angular_blocks(model, state.v)
+    b_mu = angular_blocks(model, state.v)[0]
     c = model.quad.nodes[:, None] * state.v - state.v @ b_mu
     r_a = np.linalg.qr(np.sqrt(model.wx)[:, None] * a, mode="r")
     r_c = np.linalg.qr(np.sqrt(model.wmu)[:, None] * c, mode="r")

@@ -53,9 +53,9 @@ def test_tracer_books_each_substep_route(monkeypatch, scheme, eps, route):
     # rank 4 < n_mu, so the block size tells the K stack from the L stack
     assert routes == {f"integrators.route.L.{route}": 1,
                       f"integrators.route.K.{route}": 1}
-    # the S substep takes one 2-D exponential per mode of A_x, 4 at rank 4,
-    # each booked as S and never as a K stack
-    assert tracer.names.count("integrators.expm_S") == 4 * (scheme != "gap")
+    # the S substep takes one 2-D exponential per +-g pair of A_x, 2 at
+    # rank 4, each booked as S and never as a K stack
+    assert tracer.names.count("integrators.expm_S") == 2 * (scheme != "gap")
     assert (tracer.names.count("integrators.expm_stack_K")
             == (route == "structured"))
     assert tracer.names.count("model.assemble_substeps") == 1

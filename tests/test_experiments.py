@@ -519,17 +519,23 @@ class TestCli:
         assert all(float(row.split(",")[1]) == 0.0 for row in rows[1:])
 
     @pytest.mark.parametrize("flag", ["--out"])
-    def test_unusable_output_dir_exit_two(self, tmp_path, capsys, flag):
+    def test_unusable_output_dir_exit_two(self, monkeypatch, tmp_path,
+                                          capsys, flag):
         # a directory below a regular file cannot be made; that is a
-        # config error that names the path, not a traceback (exit 1)
+        # config error that names the path, not a traceback (exit 1), and
+        # it is found before any job runs
         blocker = tmp_path / "file"
         blocker.write_text("")
         bad = str(blocker / "sub")
         path = write_cfg(tmp_path, TINY)
+        jobs = []
+        monkeypatch.setattr(experiments, "run_single",
+                            lambda *args: jobs.append(args))
         assert cli_main(["run", "--config", str(path), flag, bad]) == 2
         err = capsys.readouterr().err
         assert bad in err
         assert "Traceback" not in err
+        assert jobs == []
 
     def test_override_flag(self, tmp_path):
         path = write_cfg(tmp_path, TINY)

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import re
+import types
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from rte_lowrank.integrators import (
     _norm_bound,
     _propagate_k_structured,
     _propagate_l_structured,
+    _skew_modes,
     _solve_s_substep,
     bug_step,
     gap_step,
@@ -314,13 +316,19 @@ class TestOracleEquivalence:
             f0 += c * np.outer(np.sin(k * np.pi * x), mu**k)
         st, _, _ = from_full(f0, 5, m)
         sub = assemble_substeps(m, st.x, st.v)
-        bound = _norm_bound(m, sub, "K")
+        bound = _norm_bound(m, sub, "K", _skew_modes(sub.a_x))
         dt = 1.01 * _STRUCTURED_THRESHOLD["K"] / bound
         k0 = st.x @ st.s
         taylor = expmv(operator_K(m, sub), dt, k0, EXPMV_TOL, bound)
         exact = _propagate_k_structured(m, sub, dt, k0)
         assert (np.linalg.norm(exact - taylor)
                 <= 1e-10 * np.linalg.norm(taylor))
+
+
+def solve_s(m, sub, dt, s0, sign, trace, step_index):
+    """The S substep on the modes of sub's own A_x."""
+    return _solve_s_substep(m, sub, _skew_modes(sub.a_x), dt, s0, sign,
+                            trace, step_index)
 
 
 def basis_with_constant(n, r, w, rng):
@@ -371,7 +379,9 @@ class TestStructuredPropagators:
     FLOWS = {
         "K": (oracles.operator_K_matrix, _propagate_k_structured,
               lambda m: m.grid.n_x),
-        "L": (oracles.operator_L_matrix, _propagate_l_structured,
+        "L": (oracles.operator_L_matrix,
+              lambda m, sub, dt, y: _propagate_l_structured(
+                  m, _skew_modes(sub.a_x), dt, y),
               lambda m: m.quad.n_mu),
     }
 
@@ -423,7 +433,33 @@ class TestSubstepNorm:
         matrix = (oracles.operator_L_matrix if factor == "L"
                   else oracles.operator_K_matrix)(m, sub)
         exact = np.linalg.norm(dt * matrix.toarray(), 2)
-        assert dt * _norm_bound(m, sub, factor) >= exact
+        assert dt * _norm_bound(m, sub, factor, _skew_modes(sub.a_x)) >= exact
+
+    @given(n_x=strategies.integers(2, 40), n_mu=strategies.integers(2, 12),
+           rank=strategies.integers(1, 8), grading=strategies.floats(0, 12),
+           log_eps=strategies.floats(-4.0, 1.0),
+           seed=strategies.integers(0, 2**32 - 1))
+    def test_l_bound_from_the_modes_covers_the_svd(self, n_x, n_mu, rank,
+                                                   grading, log_eps, seed):
+        # the L bound reads ||A_x|| as max|g| of the decomposition the exact
+        # flows share, plus the Frobenius norm of A_x's symmetric part;
+        # eigh's own roundoff may leave it a few u below sigma_max(A_x),
+        # but the bound stays within 4u of the one the SVD gives (worst
+        # 3.25u over 3000 scanned cases; from max|g| alone, 4.85u at rank 1,
+        # where A_x is all symmetric roundoff and g = 0)
+        eps = 10.0**log_eps
+        m = build(n_x=n_x, n_mu=n_mu, eps=eps)
+        r = min(rank, n_mu, n_x)
+        rng = np.random.default_rng(seed)
+        cols = 10.0 ** rng.uniform(-grading, 0.0, r)
+        x = weighted_mgs(rng.standard_normal((n_x, r)) * cols, m.wx).q
+        sub = assemble_substeps(m, x, basis_with_constant(n_mu, r, m.wmu,
+                                                          rng))
+        mu_max = np.abs(m.quad.nodes).max()
+        svd = (np.linalg.svd(sub.a_x, compute_uv=False)[0] * mu_max / eps
+               + 2.0 / eps**2)
+        bound = _norm_bound(m, sub, "L", _skew_modes(sub.a_x))
+        assert bound >= (1.0 - 4.0 * np.finfo(float).eps) * svd
 
     def test_substeps_run_no_power_iteration(self, monkeypatch):
         def no_estimate(op):
@@ -463,7 +499,7 @@ class TestTaylorRoute:
         x = basis_with_constant(m.grid.n_x, r, m.wx, rng)
         v = basis_with_constant(n_mu, r, m.wmu, rng)
         sub = assemble_substeps(m, x, v)
-        bound = _norm_bound(m, sub, factor)
+        bound = _norm_bound(m, sub, factor, _skew_modes(sub.a_x))
         assume(dt * bound <= _STRUCTURED_THRESHOLD[factor])
         op = (operator_L if factor == "L" else operator_K)(m, sub)
         y0 = rng.standard_normal(op.shape)
@@ -523,7 +559,8 @@ class TestTaylorSegments:
                 return apply(u)
 
             op.apply = counted
-            expmv(op, 0.01, mat, EXPMV_TOL, _norm_bound(m, sub, factor))
+            expmv(op, 0.01, mat, EXPMV_TOL,
+                  _norm_bound(m, sub, factor, _skew_modes(sub.a_x)))
         assert applies["L"] <= 27 // 2
         assert applies["K"] <= 84 // 2
 
@@ -570,7 +607,7 @@ class TestSSubstep:
         s0 = rng.standard_normal((r, r))
         gen = sign * self.galerkin_generator(m, sub, x)
         oracle = sla.expm(dt * gen) @ vec(s0)
-        out = _solve_s_substep(m, sub, dt, s0, sign, None, 0)
+        out = solve_s(m, sub, dt, s0, sign, None, 0)
         assert (np.linalg.norm(vec(out) - oracle)
                 <= 1e-10 * np.linalg.norm(oracle))
 
@@ -590,11 +627,11 @@ class TestSSubstepContract:
     def test_records_one_s_substep(self, sign):
         m, sub, s0 = self.substep()
         trace = []
-        out = _solve_s_substep(m, sub, 0.1, s0, sign, trace, 3)
+        out = solve_s(m, sub, 0.1, s0, sign, trace, 3)
         assert trace == [integrators.SubstepTrace(
             3, "S", float(np.linalg.norm(s0)), float(np.linalg.norm(out)),
             None, ())]
-        untraced = _solve_s_substep(m, sub, 0.1, s0, sign, None, 3)
+        untraced = solve_s(m, sub, 0.1, s0, sign, None, 3)
         assert np.array_equal(untraced, out)
 
     @pytest.mark.parametrize("sign,name", [
@@ -608,7 +645,7 @@ class TestSSubstepContract:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailureError) as err:
-                _solve_s_substep(m, sub, 0.1, s0, sign, trace, 0)
+                solve_s(m, sub, 0.1, s0, sign, trace, 0)
         assert str(err.value).startswith(name)
         assert trace == []
 
@@ -636,7 +673,7 @@ class TestSSubstepMpmath:
         s0 = rng.standard_normal((rank, rank))
         gen = sign * TestSSubstep.galerkin_generator(m, sub, x)
         oracle = mp_expm(dt * gen, dps=60).real @ vec(s0)
-        out = _solve_s_substep(m, sub, dt, s0, sign, None, 0)
+        out = solve_s(m, sub, dt, s0, sign, None, 0)
         assert (np.linalg.norm(vec(out) - oracle)
                 <= 1e-10 * np.linalg.norm(oracle))
 
@@ -659,7 +696,7 @@ class TestSSubstepMpmath:
         s0 = rng.standard_normal((rank, rank))
         gen = dt * TestSSubstep.galerkin_generator(m, sub, x)
         exact = mp_expm(gen, dps=60).real @ vec(s0)
-        out = _solve_s_substep(m, sub, dt, s0, 1.0, None, 0)
+        out = solve_s(m, sub, dt, s0, 1.0, None, 0)
         err = np.linalg.norm(vec(out) - exact)
         assert err <= 2.0 * np.linalg.norm(sla.expm(gen) @ vec(s0) - exact)
 
@@ -900,6 +937,22 @@ class TestGapProperties:
         assert abs(mass1 - mass0) <= 1e-12 * abs(mass0)
 
 
+    # fig1's shape: 1000 x 100, rank 5, the parabolic start, dt = 0.1 to
+    # t = 1.  The K flow's mean Fourier row, which carries the mass, is
+    # pure collision and takes the closed form with C_mu's theta; through
+    # the Pade slices the drift read 3.7e-13 and 8.2e-12, now 6.2e-16 at
+    # both eps
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_fig1_mass_drift_at_roundoff(self, eps):
+        m = build(n_x=1000, n_mu=100, eps=eps)
+        f0 = initial_matrix(RunConfig(initial_condition="parabolic"),
+                            m.grid, m.quad)
+        st, _, _ = from_full(f0, 5, m)
+        out, _ = integrate(m, st, "gap", 0.1, 10)
+        mass0 = m.grid.dx * np.sum(reconstruct(st) @ m.wmu)
+        mass1 = m.grid.dx * np.sum(reconstruct(out) @ m.wmu)
+        assert abs(mass1 - mass0) <= 1e-14 * abs(mass0)
+
 class TestReference:
     def test_mass_conserved(self):
         m = build(n_x=48, n_mu=12, eps=0.5)
@@ -997,12 +1050,29 @@ class TestReference:
         assert err <= (1e-10 if eps >= 1e-2 else 1e-7)
 
 
+
+def k_flow_oracle(m, sub, dt, k0, expm_batch):
+    """The exact K flow mode by mode: one slice per nonzero symbol, and the
+    closed collision form with C_mu and its theta for the zero symbol."""
+    eps, r = m.eps, sub.b_mu.shape[0]
+    rows = np.fft.rfft(k0, axis=0)
+    zero = m.diff.d_x_symbol == 0.0
+    gens = (-(dt / eps) * m.diff.d_x_symbol[~zero, None, None] * sub.b_mu
+            + (dt / eps**2) * (sub.c_mu - np.eye(r)))
+    prop = np.stack([expm_batch(g[None])[0] for g in gens])
+    rows[~zero] = np.einsum("qi,qij->qj", rows[~zero], prop)
+    rows[zero] = model_module.collision_flow(
+        dt / eps**2, sub.theta, rows[zero], rows[zero] @ sub.c_mu)
+    return np.fft.irfft(rows, n=m.grid.n_x, axis=0)
+
 class TestModePairing:
     # D_x has the same symbol at the rfft modes q and n_x/2 - q, so the exact
-    # flows take one exponential per distinct symbol: 13 for the 25 modes
-    # at n_x = 48, and all 25 at n_x = 49 (the reference one fewer: its
-    # zero symbol takes a closed form).  Sharing changes no bit of the
-    # output against a mode-by-mode flow through the same routine.
+    # flows take one exponential per distinct nonzero symbol: 12 of the 13
+    # distinct symbols of the 25 modes at n_x = 48, and 24 of the 25 at
+    # n_x = 49.  The zero symbol is pure collision and takes its closed
+    # form, C_mu's in the K flow and W_mu's in the reference.  Sharing
+    # changes no bit of the output against a mode-by-mode flow through the
+    # same routine.
     PAIRS = [(48, 13), (49, 25)]
 
     @pytest.mark.parametrize("n_x, distinct", PAIRS)
@@ -1022,13 +1092,8 @@ class TestModePairing:
 
         monkeypatch.setattr(integrators, "_expm_batch", counted)
         out = _propagate_k_structured(m, sub, dt, k0)
-        assert slices == [distinct]
-
-        gens = (-(dt / eps) * m.diff.d_x_symbol[:, None, None] * sub.b_mu
-                + (dt / eps**2) * (sub.c_mu - np.eye(r)))
-        prop = np.stack([expm_batch(g[None])[0] for g in gens])
-        rows = np.einsum("qi,qij->qj", np.fft.rfft(k0, axis=0), prop)
-        assert np.array_equal(out, np.fft.irfft(rows, n=n_x, axis=0))
+        assert slices == [distinct - 1]
+        assert np.array_equal(out, k_flow_oracle(m, sub, dt, k0, expm_batch))
 
     @pytest.mark.parametrize("n_x, distinct", PAIRS)
     def test_reference(self, monkeypatch, n_x, distinct):
@@ -1058,7 +1123,9 @@ class TestModePairing:
         for q in np.flatnonzero(~zero):
             d = m.diff.d_x_symbol[q]
             rows[q] = rows[q] @ dense_expm((t / eps) * d.imag * mu_flip + coll)
-        rows[zero] = model_module.collision_flow(m, t / eps**2, rows[zero])
+        rows[zero] = model_module.collision_flow(
+            t / eps**2, 1.0, rows[zero],
+            0.5 * (rows[zero] @ m.wmu)[:, None])
         rows = (0.5 + 0.5j) * (rows - 1j * rows[:, ::-1])
         assert np.array_equal(out, np.fft.irfft(rows, n=n_x, axis=0))
 
@@ -1111,8 +1178,12 @@ class TestLiveModes:
             out = _propagate_k_structured(m, sub, dt, k0)
         mag = np.abs(np.fft.rfft(k0, axis=0)).max(axis=1)
         live = mag >= np.finfo(float).eps * mag.max()
-        assert slices == [len(np.unique(-(dt / eps)
-                                        * m.diff.d_x_symbol[live]))]
+        # the live rows of nonzero symbol, one slice per distinct scale;
+        # the zero symbol takes the closed form, so no batch when it is
+        # the only live one
+        scales = np.unique(-(dt / eps) * m.diff.d_x_symbol[
+            live & (m.diff.d_x_symbol != 0.0)])
+        assert slices == ([len(scales)] if len(scales) else [])
 
         # scipy's expm of every row's generator, no row skipped
         gens = (-(dt / eps) * m.diff.d_x_symbol[:, None, None] * sub.b_mu
@@ -1126,16 +1197,21 @@ class TestLiveModes:
                 <= tol * np.linalg.norm(oracle) + dropped)
 
     def test_full_spectrum_is_bit_identical(self):
-        # random rows all carry data, so every row is propagated, through
-        # the same batch as a flow that skips none
+        # random rows all carry data, so every row is propagated: the
+        # nonzero symbols through the same batch as a flow that skips none,
+        # the zero symbols by the closed collision form
         eps, dt, r, n_x = 1e-3, 0.1, 3, 48
         rng = np.random.default_rng(1)
         m, sub = self.substep(n_x, 8, r, eps, rng)
         k0 = rng.standard_normal((n_x, r))
         out = _propagate_k_structured(m, sub, dt, k0)
-        rows = integrators._propagate_modes(
-            -(dt / eps) * m.diff.d_x_symbol, sub.b_mu,
-            (dt / eps**2) * (sub.c_mu - np.eye(r)), np.fft.rfft(k0, axis=0))
+        zero = m.diff.d_x_symbol == 0.0
+        rows = np.fft.rfft(k0, axis=0)
+        rows[~zero] = integrators._propagate_modes(
+            -(dt / eps) * m.diff.d_x_symbol[~zero], sub.b_mu,
+            (dt / eps**2) * (sub.c_mu - np.eye(r)), rows[~zero])
+        rows[zero] = model_module.collision_flow(
+            dt / eps**2, sub.theta, rows[zero], rows[zero] @ sub.c_mu)
         assert np.array_equal(out, np.fft.irfft(rows, n=n_x, axis=0))
 
     def test_zero_factor_gives_exact_zeros(self):
@@ -1323,7 +1399,7 @@ class TestConjugateFolding:
         monkeypatch.setattr(integrators, "_expm_batch", counted)
         monkeypatch.setattr(model_module, "to_flip_basis", to_flip)
         monkeypatch.setattr(model_module, "from_flip_basis", from_flip)
-        out = _propagate_l_structured(m, sub, dt, l0)
+        out = _propagate_l_structured(m, _skew_modes(sub.a_x), dt, l0)
         return out, slices, rows["in"], rows["out"]
 
     @classmethod
@@ -1442,6 +1518,237 @@ class TestPureCollisionRows:
             assert (np.abs(out - e.T @ l0).max()
                     <= bound * np.abs(l0).max())
 
+
+def spied_mode_flow(monkeypatch):
+    """Record the scale and the rows before and after each ``mode_flow``
+    call the substeps make, in a list of dicts."""
+    seen = []
+    mode_flow = integrators.mode_flow
+
+    def spy(scale, rows, *args):
+        call = {"scale": scale.copy(), "in": rows.copy()}
+        call["out"] = mode_flow(scale, rows, *args).copy()
+        seen.append(call)
+        return call["out"]
+
+    monkeypatch.setattr(integrators, "mode_flow", spy)
+    return seen
+
+
+def assert_zero_rows_match_mpmath(call, c_mu, c, n_zero):
+    """The rows of scale 0 against 40-digit mpmath of exp(c (C_mu - I)).
+
+    The bound of TestPureCollisionRows, times the growth e^-c of a
+    backward flow (c < 0).
+    """
+    zero = call["scale"] == 0.0
+    assert np.count_nonzero(zero) == n_zero
+    e = mp_expm(c * (c_mu - np.eye(len(c_mu)))).real
+    y = call["in"][zero]
+    bound = (17.0 * np.finfo(float).eps * max(1.0, abs(c))
+             * max(1.0, np.exp(-c)))
+    assert np.abs(call["out"][zero] - y @ e).max() <= bound * np.abs(y).max()
+
+
+class TestCollisionBlockRows:
+    # the K flow's rows of D_x symbol 0 (the mean mode, and the Nyquist mode
+    # for even n_x) and the S substep's zero mode at odd rank are pure
+    # collision under C_mu and take the closed form of TestPureCollisionRows
+    # with theta from angular_blocks: 1 under the mass rule when V holds the
+    # constant, |V^T w|^2/2 below 1 for a random V.  The worst error, in
+    # units of the bound's u max(1, |c|) max|y| e^max(0, -c), was 1.6 over
+    # these grids; the bound is 17.
+    @staticmethod
+    def substep(n_x, n_mu, r, eps, basis, rng):
+        m = build(n_x=n_x, n_mu=n_mu, eps=eps)
+        v = (basis_with_constant(n_mu, r, m.wmu, rng) if basis == "constant"
+             else weighted_mgs(rng.standard_normal((n_mu, r)), m.wmu).q)
+        sub = assemble_substeps(m, basis_with_constant(n_x, r, m.wx, rng), v)
+        assert (sub.theta == 1.0) == (basis == "constant")
+        return m, sub
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.1])
+    @pytest.mark.parametrize("eps", [10.0, 1.0, 0.1, 1e-2, 1e-4])
+    @pytest.mark.parametrize("basis", ["constant", "random"])
+    @pytest.mark.parametrize("n_x", [48, 49])
+    def test_k_zero_symbol_rows(self, monkeypatch, n_x, basis, eps, dt):
+        rng = np.random.default_rng(n_x)
+        m, sub = self.substep(n_x, 8, 3, eps, basis, rng)
+        seen = spied_mode_flow(monkeypatch)
+        _propagate_k_structured(m, sub, dt, rng.standard_normal((n_x, 3)))
+        assert_zero_rows_match_mpmath(seen[0], sub.c_mu, dt / eps**2,
+                                      2 - n_x % 2)
+
+    # backward, the flow grows like e^(dt/eps^2); these eps keep it below
+    # e^0.4, where the bound still reads roundoff
+    @pytest.mark.parametrize("sign, eps", [
+        *((1.0, eps) for eps in (10.0, 1.0, 0.1, 1e-2, 1e-4)),
+        *((-1.0, eps) for eps in (10.0, 1.0, 0.5))])
+    @pytest.mark.parametrize("dt", [1e-3, 0.1])
+    @pytest.mark.parametrize("basis", ["constant", "random"])
+    @pytest.mark.parametrize("rank", [3, 5])
+    def test_s_zero_mode(self, monkeypatch, rank, basis, dt, sign, eps):
+        rng = np.random.default_rng(rank)
+        m, sub = self.substep(16, 8, rank, eps, basis, rng)
+        seen = spied_mode_flow(monkeypatch)
+        solve_s(m, sub, dt, rng.standard_normal((rank, rank)), sign, None, 0)
+        assert_zero_rows_match_mpmath(seen[0], sub.c_mu, sign * dt / eps**2,
+                                      1)
+
+
+class TestSConjugatePairs:
+    # B_mu and C_mu are real, so the S substep's blocks obey
+    # exp(dt G(-g)) = conj(exp(dt G(g))): it exponentiates |g| once per +-g
+    # pair of A_x, and the zero of an odd rank takes the closed form
+    # (TestCollisionBlockRows): floor(r/2) sla.expm calls.  Sharing an
+    # exponential changes no bit against a mode-by-mode flow through the
+    # same kernel, and the conjugate agrees with the exponential of the
+    # block of -g to roundoff.
+    @staticmethod
+    def counted_flow(monkeypatch, m, sub, dt, s0, sign):
+        """The S substep's sla.expm count and its mode_flow call."""
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return sla.expm(a)
+
+        monkeypatch.setattr(integrators, "sla",
+                            types.SimpleNamespace(expm=counted))
+        seen = spied_mode_flow(monkeypatch)
+        solve_s(m, sub, dt, s0, sign, None, 0)
+        return calls, seen[0]
+
+    @staticmethod
+    def assert_pairs_share(monkeypatch, m, sub, dt, s0, sign):
+        rank = len(s0)
+        calls, call = TestSConjugatePairs.counted_flow(monkeypatch, m, sub,
+                                                       dt, s0, sign)
+        assert calls == [(rank, rank)] * (rank // 2)
+        scale, live = call["scale"], call["scale"] != 0.0
+        assert np.count_nonzero(live) == 2 * (rank // 2)
+        assert np.array_equal(np.sort(scale), -np.sort(scale)[::-1])
+        b = (1j * sign) * sub.b_mu
+        coll = (sign * dt / m.eps**2) * (sub.c_mu - np.eye(rank))
+        for j in np.flatnonzero(live):
+            y = call["in"][j:j + 1].copy()
+            mirror = np.conj if scale[j] < 0 else (lambda z: z)
+            y = mirror(model_module.expm_rows(
+                sla.expm, np.abs(scale[j:j + 1]), b, coll, mirror(y)))
+            assert np.array_equal(call["out"][j:j + 1], y)
+            direct = call["in"][j] @ sla.expm(scale[j] * b + coll)
+            assert (np.abs(call["out"][j] - direct).max()
+                    <= 1e-14 * np.abs(direct).max())
+
+    SIGNS = [pytest.param(1.0, 1e-3, id="forward"),
+             pytest.param(-1.0, 0.5, id="backward")]
+
+    @pytest.mark.parametrize("sign, eps", SIGNS)
+    @pytest.mark.parametrize("rank", [4, 5])
+    def test_exact_pairs_share_one_exponential(self, monkeypatch, rank,
+                                               sign, eps):
+        m, sub, _ = TestStatelessModel.substep(rank, eps=eps)
+        rng = np.random.default_rng(rank)
+        # 2 x 2 rotation blocks, permuted: eigh returns exact +-g pairs
+        a_x = np.zeros((rank, rank))
+        for k, g in enumerate([0.7, 2.5]):
+            a_x[2 * k, 2 * k + 1], a_x[2 * k + 1, 2 * k] = g, -g
+        perm = rng.permutation(rank)
+        sub = dataclasses.replace(sub, a_x=a_x[perm][:, perm])
+        gam = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))[0]
+        assert np.array_equal(gam[::-1], -gam)
+        self.assert_pairs_share(monkeypatch, m, sub, 0.1,
+                                rng.standard_normal((rank, rank)), sign)
+
+    @pytest.mark.parametrize("sign, eps", SIGNS)
+    @pytest.mark.parametrize("rank", [4, 5, 6, 7])
+    def test_roundoff_pairs_share_one_exponential(self, monkeypatch, rank,
+                                                  sign, eps):
+        # a generic A_x, whose +-g pairs eigh returns equal only to roundoff
+        m, sub, _ = TestStatelessModel.substep(rank, eps=eps)
+        gam = np.linalg.eigh(0.5j * (sub.a_x - sub.a_x.T))[0]
+        assert not np.array_equal(gam[::-1], -gam)
+        assert np.allclose(gam[::-1], -gam, rtol=0.0, atol=1e-12)
+        rng = np.random.default_rng(rank)
+        self.assert_pairs_share(monkeypatch, m, sub, 0.1,
+                                rng.standard_normal((rank, rank)), sign)
+
+
+class TestOneRule:
+    # the exact flows share one rule for their mode rows: no row of scale
+    # exactly 0 reaches an exponential kernel, each PSI and BUG S substep
+    # makes floor(r/2) sla.expm calls, and each step decomposes each A_x it
+    # reads once, by one eigh and no SVD
+    @staticmethod
+    def start(eps, rank):
+        m = build(n_x=48, n_mu=12, eps=eps)
+        st, _, _ = from_full(generic_matrix(m), rank, m)
+        return m, st
+
+    @pytest.mark.parametrize("rank", [4, 5])
+    @pytest.mark.parametrize("eps", [1e-3, 1.0])
+    def test_no_zero_scale_reaches_a_kernel(self, monkeypatch, eps, rank):
+        m, st = self.start(eps, rank)
+        scales = []
+        propagate_modes = integrators._propagate_modes
+        expm_rows = model_module.expm_rows
+
+        def batch_spy(scale, *args):
+            scales.append(scale)
+            return propagate_modes(scale, *args)
+
+        def row_spy(expm, scale, *args):
+            scales.append(scale)
+            return expm_rows(expm, scale, *args)
+
+        monkeypatch.setattr(integrators, "_propagate_modes", batch_spy)
+        monkeypatch.setattr(integrators, "expm_rows", row_spy)
+        monkeypatch.setattr(model_module, "expm_rows", row_spy)
+        for name, step in ALL_STEPS:
+            if name != "psi" or eps == 1.0:
+                step(m, st, 0.1)
+        reference_step(m, reconstruct(st), 0.1)
+        assert scales
+        assert all(np.all(s != 0.0) for s in scales)
+
+    @pytest.mark.parametrize("rank", [4, 5, 6])
+    @pytest.mark.parametrize("name, eps", [("psi", 1.0), ("bug", 1.0),
+                                           ("bug", 1e-3)])
+    def test_s_substep_takes_floor_half_rank_expms(self, monkeypatch, name,
+                                                   eps, rank):
+        m, st = self.start(eps, rank)
+        blocks = []
+
+        def counted(a):
+            blocks.append(a.ndim)
+            return sla.expm(a)
+
+        monkeypatch.setattr(integrators, "sla",
+                            types.SimpleNamespace(expm=counted))
+        dict(ALL_STEPS)[name](m, st, 0.1)
+        # 3-D stacks are the structured L and K routes
+        assert blocks.count(2) == rank // 2
+
+    # PSI's backward S substep overflows at eps = 1e-3, so it runs at 1 only
+    @pytest.mark.parametrize("name, eps, eigh_calls", [
+        ("gap", 1e-3, 1), ("gap", 1.0, 1), ("psi", 1.0, 1), ("bug", 1e-3, 2),
+        ("bug", 1.0, 2)])
+    def test_one_eigh_per_a_x_and_no_svd(self, monkeypatch, name, eps,
+                                         eigh_calls):
+        m, st = self.start(eps, 5)
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD inside a step")
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        dict(ALL_STEPS)[name](m, st, 0.1)
+        assert calls == [(5, 5)] * eigh_calls
 
 class TestRealLBlocks:
     # the structured L flow exponentiates the real flip-form blocks
@@ -1601,7 +1908,8 @@ class TestWholeFactorRule:
 
         def run():
             for _ in range(2):
-                integrators._factor_substep(m, sub, dt, "L", l0, trace, 0)
+                integrators._factor_substep(m, sub, _skew_modes(sub.a_x), dt,
+                                            "L", l0, trace, 0)
 
         seen = self.l_substep_qrs(monkeypatch, n_mu, run)
         assert [t.route for t in trace] == ["structured"] * 2

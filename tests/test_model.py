@@ -223,7 +223,7 @@ class TestAssembleSubsteps:
         x, v = random_orthobases(m, r, seed=n_x)
         built = SubstepMatrices(spatial_block(m, x), *angular_blocks(m, v))
         sub = assemble_substeps(m, x, v)
-        for field in ("a_x", "b_mu", "c_mu"):
+        for field in ("a_x", "b_mu", "c_mu", "theta"):
             assert np.array_equal(getattr(built, field), getattr(sub, field))
 
     @pytest.mark.parametrize("seed", range(20))
@@ -284,7 +284,8 @@ class TestSubstepOperators:
         # projection, so exp(t(W^T - I)) = W^T + e^{-t}(I - W^T) exactly
         m = build(eps=1.0, n_mu=12)
         r = 2
-        sub = SubstepMatrices(np.zeros((r, r)), np.zeros((r, r)), np.eye(r))
+        sub = SubstepMatrices(np.zeros((r, r)), np.zeros((r, r)), np.eye(r),
+                              1.0)
         op = operator_L(m, sub)
         rng = np.random.default_rng(5)
         l = rng.standard_normal((12, r))
@@ -335,7 +336,7 @@ class TestSubstepOperators:
         m = build()
         r = 2
         sub = SubstepMatrices(np.zeros((r, r)), np.zeros((r, r)),
-                              np.diag([1.0, 0.0]))
+                              np.diag([1.0, 0.0]), 1.0)
         op = operator_K(m, sub)
         rng = np.random.default_rng(9)
         k = rng.standard_normal((32, r))

@@ -98,24 +98,26 @@ def weighted_mgs(a, w, ladder=None, whole_factor=False):
         Judge residuals against the largest column's w-norm, not each
         column's own (below).
 
-    The columns are pre-scaled to unit w-norm and factored by one Householder
-    QR of diag(sqrt(w)) a, which stays orthonormal to roundoff however badly
-    the columns are graded; |R_jj| times the column's scale is the residual
-    of column j after projection onto the preceding columns.  Signs are
-    fixed so that diag(R) >= 0.  A column is deficient when that residual
-    is at most _MGS_TAU times its original w-norm, floored at a
-    machine-scale absolute threshold, or with ``whole_factor`` at most
-    _MGS_TAU times the largest column's w-norm, so that a column of
-    roundoff is deficient whatever its direction, as rank-adaptive BUG
-    truncates against the whole coefficient matrix (Ceruti, Kusch & Lubich,
-    BIT 62, 2022).  While a
+    One Householder QR of diag(sqrt(w)) a, with no pre-scaling: Householder
+    QR is columnwise backward stable (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 19.4), so however badly the columns
+    are graded, q stays orthonormal to roundoff, the norm of R's column j
+    is the w-norm of column j, and |R_jj| is its residual after projection
+    onto the preceding columns.  The norms are taken by ``np.hypot``, so
+    finite huge entries cannot overflow.  A column is deficient when its
+    residual is at most _MGS_TAU times its w-norm, floored at eps times the
+    largest w-norm, or with ``whole_factor`` at most _MGS_TAU times the
+    largest w-norm, so that a column of roundoff is deficient whatever its
+    direction, as rank-adaptive BUG truncates against the whole
+    coefficient matrix (Ceruti, Kusch & Lubich, BIT 62, 2022).  While a
     column is deficient, the first such column j takes the next ladder
     candidate, scaled to unit w-norm, and the QR is redone; a candidate is
     judged against its own norm in both modes.  A candidate already in the
     span of the preceding columns comes back deficient and is passed over
-    in turn.  Each replaced column then gets R_jj = 0 and R[:j, j] = the
-    projection of the original column onto the preceding q columns.  A
-    nonfinite a raises NumericalFailureError.
+    in turn.  Signs are then fixed so that diag(R) >= 0, and each replaced
+    column gets R_jj = 0 and R[:j, j] = the projection of the original
+    column onto the preceding q columns.  A nonfinite a raises
+    NumericalFailureError.
     """
     a = np.asarray(a, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -127,48 +129,40 @@ def weighted_mgs(a, w, ladder=None, whole_factor=False):
             return np.eye(1, m, k)[0]
 
     sq = np.sqrt(w)
-    # square each column scaled by a power of two near its largest entry:
-    # the scaling is exact, so ordinary columns round as unscaled ones do,
-    # and finite huge entries cannot overflow
-    col_max = np.abs(a).max(axis=0, initial=0.0)
-    # the largest entry is NaN or inf when any entry is
-    if not math.isfinite(col_max.max(initial=0.0)):
+    # an entry that overflows under its weight is caught as nonfinite
+    with np.errstate(over="ignore"):
+        b = sq[:, None] * a
+    if not np.isfinite(b).all():
         raise NumericalFailureError("weighted QR: the factor is not finite")
-    _, exp2 = np.frexp(col_max)
-    pow2 = np.ldexp(1.0, exp2 - 1)
-    a_pow2 = a / pow2
-    col_norms = pow2 * np.sqrt(np.sum(w[:, None] * a_pow2 * a_pow2, axis=0))
-    top = col_norms.max(initial=0.0)
-    abs_floor = np.finfo(float).eps * top
 
-    # pre-scale live columns to unit w-norm; undo through r_factor at the end
-    col_scale = np.where(col_norms > abs_floor, col_norms, 1.0)
-    b = sq[:, None] * (a / col_scale)
-    ref = top if whole_factor else np.maximum(col_norms, abs_floor)
-    thresh = _MGS_TAU * ref / col_scale
-
+    q, r_factor = np.linalg.qr(b)
+    norms = np.hypot.reduce(r_factor, axis=0)
+    top = norms.max(initial=0.0)
+    floor = np.finfo(float).eps * top
+    thresh = _MGS_TAU * (np.full(r, top) if whole_factor
+                         else np.maximum(norms, floor))
     work = b.copy()
     replaced = set()
     for k in range(m + 1):
-        q, r_factor = np.linalg.qr(work)
-        sign = np.where(np.diag(r_factor) < 0.0, -1.0, 1.0)
-        q *= sign
-        r_factor *= sign[:, None]
-        j = next((j for j in range(r) if r_factor[j, j] <= thresh[j]), None)
-        if j is None:
+        deficient = np.flatnonzero(np.abs(np.diag(r_factor)) <= thresh)
+        if deficient.size == 0:
             break
         if k == m:
             raise ValueError(
                 f"the first {m} ladder candidates do not span R^{m}")
+        j = deficient[0]
         cand = sq * ladder(k)
         work[:, j] = cand / np.linalg.norm(cand)
         thresh[j] = _MGS_TAU
-        replaced.add(j)
+        replaced.add(int(j))
+        q, r_factor = np.linalg.qr(work)
 
+    sign = np.where(np.diag(r_factor) < 0.0, -1.0, 1.0)
+    q *= sign
+    r_factor *= sign[:, None]
     for j in replaced:
         r_factor[:, j] = 0.0
         r_factor[:j, j] = q[:, :j].T @ b[:, j]
-    r_factor *= col_scale[None, :]
     return QrResult(q / sq[:, None], r_factor, replaced)
 
 

@@ -128,10 +128,27 @@ class TestCmdRun:
         with pytest.raises(SizeCapError):
             cmd_run(cfg, tmp_path)
 
-    def test_cap_boundary(self):
-        # 1000 x 100 = 1e5 sits below the 2e5 cap, 4000 x 100 above it
-        from rte_lowrank.integrators import REFERENCE_SIZE_CAP
-        assert 1000 * 100 <= REFERENCE_SIZE_CAP < 4000 * 100
+    def test_cap_boundary(self, monkeypatch):
+        # the cap counts the reference's distinct nonzero D_x symbols times
+        # n_mu^3: 1000 x 100 (250 symbols, 2.5e8), 2000 x 100 (500, 5e8)
+        # and 4000 x 64 (1000, 2.6e8) sit at or below it, 4000 x 100 (1e9)
+        # and 100 x 1000 (25, 2.5e10) above it
+        from rte_lowrank import integrators
+        from rte_lowrank.experiments import build_setup
+        from rte_lowrank.model import make_model
+
+        monkeypatch.setattr(integrators, "full_flow", lambda m, f, t: f)
+        for n_x, n_mu, admitted in ((1000, 100, True), (2000, 100, True),
+                                    (4000, 64, True), (4000, 100, False),
+                                    (100, 1000, False)):
+            cfg = RunConfig.from_dict({**TINY, "n_x": n_x, "n_mu": n_mu})
+            model = make_model(*build_setup(cfg), 0.1)
+            f = np.ones((n_x, n_mu))
+            if admitted:
+                integrators.reference_step(model, f, 0.1)
+            else:
+                with pytest.raises(SizeCapError):
+                    integrators.reference_step(model, f, 0.1)
 
     def test_config_echo_round_trips(self, tmp_path):
         cfg = RunConfig.from_dict(TINY)

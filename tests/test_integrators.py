@@ -1011,10 +1011,18 @@ class TestReference:
         assert rel_err(whole, stepped, m) <= 10 * EXPMV_TOL
 
     def test_size_cap(self, monkeypatch):
-        monkeypatch.setattr(integrators, "REFERENCE_SIZE_CAP", 100)
-        m = build(n_x=64, n_mu=8)
-        with pytest.raises(SizeCapError):
-            reference_step(m, np.ones((64, 8)), 0.1)
+        # the cap counts exponentials times n_mu^3: the D_x symbols of
+        # n_x = 64 take 16 distinct nonzero magnitudes, those of n_x = 63
+        # take 31, so the work is 16 * 8^3 and 31 * 8^3
+        for n_x, n_expm in ((64, 16), (63, 31)):
+            m = build(n_x=n_x, n_mu=8)
+            monkeypatch.setattr(integrators, "REFERENCE_SIZE_CAP",
+                                n_expm * 8**3 - 1)
+            with pytest.raises(SizeCapError):
+                reference_step(m, np.ones((n_x, 8)), 0.1)
+            monkeypatch.setattr(integrators, "REFERENCE_SIZE_CAP",
+                                n_expm * 8**3)
+            reference_step(m, np.ones((n_x, 8)), 0.1)
 
     def test_n_mu_above_dense_limit_rejected(self, monkeypatch):
         from rte_lowrank import model as model_module
@@ -1025,9 +1033,10 @@ class TestReference:
         monkeypatch.setattr(model_module, "dense_expm", no_expm)
         n_mu = DENSE_EXPM_LIMIT + 1
         m = build(n_x=4, n_mu=n_mu)
+        # n_x = 4 has one nonzero symbol: one exponential, 2001^3 > the cap
         with pytest.raises(SizeCapError) as err:
             reference_step(m, np.ones((4, n_mu)), 0.1)
-        assert str(DENSE_EXPM_LIMIT) in str(err.value)
+        assert f"work 1 * {n_mu}^3" in str(err.value)
 
     @pytest.mark.parametrize("parity", [0, 1])
     @given(half=strategies.integers(1, 19), n_mu=strategies.integers(2, 12),

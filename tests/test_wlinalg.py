@@ -120,26 +120,70 @@ class TestWeightedMgs:
         gram = weighted_inner(res.q, res.q, w)
         assert np.abs(gram - np.eye(5)).max() <= 1e-12
 
-    def test_huge_column_is_kept(self):
-        # squaring 1e200 overflows; the column must neither warn nor read as
-        # deficient.  The other columns fall below the absolute floor, eps
-        # times the largest norm, so they are replaced.
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_huge_column_is_kept(self, scale):
+        # squaring the scale overflows; the column must neither warn nor
+        # read as deficient.  The other columns fall below the absolute
+        # floor, eps times the largest norm, so they are replaced.
         rng = np.random.default_rng(5)
         a = rng.standard_normal((30, 4))
         w = rng.random(30) + 0.2
         huge = a.copy()
-        huge[:, 2] *= 1e200
+        huge[:, 2] *= scale
         res = weighted_mgs(huge, w)
         assert res.replaced_columns == {0, 1, 3}
         assert np.abs(weighted_inner(res.q, res.q, w) - np.eye(4)).max() \
             <= 1e-12
         recon = res.q @ res.r_factor[:, 2]
-        assert (np.linalg.norm(recon / 1e200 - a[:, 2])
+        assert (np.linalg.norm(recon / scale - a[:, 2])
                 <= 1e-12 * np.linalg.norm(a[:, 2]))
         # scaled as a whole, the factorization is the unscaled one
-        res_all = weighted_mgs(1e200 * a, w)
+        res_all = weighted_mgs(scale * a, w)
         assert res_all.replaced_columns == set()
         assert np.abs(res_all.q - weighted_mgs(a, w).q).max() <= 1e-12
+
+    def test_tiny_column_replaced_by_the_absolute_floor(self):
+        # a 1e-300 column is far from the span of the others, so only the
+        # floor, eps times the largest norm, makes it deficient; nothing
+        # underflows on the way
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((30, 4))
+        a[:, 1] *= 1e-300
+        w = rng.random(30) + 0.2
+        with np.errstate(under="warn"):
+            res = weighted_mgs(a, w)
+        assert res.replaced_columns == {1}
+        assert res.r_factor[1, 1] == 0.0
+        assert np.abs(weighted_inner(res.q, res.q, w) - np.eye(4)).max() \
+            <= 1e-12
+        recon = res.q @ res.r_factor
+        for j in (0, 2, 3):
+            assert (np.linalg.norm(recon[:, j] - a[:, j])
+                    <= 1e-12 * np.linalg.norm(a[:, j]))
+        assert np.linalg.norm(recon[:, 1] - a[:, 1]) <= 1e-299
+
+    def test_one_householder_qr_per_attempt(self, monkeypatch):
+        # a full-rank factor costs one QR; column 1 below is zero, its
+        # first candidate e_0 lies in the span of column 0 and is passed
+        # over, and e_1 is kept: two ladder attempts, three QRs
+        calls = []
+        qr = np.linalg.qr
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        rng = np.random.default_rng(2)
+        weighted_mgs(rng.standard_normal((20, 5)), rng.random(20) + 0.1)
+        assert calls == [(20, 5)]
+        calls.clear()
+        a = np.zeros((3, 2))
+        a[0, 0] = 1.0
+        res = weighted_mgs(a, np.ones(3))
+        assert res.replaced_columns == {1}
+        assert calls == [(3, 2)] * 3
+        assert np.array_equal(res.q, np.eye(3)[:, :2])
 
 
 @st.composite

@@ -41,18 +41,20 @@ decomposes each A_x once per step, for the L bound, the L flow and S.
 
 Both exact routes also decide against the whole factor what is roundoff.
 The K flow propagates only the Fourier rows of K that carry data, those
-whose largest entry is at least machine epsilon times the largest of all:
-diffusion damps the others below roundoff, and each row's flow is a
-contraction, so leaving them exactly zero costs less than the rfft's own
-rounding.  The L flow collapses the angular columns onto a few directions
-in the diffusive regime, so on that route the weighted QR judges each
-column against the largest one (``whole_factor``), and roundoff does not
-pick the directions it keeps, whichever way the pure-collision rows round.
+whose largest entry is at least machine epsilon times the largest of all,
+in ``model.live_row_flow``, the Fourier frame it shares with the dense
+reference: diffusion damps the others below roundoff, and each row's flow
+is a contraction, so leaving them exactly zero costs less than the rfft's
+own rounding.  The L flow collapses the angular columns onto a few
+directions in the diffusive regime, so on that route the weighted QR
+judges each column against the largest one (``whole_factor``), and
+roundoff does not pick the directions it keeps, whichever way the
+pure-collision rows round.
 
 The dense reference is the exact flow of the full system,
-``model.full_flow``: an rfft in x and ``model.flip_flow`` on the Fourier
-modes, with one n_mu x n_mu exponential per distinct nonzero D_x symbol.
-It runs no Taylor loop, so EXPMV_TOL does not affect it.
+``model.full_flow``: ``model.flip_flow`` on the live Fourier rows, with one
+n_mu x n_mu exponential per distinct nonzero D_x symbol among them.  It
+runs no Taylor loop, so EXPMV_TOL does not affect it.
 """
 
 import logging
@@ -65,7 +67,8 @@ import scipy.linalg as sla
 from .exceptions import DegenerateStateError, NumericalFailureError, SizeCapError
 from .model import (SubstepMatrices, angular_blocks, assemble_substeps,
                     collision_flow, expm_rows, flip_flow, full_flow,
-                    mode_flow, operator_K, operator_L, spatial_block)
+                    live_row_flow, mode_flow, operator_K, operator_L,
+                    spatial_block)
 # unused here, but bench/tracing.py rebinds this name in this module
 from .model import full_operator  # noqa: F401
 from .state import LowRankState
@@ -79,8 +82,8 @@ from .wlinalg import (
 
 log = logging.getLogger(__name__)
 
-# exponentials times n_mu^3 that the dense reference may cost; the
-# 2000 x 100 reference (500 distinct symbols) sits at the cap
+# exponentials times max(n_mu, 32)^3 that the dense reference may cost;
+# the 2000 x 100 reference (500 distinct symbols) sits at the cap
 REFERENCE_SIZE_CAP = 500_000_000
 
 # target relative accuracy of every Taylor substep
@@ -172,50 +175,37 @@ def _propagate_k_structured(model, sub, dt, k_mat):
     """Exact K flow on the spatial Fourier modes of the circulant D_x.
 
     Row q of rfft(K) obeys dK_q/dt = K_q G_q with
-    G_q = -(d_q/eps) B_mu + (1/eps^2)(C_mu - I), d_q the D_x symbol.
-    For even n_x the modes q and n_x/2 - q have the same symbol, so they
-    go in mirrored pairs and the batch holds about half of the rows.
-
-    Only the rows that carry data are propagated: a row is live when its
-    largest entry is at least machine epsilon u times top, the largest
-    entry of rfft(K), and the other rows of the output are exact zeros.
-    In the diffusive regime the earlier steps have damped the high modes,
-    so the batch holds the few distinct scales of the live rows (3 to 6
-    of 501 rows on the diffusive-eps benchmark).  Each row's flow
-    exp(dt G_q) is a 2-norm contraction: G_q + G_q^H = (2/eps^2)(C_mu - I)
-    is negative semidefinite, and the transport part -(d_q/eps) B_mu is
+    G_q = -(d_q/eps) B_mu + (1/eps^2)(C_mu - I), d_q the D_x symbol, and
+    only the live rows of ``model.live_row_flow`` are propagated.  In the
+    diffusive regime the earlier steps have damped the high modes, so the
+    batch holds the few distinct scales of the live rows (3 to 6 of 501
+    rows on the diffusive-eps benchmark).  Each row's flow exp(dt G_q) is
+    a 2-norm contraction: G_q + G_q^H = (2/eps^2)(C_mu - I) is negative
+    semidefinite, and the transport part -(d_q/eps) B_mu is
     skew-Hermitian, d_q imaginary and B_mu real symmetric.  Zeroing a
     dropped row therefore changes the result by at most that row's
     2-norm, below sqrt(r) u top, and all of them together by at most
     sqrt(n_rows r) u top, n_rows = n_x/2 + 1: about 1e-14 relative at
     1000 x 100, rank 5, below the rfft's own rounding and four orders
     below EXPMV_TOL.  A K whose rfft is not finite raises
-    NumericalFailureError here, before the row flows would spread its NaNs
-    with warnings.
+    NumericalFailureError naming the spatial substep.
 
     The live rows go by ``model.mode_flow``, with the real scales
-    (dt/eps) Im d_q >= 0 and b = -i B_mu.  The rows of symbol 0, the mean
+    (dt/eps) Im d_q >= 0 and b = -i B_mu.  For even n_x the modes q and
+    n_x/2 - q have the same symbol, so they go in mirrored pairs and the
+    batch holds about half of the rows.  The rows of symbol 0, the mean
     mode, which carries the mass, and for even n_x the Nyquist mode, are
     pure collision and take ``model.collision_flow`` with P = C_mu and its
     theta, not the batch.
     """
     eps = model.eps
-    r = sub.b_mu.shape[0]
     c = dt / eps**2
-    with np.errstate(over="ignore", invalid="ignore"):
-        k_hat = np.fft.rfft(k_mat, axis=0)
-        mag = np.abs(k_hat).max(axis=1)
-        top = mag.max()
-    if not np.isfinite(top):
-        raise NumericalFailureError("spatial substep overflowed")
-    live = mag >= np.finfo(float).eps * top
-    out = np.zeros_like(k_hat)
-    out[live] = mode_flow(
-        (dt / eps) * model.diff.d_x_symbol[live].imag, k_hat[live],
-        lambda s, y: _propagate_modes(s, -1j * sub.b_mu,
-                                      c * (sub.c_mu - np.eye(r)), y),
-        lambda y: collision_flow(c, sub.theta, y, y @ sub.c_mu), np.conj)
-    return np.fft.irfft(out, n=model.grid.n_x, axis=0)
+    collision = c * (sub.c_mu - np.eye(len(sub.b_mu)))
+    return live_row_flow(model, k_mat, lambda d, rows: mode_flow(
+        (dt / eps) * d.imag, rows,
+        lambda s, y: _propagate_modes(s, -1j * sub.b_mu, collision, y),
+        lambda y: collision_flow(c, sub.theta, y, y @ sub.c_mu), np.conj),
+        "spatial substep")
 
 
 def _skew_modes(a_x):
@@ -510,23 +500,27 @@ def bug_step(model, state, dt, trace=None, step_index=0):
 def reference_step(model, f, t):
     """Advance the full value matrix by the exact flow exp(t A).
 
-    The flow costs one n_mu x n_mu exponential per distinct nonzero
-    |Im d_x_symbol| (:func:`model.full_flow`), so the size cap counts that
-    work, exponentials times n_mu^3, and a run above REFERENCE_SIZE_CAP
-    raises SizeCapError before any exponential.
+    The flow costs at most one n_mu x n_mu exponential per distinct
+    nonzero |Im d_x_symbol| (:func:`model.full_flow` takes only those of
+    f's live Fourier rows).  The size cap counts that upper bound, each
+    exponential as max(n_mu, 32)^3: one scipy ``expm`` call has a fixed
+    cost of about 34 us, what 32^3 costs at the rate of a 100 x 100 one
+    (about 1.1 ms).  A run above REFERENCE_SIZE_CAP raises SizeCapError
+    before any exponential.
     """
     _check_positive("t", t)
     f = np.asarray(f, dtype=float)
     n_mu = model.quad.n_mu
     n_expm = np.count_nonzero(np.unique(np.abs(model.diff.d_x_symbol.imag)))
-    work = n_expm * n_mu**3
+    unit = max(n_mu, 32)
+    work = n_expm * unit**3
     if work > REFERENCE_SIZE_CAP:
         raise SizeCapError(
             f"the reference needs one {n_mu} x {n_mu} exponential per "
-            f"distinct D_x symbol, {n_expm} of them: work {n_expm} * "
-            f"{n_mu}^3 = {work:.3g}, above the cap of "
-            f"{REFERENCE_SIZE_CAP:.3g}; reduce n_x or n_mu, or use a "
-            f"low-rank scheme"
+            f"distinct D_x symbol, {n_expm} of them, each counted as "
+            f"max(n_mu, 32)^3: work {n_expm} * {unit}^3 = {work:.3g}, above "
+            f"the cap of {REFERENCE_SIZE_CAP:.3g}; reduce n_x or n_mu, or "
+            f"use a low-rank scheme"
         )
     with np.errstate(over="ignore", invalid="ignore"):
         out = full_flow(model, f, t)

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .exceptions import OrthonormalityError
+from .exceptions import NumericalFailureError, OrthonormalityError
 from .grids import AngularQuadrature, DiffMatrices, SpatialGrid
 from .wlinalg import SparseOperator, dense_expm, orthonormality_defect
 # unused here, but bench/tracing.py rebinds this name in this module
@@ -337,25 +337,60 @@ def expm_rows(expm, scale, b, c, y):
     return y
 
 
+def live_row_flow(model, f, flow, label):
+    """Each Fourier row of f in x under its own flow, live rows only.
+
+    D_x is circulant, so row q of rfft(f) evolves alone, by a flow set by
+    its symbol d_q.  ``flow(d, rows)`` maps the live rows and their D_x
+    symbols to their flowed rows; every other row of the output is an
+    exact zero, and the result goes back by irfft.  A row is live when its
+    largest entry is at least machine epsilon u times top, the largest
+    entry of rfft(f): where diffusion has damped the high modes, only the
+    few rows that carry data are exponentiated.  Both callers' row flows
+    are contractions, so a dropped row moves the result by at most its own
+    norm; :func:`full_flow` and ``integrators._propagate_k_structured``
+    state the bounds.  An f whose rfft is not finite raises
+    NumericalFailureError naming ``label``, before the flow would spread
+    its NaNs with warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_hat = np.fft.rfft(f, axis=0)
+        mag = np.abs(f_hat).max(axis=1)
+        top = mag.max()
+    if not np.isfinite(top):
+        raise NumericalFailureError(f"{label} overflowed")
+    live = mag >= np.finfo(float).eps * top
+    out = np.zeros_like(f_hat)
+    out[live] = flow(model.diff.d_x_symbol[live], f_hat[live])
+    return np.fft.irfft(out, n=model.grid.n_x, axis=0)
+
+
 def full_flow(model, f, t):
     """Exact flow exp(t A) of the full system on the value matrix F.
 
-    D_x is circulant, so row q of rfft(F) evolves alone by
-    exp(t G_q), G_q = -(d_q/eps) diag(mu) + (1/eps^2)(W_mu - I), d_q the
-    D_x symbol: the blocks of :func:`flip_flow`.  For even n_x the modes q
-    and n_x/2 - q have the same symbol, so they share one exponential.
-    The symbol 0 (the mean mode, and for even n_x the Nyquist mode) leaves
-    pure collision, so the mass, which sits in the mean mode, moves only
-    at roundoff.  The exponentials are the per-row kernel
-    :func:`expm_rows` with ``dense_expm``, not the batched
-    ``integrators._propagate_modes``, because bench/tracing.py books every
-    3-D expm stack in ``integrators`` as the L or K substep route.
+    Row q of rfft(F) evolves alone by exp(t G_q),
+    G_q = -(d_q/eps) diag(mu) + (1/eps^2)(W_mu - I), d_q the D_x symbol:
+    the blocks of :func:`flip_flow`, on the live rows of
+    :func:`live_row_flow`.  Each flow exp(t G_q) is a contraction in the
+    w_mu-weighted norm: there the transport is skew, and W_mu - I is
+    negative semidefinite, since W_mu is the w-orthogonal projection onto
+    the constants (the weights sum to 2).  So the dropped rows move the
+    result by at most about sqrt(2 n_rows) u top.  For even n_x the modes
+    q and n_x/2 - q have the same symbol, so they share one exponential:
+    one per distinct nonzero symbol of the live rows.  The symbol 0 (the
+    mean mode, and for even n_x the Nyquist mode) leaves pure collision,
+    so the mass, which sits in the mean mode, moves only at roundoff.  The
+    exponentials are the per-row kernel :func:`expm_rows` with
+    ``dense_expm``, not the batched ``integrators._propagate_modes``,
+    because bench/tracing.py books every 3-D expm stack in
+    ``integrators`` as the L or K substep route.
     """
     eps = model.eps
-    rows = flip_flow(model, (t / eps) * model.diff.d_x_symbol.imag,
-                     t / eps**2, np.fft.rfft(f, axis=0),
-                     partial(expm_rows, dense_expm))
-    return np.fft.irfft(rows, n=model.grid.n_x, axis=0)
+    return live_row_flow(
+        model, f, lambda d, rows: flip_flow(
+            model, (t / eps) * d.imag, t / eps**2, rows,
+            partial(expm_rows, dense_expm)),
+        "reference flow")
 
 
 def normal_component(model, state):

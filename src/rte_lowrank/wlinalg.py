@@ -13,8 +13,6 @@ import scipy.linalg as sla
 
 from .exceptions import NumericalFailureError
 
-DENSE_EXPM_LIMIT = 2000
-
 _MGS_TAU = 1e-10
 _NORM_EST_SEED = 0x5EED
 # largest scaled norm of one Taylor segment of expmv
@@ -297,10 +295,6 @@ def expmv(op, t, v, tol, norm):
 def dense_expm(a):
     """Dense matrix exponential (Pade with scaling and squaring)."""
     a = np.asarray(a)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got {a.shape}")
-    if n > DENSE_EXPM_LIMIT:
-        raise ValueError(
-            f"matrix dimension {n} exceeds dense limit {DENSE_EXPM_LIMIT}")
     return sla.expm(a)

@@ -4,7 +4,6 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rte_lowrank import wlinalg
 from rte_lowrank.grids import gauss_legendre
 from rte_lowrank.wlinalg import (
     SparseOperator,
@@ -451,8 +450,3 @@ class TestDenseExpm:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             dense_expm(np.zeros((2, 3)))
-
-    def test_dense_limit(self, monkeypatch):
-        monkeypatch.setattr(wlinalg, "DENSE_EXPM_LIMIT", 10)
-        with pytest.raises(ValueError):
-            dense_expm(np.zeros((11, 11)))

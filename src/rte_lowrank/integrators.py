@@ -1,4 +1,4 @@
-"""One-step maps: GAP, PSI, BUG, and the dense reference solver.
+"""One-step maps GAP, PSI and BUG, and ``integrate``, which runs them.
 
 Each low-rank step opens with the L substep on the angular factor, in
 ``_open_step``, which all three schemes share, and goes on with substep
@@ -25,23 +25,24 @@ suite.
 The four exact flows, L, K, S and the reference, decouple into mode rows,
 and ``model.mode_flow`` gives them one rule.  A row whose transport scale
 is exactly 0 is pure collision, y -> y exp(c (P - I)) with P the rank-one
-collision block, and takes the closed form ``model.collision_flow``: P is
-W_mu for L and the reference, C_mu for K (the mean mode, and the Nyquist
-mode for even n_x) and for S (the zero of an odd rank).  The other rows
-are exponentiated once per distinct |scale|, the +-g pairs of A_x sharing
-one exponential.  K and L go through one batched kernel,
-``_propagate_modes``: K on the Fourier modes of the circulant D_x (complex
-r x r blocks), L on the eigenvectors of the antisymmetric r x r A_x,
-through ``model.flip_flow``, the angular flow it shares with the reference
-(real n_mu x n_mu blocks).  ``_expm_batch`` scales each block by a power
-of two, calls scipy's Pade step once on the stack and squares the blocks
-as batched matmuls.  The S substep of PSI and BUG takes the same modes of
-A_x through ``expm_rows``, the reference's row kernel.  ``_skew_modes``
-decomposes each A_x once per step, for the L bound, the L flow and S.
+collision block, and takes the closed form ``model.collision_flow``.  The
+other rows are exponentiated once per distinct |scale|, the +-g pairs of
+A_x sharing one exponential.  The flows come in two frames, the Fourier
+modes of the circulant D_x (K and the reference) and the eigenvectors of
+the antisymmetric A_x (L and S), and two block families, each written
+once in ``model``: ``model.flip_flow`` for P = W_mu (L and the reference,
+real n_mu x n_mu blocks) and ``model.c_mu_flow`` for P = C_mu (K and S,
+complex r x r blocks; for K the zero rows are the mean mode and, for even
+n_x, the Nyquist mode, for S the zero of an odd rank).  K and L pass the
+batched kernel ``_propagate_modes``: ``_expm_batch`` scales each block by
+a power of two, calls scipy's Pade step once on the stack and squares the
+blocks as batched matmuls.  The S substep of PSI and BUG passes
+``expm_rows``, the reference's row kernel.  ``_skew_modes`` decomposes
+each A_x once per step, for the L bound, the L flow and S.
 
 Both exact routes also decide against the whole factor what is roundoff.
 The K flow propagates only the Fourier rows of K that carry data, those
-whose largest entry is at least machine epsilon times the largest of all,
+whose largest entry exceeds machine epsilon times the largest of all,
 in ``model.live_row_flow``, the Fourier frame it shares with the dense
 reference: diffusion damps the others below roundoff, and each row's flow
 is a contraction, so leaving them exactly zero costs less than the rfft's
@@ -51,24 +52,26 @@ judges each column against the largest one (``whole_factor``), and
 roundoff does not pick the directions it keeps, whichever way the
 pure-collision rows round.
 
-The dense reference is the exact flow of the full system,
-``model.full_flow``: ``model.flip_flow`` on the live Fourier rows, with one
-n_mu x n_mu exponential per distinct nonzero D_x symbol among them.  It
-runs no Taylor loop, so EXPMV_TOL does not affect it.
+The dense reference, which ``integrate`` runs for the scheme "reference",
+is the exact flow of the full system, ``model.full_flow``:
+``model.flip_flow`` on the live Fourier rows, with one n_mu x n_mu
+exponential per distinct nonzero D_x symbol among them, which its size
+cap counts before any runs.  It runs no Taylor loop, so EXPMV_TOL does
+not affect it.
 """
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
 
-from .exceptions import DegenerateStateError, NumericalFailureError, SizeCapError
+from .exceptions import DegenerateStateError, NumericalFailureError
 from .model import (SubstepMatrices, angular_blocks, assemble_substeps,
-                    collision_flow, expm_rows, flip_flow, full_flow,
-                    live_row_flow, mode_flow, operator_K, operator_L,
-                    spatial_block)
+                    c_mu_flow, expm_rows, flip_flow, full_flow,
+                    live_row_flow, operator_K, operator_L, spatial_block)
 # unused here, but bench/tracing.py rebinds this name in this module
 from .model import full_operator  # noqa: F401
 from .state import LowRankState
@@ -81,10 +84,6 @@ from .wlinalg import (
 )
 
 log = logging.getLogger(__name__)
-
-# exponentials times max(n_mu, 32)^3 that the dense reference may cost;
-# the 2000 x 100 reference (500 distinct symbols) sits at the cap
-REFERENCE_SIZE_CAP = 500_000_000
 
 # target relative accuracy of every Taylor substep
 EXPMV_TOL = 1e-10
@@ -190,22 +189,18 @@ def _propagate_k_structured(model, sub, dt, k_mat):
     below EXPMV_TOL.  A K whose rfft is not finite raises
     NumericalFailureError naming the spatial substep.
 
-    The live rows go by ``model.mode_flow``, with the real scales
-    (dt/eps) Im d_q >= 0 and b = -i B_mu.  For even n_x the modes q and
-    n_x/2 - q have the same symbol, so they go in mirrored pairs and the
-    batch holds about half of the rows.  The rows of symbol 0, the mean
-    mode, which carries the mass, and for even n_x the Nyquist mode, are
-    pure collision and take ``model.collision_flow`` with P = C_mu and its
-    theta, not the batch.
+    The live rows go by ``model.c_mu_flow``, with the real scales
+    (dt/eps) Im d_q >= 0, b = -i B_mu and the batched kernel.  For even
+    n_x the modes q and n_x/2 - q have the same symbol, so they go in
+    mirrored pairs and the batch holds about half of the rows.  The rows
+    of symbol 0, the mean mode, which carries the mass, and for even n_x
+    the Nyquist mode, are pure collision and take the closed form, not the
+    batch.
     """
     eps = model.eps
-    c = dt / eps**2
-    collision = c * (sub.c_mu - np.eye(len(sub.b_mu)))
-    return live_row_flow(model, k_mat, lambda d, rows: mode_flow(
-        (dt / eps) * d.imag, rows,
-        lambda s, y: _propagate_modes(s, -1j * sub.b_mu, collision, y),
-        lambda y: collision_flow(c, sub.theta, y, y @ sub.c_mu), np.conj),
-        "spatial substep")
+    return live_row_flow(model, k_mat, lambda d, rows: c_mu_flow(
+        sub, (dt / eps) * d.imag, -1j * sub.b_mu, dt / eps**2, rows,
+        _propagate_modes), "spatial substep")
 
 
 def _skew_modes(a_x):
@@ -285,26 +280,19 @@ def _solve_s_substep(model, sub, modes, dt, s_mat, sign, trace, step_index):
     With ``modes`` = (g, U) from ``_skew_modes``, A_x = U diag(-i g) U^H as
     in the L flow, row j of U^H S obeys dy_j/dt = y_j G_j,
     G_j = sign ((i g_j/eps) B_mu + (1/eps^2)(C_mu - I)): the K flow's row
-    form with g_j in place of the D_x symbol.  The rows go by
-    ``model.mode_flow``.  B_mu and C_mu are real, so
-    exp(dt G(-g)) = conj(exp(dt G(g))): complex conjugation is the mirror,
-    and each +-g pair shares one exponential.  The zero of an odd rank is
-    pure collision and takes ``model.collision_flow`` with P = C_mu.  The
+    form with g_j in place of the D_x symbol, so the rows go by
+    ``model.c_mu_flow``: each +-g pair shares one exponential, and the
+    zero of an odd rank is pure collision and takes the closed form.  The
     others go through ``expm_rows`` with ``sla.expm``, not a 3-D stack,
     which the benchmark's tracer books as an L or K route: floor(r/2)
     calls per substep.
     """
     eps = model.eps
     g, u = modes
-    c = sign * dt / eps**2
-    collision = c * (sub.c_mu - np.eye(len(s_mat)))
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = mode_flow(
-            (dt / eps) * g, u.conj().T @ s_mat,
-            lambda s, y: expm_rows(sla.expm, s, (1j * sign) * sub.b_mu,
-                                   collision, y),
-            lambda y: collision_flow(c, sub.theta, y, y @ sub.c_mu),
-            np.conj)
+        rows = c_mu_flow(sub, (dt / eps) * g, (1j * sign) * sub.b_mu,
+                         sign * dt / eps**2, u.conj().T @ s_mat,
+                         partial(expm_rows, sla.expm))
         sol = np.real(u @ rows)
     if not np.all(np.isfinite(sol)):
         raise NumericalFailureError(
@@ -497,39 +485,6 @@ def bug_step(model, state, dt, trace=None, step_index=0):
     return LowRankState(x1, s1, v1)
 
 
-def reference_step(model, f, t):
-    """Advance the full value matrix by the exact flow exp(t A).
-
-    The flow costs at most one n_mu x n_mu exponential per distinct
-    nonzero |Im d_x_symbol| (:func:`model.full_flow` takes only those of
-    f's live Fourier rows).  The size cap counts that upper bound, each
-    exponential as max(n_mu, 32)^3: one scipy ``expm`` call has a fixed
-    cost of about 34 us, what 32^3 costs at the rate of a 100 x 100 one
-    (about 1.1 ms).  A run above REFERENCE_SIZE_CAP raises SizeCapError
-    before any exponential.
-    """
-    _check_positive("t", t)
-    f = np.asarray(f, dtype=float)
-    n_mu = model.quad.n_mu
-    n_expm = np.count_nonzero(np.unique(np.abs(model.diff.d_x_symbol.imag)))
-    unit = max(n_mu, 32)
-    work = n_expm * unit**3
-    if work > REFERENCE_SIZE_CAP:
-        raise SizeCapError(
-            f"the reference needs one {n_mu} x {n_mu} exponential per "
-            f"distinct D_x symbol, {n_expm} of them, each counted as "
-            f"max(n_mu, 32)^3: work {n_expm} * {unit}^3 = {work:.3g}, above "
-            f"the cap of {REFERENCE_SIZE_CAP:.3g}; reduce n_x or n_mu, or "
-            f"use a low-rank scheme"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = full_flow(model, f, t)
-    if not np.all(np.isfinite(out)):
-        raise NumericalFailureError(
-            f"reference flow overflowed (eps={model.eps:g}, t={t:g})")
-    return out
-
-
 def integrate(model, initial, scheme, dt, n_steps, debug=False):
     """Apply the chosen one-step map n_steps times.
 
@@ -545,7 +500,7 @@ def integrate(model, initial, scheme, dt, n_steps, debug=False):
     trace = [] if debug else None
 
     if scheme == "reference":
-        return reference_step(model, initial, dt * n_steps), trace
+        return full_flow(model, initial, dt * n_steps), trace
 
     try:
         step_fn = {"gap": gap_step, "psi": psi_step, "bug": bug_step}[scheme]

@@ -9,7 +9,7 @@ restrictions of this right-hand side onto low-rank factors give the r x r
 matrices A_x, B_mu, C_mu and the substep operators acting on the angular
 (L) and spatial (K) factor matrices themselves.  D_x is circulant on the
 uniform periodic grid, so the full system decouples into Fourier modes in x
-and :func:`full_flow` is its exact flow.
+and :func:`full_flow` is its exact flow, the dense reference.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .exceptions import NumericalFailureError, OrthonormalityError
+from .exceptions import NumericalFailureError, OrthonormalityError, SizeCapError
 from .grids import AngularQuadrature, DiffMatrices, SpatialGrid
 from .wlinalg import SparseOperator, dense_expm, orthonormality_defect
 # unused here, but bench/tracing.py rebinds this name in this module
@@ -28,6 +28,9 @@ _ORTHO_TOL = 1e-8
 MASS_SNAP = 1e-12
 # smallest eps whose square is a normal double, so 1/eps^2 stays finite
 EPS_MIN = 2.0**-511
+# exponentials times max(n_mu, 32)^3 that the dense reference may cost;
+# the 2000 x 100 parabolic reference (500 live symbols) sits at the cap
+REFERENCE_SIZE_CAP = 500_000_000
 
 
 @dataclass(frozen=True)
@@ -321,6 +324,27 @@ def flip_flow(model, a, c, rows, propagate):
     return from_flip_basis(rows)
 
 
+def c_mu_flow(sub, scale, b, c, rows, propagate):
+    """Each complex mode row y_q under exp(scale_q b + c (C_mu - I)).
+
+    The rule of the C_mu blocks, as :func:`flip_flow` is that of the W_mu
+    ones, for two exact flows: the K flow's on the Fourier modes of D_x
+    (scale_q = (dt/eps) Im d_q, b = -i B_mu, c = dt/eps^2) and the S
+    substep's on the modes of A_x (scale_j = (dt/eps) g_j,
+    b = sign i B_mu, c = sign dt/eps^2).  B_mu and C_mu are real, so the
+    block of -s is the complex conjugate of the block of s, and the rows
+    go by :func:`mode_flow` with complex conjugation as the mirror: only
+    |scale| reaches the kernel ``propagate(scale, b, c (C_mu - I), y)``,
+    and the rows of scale exactly 0 take :func:`collision_flow` with
+    P = C_mu and ``sub.theta``.  The caller passes the kernel, so that
+    each exponential runs where bench/tracing.py books it.
+    """
+    coll = c * (sub.c_mu - np.eye(len(sub.c_mu)))
+    return mode_flow(
+        scale, rows, lambda s, y: propagate(s, b, coll, y),
+        lambda y: collision_flow(c, sub.theta, y, y @ sub.c_mu), np.conj)
+
+
 def expm_rows(expm, scale, b, c, y):
     """Map each row y_q to y_q expm(scale_q b + c), overwriting y.
 
@@ -344,12 +368,13 @@ def live_row_flow(model, f, flow, label):
     its symbol d_q.  ``flow(d, rows)`` maps the live rows and their D_x
     symbols to their flowed rows; every other row of the output is an
     exact zero, and the result goes back by irfft.  A row is live when its
-    largest entry is at least machine epsilon u times top, the largest
-    entry of rfft(f): where diffusion has damped the high modes, only the
-    few rows that carry data are exponentiated.  Both callers' row flows
-    are contractions, so a dropped row moves the result by at most its own
-    norm; :func:`full_flow` and ``integrators._propagate_k_structured``
-    state the bounds.  An f whose rfft is not finite raises
+    largest entry exceeds machine epsilon u times top, the largest entry
+    of rfft(f): where diffusion has damped the high modes, only the few
+    rows that carry data are exponentiated, and an f that is all zeros
+    has no live row at all.  Both callers' row flows are contractions, so
+    a dropped row moves the result by at most its own norm;
+    :func:`full_flow` and ``integrators._propagate_k_structured`` state
+    the bounds.  An f whose rfft is not finite raises
     NumericalFailureError naming ``label``, before the flow would spread
     its NaNs with warnings.
     """
@@ -359,16 +384,16 @@ def live_row_flow(model, f, flow, label):
         top = mag.max()
     if not np.isfinite(top):
         raise NumericalFailureError(f"{label} overflowed")
-    live = mag >= np.finfo(float).eps * top
+    live = mag > np.finfo(float).eps * top
     out = np.zeros_like(f_hat)
     out[live] = flow(model.diff.d_x_symbol[live], f_hat[live])
     return np.fft.irfft(out, n=model.grid.n_x, axis=0)
 
 
 def full_flow(model, f, t):
-    """Exact flow exp(t A) of the full system on the value matrix F.
+    """Exact flow exp(t A) of the full system on the value matrix F, t > 0.
 
-    Row q of rfft(F) evolves alone by exp(t G_q),
+    The dense reference.  Row q of rfft(F) evolves alone by exp(t G_q),
     G_q = -(d_q/eps) diag(mu) + (1/eps^2)(W_mu - I), d_q the D_x symbol:
     the blocks of :func:`flip_flow`, on the live rows of
     :func:`live_row_flow`.  Each flow exp(t G_q) is a contraction in the
@@ -379,18 +404,44 @@ def full_flow(model, f, t):
     q and n_x/2 - q have the same symbol, so they share one exponential:
     one per distinct nonzero symbol of the live rows.  The symbol 0 (the
     mean mode, and for even n_x the Nyquist mode) leaves pure collision,
-    so the mass, which sits in the mean mode, moves only at roundoff.  The
+    so the mass, which sits in the mean mode, moves only at roundoff.
+
+    The size cap counts those exponentials, on the live rows and before
+    any runs, each as max(n_mu, 32)^3: one scipy ``expm`` call has a fixed
+    cost of about 34 us, what 32^3 costs at the rate of a 100 x 100 one
+    (about 1.1 ms).  Work above REFERENCE_SIZE_CAP raises SizeCapError,
+    and a flow that overflows raises NumericalFailureError.  The
     exponentials are the per-row kernel :func:`expm_rows` with
     ``dense_expm``, not the batched ``integrators._propagate_modes``,
     because bench/tracing.py books every 3-D expm stack in
     ``integrators`` as the L or K substep route.
     """
-    eps = model.eps
-    return live_row_flow(
-        model, f, lambda d, rows: flip_flow(
-            model, (t / eps) * d.imag, t / eps**2, rows,
-            partial(expm_rows, dense_expm)),
-        "reference flow")
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
+    eps, n_mu = model.eps, model.quad.n_mu
+    unit = max(n_mu, 32)
+
+    def flow(d, rows):
+        n_expm = np.count_nonzero(np.unique(np.abs(d.imag)))
+        work = n_expm * unit**3
+        if work > REFERENCE_SIZE_CAP:
+            raise SizeCapError(
+                f"the reference needs one {n_mu} x {n_mu} exponential per "
+                f"distinct D_x symbol of its live rows, {n_expm} of them, "
+                f"each counted as max(n_mu, 32)^3: work {n_expm} * "
+                f"{unit}^3 = {work:.3g}, above the cap of "
+                f"{REFERENCE_SIZE_CAP:.3g}; reduce n_x or n_mu, or use a "
+                f"low-rank scheme")
+        return flip_flow(model, (t / eps) * d.imag, t / eps**2, rows,
+                         partial(expm_rows, dense_expm))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = live_row_flow(model, _value_matrix(model, f), flow,
+                            "reference flow")
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailureError(
+            f"reference flow overflowed (eps={eps:g}, t={t:g})")
+    return out
 
 
 def normal_component(model, state):

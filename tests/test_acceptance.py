@@ -28,9 +28,8 @@ from rte_lowrank.integrators import (
     bug_step,
     gap_step,
     psi_step,
-    reference_step,
 )
-from rte_lowrank.model import assemble_substeps, full_rhs, make_model
+from rte_lowrank.model import assemble_substeps, full_flow, full_rhs, make_model
 from rte_lowrank.state import from_full, reconstruct
 from rte_lowrank.wlinalg import (
     SparseOperator,
@@ -100,7 +99,7 @@ def test_criterion_3_full_rank_oracle_equivalence():
         f0 = 1.0 + 0.3 * np.outer(np.sin(np.pi * m.grid.points),
                                   m.quad.nodes)
         st, _, _ = from_full(f0, 8, m)
-        ref = reference_step(m, f0, 1e-3)
+        ref = full_flow(m, f0, 1e-3)
         ref_norm = frob_norm_weighted(ref, m.wx, m.wmu)
         for step in (gap_step, psi_step, bug_step):
             out = reconstruct(step(m, st, 1e-3))
@@ -195,7 +194,7 @@ def test_criterion_5_structural_invariants():
         # reference conserves mass within 1e-10 relative
         m = build(48, 12, 0.5)
         f0 = generic_matrix(m)
-        f1 = reference_step(m, f0, 0.2)
+        f1 = full_flow(m, f0, 0.2)
         m0 = m.grid.dx * np.sum(f0 @ m.wmu)
         m1 = m.grid.dx * np.sum(f1 @ m.wmu)
         assert abs(m1 - m0) <= 1e-10 * abs(m0)

@@ -129,26 +129,37 @@ class TestCmdRun:
             cmd_run(cfg, tmp_path)
 
     def test_cap_boundary(self, monkeypatch):
-        # the cap counts the reference's distinct nonzero D_x symbols times
-        # n_mu^3: 1000 x 100 (250 symbols, 2.5e8), 2000 x 100 (500, 5e8)
-        # and 4000 x 64 (1000, 2.6e8) sit at or below it, 4000 x 100 (1e9)
-        # and 100 x 1000 (25, 2.5e10) above it
-        from rte_lowrank import integrators
-        from rte_lowrank.experiments import build_setup
-        from rte_lowrank.model import make_model
+        # the cap counts the distinct nonzero D_x symbols of the reference's
+        # live rows times max(n_mu, 32)^3.  Every Fourier row of parabolic
+        # data is live, so 1000 x 100 (250 symbols, 2.5e8), 2000 x 100
+        # (500, 5e8) and 4000 x 64 (1000, 2.6e8) sit at or below the cap,
+        # 4000 x 100 (1e9) and 100 x 1000 (25, 2.5e10) above it, refused
+        # before the kernel, stubbed here, runs once
+        from rte_lowrank import model
+        from rte_lowrank.experiments import build_setup, initial_matrix
 
-        monkeypatch.setattr(integrators, "full_flow", lambda m, f, t: f)
+        ran = []
+
+        def kernel(a):
+            ran.append(len(a))
+            return np.eye(len(a))
+
+        monkeypatch.setattr(model, "dense_expm", kernel)
         for n_x, n_mu, admitted in ((1000, 100, True), (2000, 100, True),
                                     (4000, 64, True), (4000, 100, False),
                                     (100, 1000, False)):
             cfg = RunConfig.from_dict({**TINY, "n_x": n_x, "n_mu": n_mu})
-            model = make_model(*build_setup(cfg), 0.1)
-            f = np.ones((n_x, n_mu))
+            grid, quad, diff = build_setup(cfg)
+            m = model.make_model(grid, quad, diff, 0.1)
+            f = initial_matrix(cfg, grid, quad)
+            ran.clear()
             if admitted:
-                integrators.reference_step(model, f, 0.1)
+                model.full_flow(m, f, 0.1)
+                assert ran == [n_mu] * (n_x // 4)
             else:
                 with pytest.raises(SizeCapError):
-                    integrators.reference_step(model, f, 0.1)
+                    model.full_flow(m, f, 0.1)
+                assert ran == []
 
     def test_config_echo_round_trips(self, tmp_path):
         cfg = RunConfig.from_dict(TINY)

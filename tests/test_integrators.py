@@ -36,12 +36,12 @@ from rte_lowrank.integrators import (
     gap_step,
     integrate,
     psi_step,
-    reference_step,
 )
 from rte_lowrank.model import (
     assemble_substeps,
     density,
     diffusion_limit_density,
+    full_flow,
     full_rhs,
     make_model,
     operator_K,
@@ -254,7 +254,7 @@ class TestStepBasics:
                 with pytest.raises(ValueError, match="dt must be positive"):
                     integrate(m, st if scheme == "gap" else f0, scheme, dt, 1)
             with pytest.raises(ValueError, match="t must be positive"):
-                reference_step(m, f0, dt)
+                full_flow(m, f0, dt)
 
 
 class TestOracleEquivalence:
@@ -263,7 +263,7 @@ class TestOracleEquivalence:
         m = build(n_x=16, n_mu=8)
         f0 = 1.0 + 0.3 * np.outer(np.sin(np.pi * m.grid.points), m.quad.nodes)
         st, _, _ = from_full(f0, 8, m)
-        ref = reference_step(m, f0, 1e-3)
+        ref = full_flow(m, f0, 1e-3)
         for name, step in ALL_STEPS:
             out = step(m, st, 1e-3)
             assert rel_err(reconstruct(out), ref, m) <= 1e-5, name
@@ -383,7 +383,7 @@ class TestFullRank:
         assert {t.route for t in trace if t.substep != "S"} == {traced}
         bound = (EXPMV_TOL if route == "taylor" else
                  100 * np.finfo(float).eps * max(1.0, dt / eps**2))
-        assert rel_err(reconstruct(out), reference_step(m, f0, dt),
+        assert rel_err(reconstruct(out), full_flow(m, f0, dt),
                        m) <= bound
 
 
@@ -1008,7 +1008,7 @@ class TestReference:
     def test_mass_conserved(self):
         m = build(n_x=48, n_mu=12, eps=0.5)
         f0 = generic_matrix(m)
-        f1 = reference_step(m, f0, 0.2)
+        f1 = full_flow(m, f0, 0.2)
         m0 = m.grid.dx * np.sum(f0 @ m.wmu)
         m1 = m.grid.dx * np.sum(f1 @ m.wmu)
         assert abs(m1 - m0) <= 1e-10 * abs(m0)
@@ -1019,7 +1019,7 @@ class TestReference:
         # a squared expm its mass drifted with t/eps^2 (3e-8 at eps = 1e-4)
         m = build(n_x=48, n_mu=12, eps=eps)
         f0 = np.outer((m.grid.points - 1.0) ** 2 + 1.0, 1.0 + m.quad.nodes**2)
-        f1 = reference_step(m, f0, 1.0)
+        f1 = full_flow(m, f0, 1.0)
         m0 = m.grid.dx * np.sum(f0 @ m.wmu)
         m1 = m.grid.dx * np.sum(f1 @ m.wmu)
         assert abs(m1 - m0) <= 1e-14 * abs(m0)
@@ -1030,12 +1030,12 @@ class TestReference:
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailureError,
                                match="reference flow overflowed"):
-                reference_step(m, np.full((16, 4), 1e308), 0.1)
+                full_flow(m, np.full((16, 4), 1e308), 0.1)
 
     def test_weighted_norm_non_increasing(self):
         m = build(n_x=48, n_mu=12, eps=0.5)
         f0 = generic_matrix(m)
-        f1 = reference_step(m, f0, 0.2)
+        f1 = full_flow(m, f0, 0.2)
         n0 = frob_norm_weighted(f0, m.wx, m.wmu)
         n1 = frob_norm_weighted(f1, m.wx, m.wmu)
         assert n1 <= n0 * (1.0 + 1e-10)
@@ -1058,36 +1058,60 @@ class TestReference:
         whole, _ = integrate(m, f0, "reference", 0.1, 10)
         stepped = f0
         for _ in range(10):
-            stepped = reference_step(m, stepped, 0.1)
+            stepped = full_flow(m, stepped, 0.1)
         assert rel_err(whole, stepped, m) <= 10 * EXPMV_TOL
 
     def test_size_cap(self, monkeypatch):
-        # the cap counts exponentials times max(n_mu, 32)^3: the D_x
-        # symbols of n_x = 64 take 16 distinct nonzero magnitudes, those of
-        # n_x = 63 take 31, so at n_mu = 8 the work is 16 * 32^3 and
-        # 31 * 32^3
+        # the cap counts exponentials times max(n_mu, 32)^3: on
+        # full-spectrum data every row is live, the D_x symbols of n_x = 64
+        # take 16 distinct nonzero magnitudes, those of n_x = 63 take 31,
+        # so at n_mu = 8 the work is 16 * 32^3 and 31 * 32^3
         for n_x, n_expm in ((64, 16), (63, 31)):
             m = build(n_x=n_x, n_mu=8)
-            monkeypatch.setattr(integrators, "REFERENCE_SIZE_CAP",
+            f0 = np.random.default_rng(n_x).standard_normal((n_x, 8))
+            monkeypatch.setattr(model_module, "REFERENCE_SIZE_CAP",
                                 n_expm * 32**3 - 1)
             with pytest.raises(SizeCapError):
-                reference_step(m, np.ones((n_x, 8)), 0.1)
-            monkeypatch.setattr(integrators, "REFERENCE_SIZE_CAP",
+                full_flow(m, f0, 0.1)
+            monkeypatch.setattr(model_module, "REFERENCE_SIZE_CAP",
                                 n_expm * 32**3)
-            reference_step(m, np.ones((n_x, 8)), 0.1)
+            full_flow(m, f0, 0.1)
+
+    def test_cap_counts_the_live_symbols(self, monkeypatch):
+        # band-limited data: the live rows are the Fourier modes 0, 1 and 2
+        # of 33, so two exponentials run where the grid has 16 symbols; a
+        # cap that counts the grid's symbols refuses what runs here
+        m = build(n_x=64, n_mu=8)
+        t = np.pi * m.grid.points
+        f0 = np.outer(1.0 + np.cos(t) + 0.5 * np.sin(2.0 * t),
+                      1.0 + m.quad.nodes)
+        dense_expm, calls = model_module.dense_expm, []
+
+        def counted(a):
+            calls.append(a.shape)
+            return dense_expm(a)
+
+        monkeypatch.setattr(model_module, "dense_expm", counted)
+        monkeypatch.setattr(model_module, "REFERENCE_SIZE_CAP", 2 * 32**3 - 1)
+        with pytest.raises(SizeCapError, match=r"work 2 \* 32\^3"):
+            full_flow(m, f0, 0.1)
+        assert calls == []
+        monkeypatch.setattr(model_module, "REFERENCE_SIZE_CAP", 2 * 32**3)
+        full_flow(m, f0, 0.1)
+        assert calls == [(8, 8)] * 2
 
     def test_n_mu_above_dense_limit_rejected(self, monkeypatch):
-        from rte_lowrank import model as model_module
-
         def no_expm(a):
             raise AssertionError("an exponential was computed")
 
         monkeypatch.setattr(model_module, "dense_expm", no_expm)
         n_mu = 2001
         m = build(n_x=4, n_mu=n_mu)
-        # n_x = 4 has one nonzero symbol: one exponential, 2001^3 > the cap
+        # the k = 1 mode of n_x = 4, whose one nonzero symbol is the only
+        # live one: one exponential, 2001^3 > the cap
+        f0 = np.outer([1.0, 0.0, -1.0, 0.0], np.ones(n_mu))
         with pytest.raises(SizeCapError) as err:
-            reference_step(m, np.ones((4, n_mu)), 0.1)
+            full_flow(m, f0, 0.1)
         assert f"work 1 * {n_mu}^3" in str(err.value)
 
     @pytest.mark.parametrize("parity", [0, 1])
@@ -1106,7 +1130,7 @@ class TestReference:
         f0 = 1.0 + rng.standard_normal((n_x, n_mu))
         oracle = unvec(sla.expm(t * oracles.full_operator_matrix(m).toarray())
                        @ vec(f0), f0.shape)
-        out = reference_step(m, f0, t)
+        out = full_flow(m, f0, t)
         err = np.linalg.norm(out - oracle) / np.linalg.norm(oracle)
         assert err <= (1e-10 if eps >= 1e-2 else 1e-7)
 
@@ -1193,7 +1217,7 @@ class TestModePairing:
 
 class TestLiveModes:
     # the exact K flow propagates only the rows of rfft(K) whose largest
-    # entry is at least u times top, the largest entry of all rows, and
+    # entry exceeds u times top, the largest entry of all rows, and
     # leaves the others zero.  Every row's flow is a 2-norm contraction, so
     # the dropped rows change the result by at most sqrt(n_rows r) u top.
     @staticmethod
@@ -1202,6 +1226,28 @@ class TestLiveModes:
         sub = assemble_substeps(m, basis_with_constant(n_x, r, m.wx, rng),
                                 basis_with_constant(n_mu, r, m.wmu, rng))
         return m, sub
+
+    # zero data has top = 0 and so no live row: no exponential runs, and
+    # the flow is exact zeros
+    def test_zero_k_has_no_live_row(self, monkeypatch):
+        def no_batch(mats):
+            raise AssertionError("an exponential was computed")
+
+        monkeypatch.setattr(integrators, "_expm_batch", no_batch)
+        m, sub = self.substep(48, 12, 3, 1e-3, np.random.default_rng(0))
+        out = _propagate_k_structured(m, sub, 0.1, np.zeros((48, 3)))
+        assert out.shape == (48, 3)
+        assert not out.any()
+
+    def test_zero_f_has_no_live_row(self, monkeypatch):
+        def no_expm(a):
+            raise AssertionError("an exponential was computed")
+
+        monkeypatch.setattr(model_module, "dense_expm", no_expm)
+        m = build(n_x=48, n_mu=12, eps=0.5)
+        out = full_flow(m, np.zeros((48, 12)), 0.2)
+        assert out.shape == (48, 12)
+        assert not out.any()
 
     @pytest.mark.parametrize("parity", [0, 1])
     @given(half=strategies.integers(1, 19), n_mu=strategies.integers(2, 12),
@@ -1238,7 +1284,7 @@ class TestLiveModes:
             patch.setattr(integrators, "_expm_batch", counted)
             out = _propagate_k_structured(m, sub, dt, k0)
         mag = np.abs(np.fft.rfft(k0, axis=0)).max(axis=1)
-        live = mag >= np.finfo(float).eps * mag.max()
+        live = mag > np.finfo(float).eps * mag.max()
         # the live rows of nonzero symbol, one slice per distinct scale;
         # the zero symbol takes the closed form, so no batch when it is
         # the only live one
@@ -1293,7 +1339,7 @@ class TestLiveModes:
             patch.setattr(model_module, "dense_expm", counted)
             out = model_module.full_flow(m, f0, t)
         mag = np.abs(np.fft.rfft(f0, axis=0)).max(axis=1)
-        live = mag >= np.finfo(float).eps * mag.max()
+        live = mag > np.finfo(float).eps * mag.max()
         symbol = m.diff.d_x_symbol
         assert len(calls) == len(np.unique(symbol[live & (symbol != 0.0)]))
 
@@ -1374,7 +1420,7 @@ class TestLiveModes:
                 f0 += c * np.outer(np.sin(k * np.pi * x), mu**k)
         st, _, _ = from_full(f0, 5, m)
         out, _ = integrate(m, st, "gap", 0.1, 10)
-        ref = reference_step(m, f0, 1.0)
+        ref = full_flow(m, f0, 1.0)
         assert rel_err(reconstruct(out), ref, m) <= bound
 
 
@@ -1634,9 +1680,9 @@ class TestPureCollisionRows:
 
 def spied_mode_flow(monkeypatch):
     """Record the scale and the rows before and after each ``mode_flow``
-    call the substeps make, in a list of dicts."""
+    call the exact flows make, in a list of dicts."""
     seen = []
-    mode_flow = integrators.mode_flow
+    mode_flow = model_module.mode_flow
 
     def spy(scale, rows, *args):
         call = {"scale": scale.copy(), "in": rows.copy()}
@@ -1644,7 +1690,7 @@ def spied_mode_flow(monkeypatch):
         seen.append(call)
         return call["out"]
 
-    monkeypatch.setattr(integrators, "mode_flow", spy)
+    monkeypatch.setattr(model_module, "mode_flow", spy)
     return seen
 
 
@@ -1820,7 +1866,7 @@ class TestOneRule:
         for name, step in ALL_STEPS:
             if name != "psi" or eps == 1.0:
                 step(m, st, 0.1)
-        reference_step(m, reconstruct(st), 0.1)
+        full_flow(m, reconstruct(st), 0.1)
         assert scales
         assert all(np.all(s != 0.0) for s in scales)
 
@@ -1943,7 +1989,7 @@ class TestRankDecision:
         for k, c in enumerate(coeffs[1:], start=1):
             f0 += c * np.outer(np.sin(k * np.pi * x), mu**k)
         st, _, _ = from_full(f0, 5, m)
-        ref = reference_step(m, f0, n_steps * dt)
+        ref = full_flow(m, f0, n_steps * dt)
         expm_batch = integrators._expm_batch
 
         def gap_error(noise_seed):

@@ -312,13 +312,19 @@ def flip_flow(model, a, c, rows, propagate):
     kernel ``propagate(scale, b, c, y)``, which maps each row y_q to
     y_q exp(scale_q b + c), b = diag(mu) J; the rows of a_q exactly 0 take
     :func:`collision_flow` with P = W_mu.  The caller passes the kernel,
-    so that each exponential runs where bench/tracing.py books it.
+    so that each exponential runs where bench/tracing.py books it.  The
+    n_mu x n_mu blocks b and c (W_mu - I) are built only when some a_q is
+    nonzero, so rows that are all pure collision, or none at all, make no
+    n_mu x n_mu array at any n_mu.
     """
-    n_mu = model.quad.n_mu
-    b = np.diag(model.quad.nodes)[:, ::-1]
-    coll = c * (0.5 * np.outer(model.wmu, np.ones(n_mu)) - np.eye(n_mu))
+    def blocks(s, y):
+        n_mu = model.quad.n_mu
+        b = np.diag(model.quad.nodes)[:, ::-1]
+        coll = c * (0.5 * np.outer(model.wmu, np.ones(n_mu)) - np.eye(n_mu))
+        return propagate(s, b, coll, y)
+
     rows = mode_flow(
-        a, to_flip_basis(rows), lambda s, y: propagate(s, b, coll, y),
+        a, to_flip_basis(rows), blocks,
         lambda y: collision_flow(c, 1.0, y, 0.5 * (y @ model.wmu)[:, None]),
         lambda y: y[:, ::-1])
     return from_flip_basis(rows)
@@ -409,8 +415,13 @@ def full_flow(model, f, t):
     The size cap counts those exponentials, on the live rows and before
     any runs, each as max(n_mu, 32)^3: one scipy ``expm`` call has a fixed
     cost of about 34 us, what 32^3 costs at the rate of a 100 x 100 one
-    (about 1.1 ms).  Work above REFERENCE_SIZE_CAP raises SizeCapError,
-    and a flow that overflows raises NumericalFailureError.  The
+    (about 1.1 ms).  Data with no live nonzero symbol (constant in x, or
+    all zeros) runs no exponential and builds no n_mu x n_mu block, so it
+    passes the cap at any n_mu.  The checks run in this order: f whose
+    rfft is not finite raises NumericalFailureError, at any size, since
+    its live rows are undefined; then work above REFERENCE_SIZE_CAP raises
+    SizeCapError; then a flow that overflows raises
+    NumericalFailureError.  The
     exponentials are the per-row kernel :func:`expm_rows` with
     ``dense_expm``, not the batched ``integrators._propagate_modes``,
     because bench/tracing.py books every 3-D expm stack in

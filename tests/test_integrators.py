@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import re
+import tracemalloc
 import types
 import warnings
 
@@ -1113,6 +1114,41 @@ class TestReference:
         with pytest.raises(SizeCapError) as err:
             full_flow(m, f0, 0.1)
         assert f"work 1 * {n_mu}^3" in str(err.value)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_no_live_symbol_passes_the_cap(self, value, monkeypatch):
+        # zero data, or data constant in x, has no live nonzero symbol: no
+        # exponential runs and no n_mu x n_mu block is built, so it passes
+        # the cap at an n_mu whose one exponential (2001^3) it refuses
+        def no_expm(a):
+            raise AssertionError("an exponential was computed")
+
+        monkeypatch.setattr(model_module, "dense_expm", no_expm)
+        n_mu = 2001
+        m = build(n_x=4, n_mu=n_mu)
+        f0 = np.full((4, n_mu), value)
+        tracemalloc.start()
+        try:
+            out = full_flow(m, f0, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an eighth of one n_mu x n_mu float block; the data is 64 kB
+        assert peak < n_mu**2
+        np.testing.assert_allclose(out, f0, rtol=1e-14, atol=0.0)
+
+    def test_nonfinite_data_fails_before_the_cap(self):
+        # the live rows of data whose rfft is not finite are undefined, so
+        # the nonfinite check comes first, at a size the cap refuses
+        n_mu = 2001
+        m = build(n_x=4, n_mu=n_mu)
+        f0 = np.outer([1.0, 0.0, -1.0, 0.0], np.ones(n_mu))
+        f0[0, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError,
+                               match="reference flow overflowed"):
+                full_flow(m, f0, 0.1)
 
     @pytest.mark.parametrize("parity", [0, 1])
     @given(half=strategies.integers(1, 19), n_mu=strategies.integers(2, 12),
